@@ -5,7 +5,8 @@ Examples:
     qforge families werner 0.5 --out werner.txt
     qforge compile I werner.txt --out recipe.json
     qforge compile III mems:0.4 --out mems.json
-    qforge simulate mems.json --out produced.txt --grid-n 2049
+    qforge simulate mems.json --out produced.txt
+    qforge simulate mems.json --out oracle.txt --grid-n 2049
     qforge verify werner.txt produced.txt --min-fidelity 0.999
     qforge metrics produced.txt
     qforge plane mems 101 --out plane.csv
@@ -53,7 +54,6 @@ from .elements import (
     default_spectral_model,
 )
 from .errors import QforgeError, TimingCollision, UnsupportedTarget
-from .spectral import make_grid
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -271,23 +271,26 @@ def compile_cmd(settings, scheme, target, out):
 @cli.command()
 @click.argument("recipe_path")
 @click.option("--out", "-o", required=True, help="Matrix output path.")
-@click.option("--grid-n", type=int, default=2049, show_default=True,
-              help="Frequency grid size (odd).")
+@click.option("--grid-n", type=int, default=None,
+              help="Integrate on a frequency grid of this odd size instead of "
+                   "the exact default; the grid is an independent check.")
 @click.option("--analytic", is_flag=True,
-              help="Closed-form fast path for single-stage branches.")
+              help="Closed form for single-stage branches; the others stay "
+                   "exact (or on the --grid-n grid).")
 @click.pass_obj
 @_handle_errors
 def simulate(settings, recipe_path, out, grid_n, analytic):
-    """Forward-simulate a recipe and write the traced density matrix."""
+    """Forward-simulate a recipe and write the traced density matrix.
+
+    The simulation is exact for the Gaussian spectrum unless --grid-n is given.
+    """
     try:
         recipe = recipe_io.load_recipe(recipe_path)
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         _fail(EXIT_BAD_INPUT, "recipe-parse", f"{recipe_path}: {exc}")
-    if grid_n < 3 or grid_n % 2 == 0:
+    if grid_n is not None and (grid_n < 3 or grid_n % 2 == 0):
         raise ValueError(f"--grid-n must be an odd integer >= 3, got {grid_n}")
-    sm = recipe.spectral_model
-    grid = None if analytic else make_grid(sm, grid_n)
-    rho = simulate_recipe(recipe, sm=sm, grid=grid, analytic=analytic, grid_n=grid_n)
+    rho = simulate_recipe(recipe, analytic=analytic, grid_n=grid_n)
     comments = (f"simulated scheme {recipe.scheme} recipe from {recipe_path}",)
     _write_text(out, matrix_io.format_matrix(rho, comments=comments))
 

@@ -520,7 +520,7 @@ def _branch_rho_analytic(
 ) -> Optional[np.ndarray]:
     """Closed-form branch simulation, or None when the chain does not fit
     the single-stage pattern (a rotation strictly between decoherers, or
-    decoherers with mismatched birefringence)."""
+    decoherers with different effective birefringence)."""
     psi = branch_seed_state(branch)
     length_a = length_b = 0.0
     delta_n = None
@@ -531,13 +531,13 @@ def _branch_rho_analytic(
             if seen_dec:
                 suffix.append(stage)
             else:
-                psi = np.kron(stage.u_a, stage.u_b) @ psi
+                psi = stage.u4 @ psi
         elif isinstance(stage, DecohererStage):
             if suffix:
                 return None
             if delta_n is None:
-                delta_n = stage.spec.delta_n
-            elif delta_n != stage.spec.delta_n:
+                delta_n = stage.spec.effective_delta_n
+            elif delta_n != stage.spec.effective_delta_n:
                 return None
             if stage.arm == "A":
                 length_a += stage.spec.length_um
@@ -551,7 +551,7 @@ def _branch_rho_analytic(
     else:
         rho = analytic_single_stage(psi, length_a, length_b, delta_n, sm)
     for stage in suffix:
-        u4 = np.kron(stage.u_a, stage.u_b)
+        u4 = stage.u4
         rho = u4 @ rho @ u4.conj().T
     return rho
 
@@ -566,9 +566,10 @@ def simulate_recipe(
 ) -> np.ndarray:
     """Weighted incoherent sum of the branch simulations.
 
-    analytic=True evaluates single-decoherence-stage branches in closed
-    form (exact for the Gaussian spectrum) and falls back to the grid for
-    anything else; analytic=False always integrates on the grid.
+    Every branch is simulated exactly (simulate_chain without a grid)
+    unless a grid is given, or grid_n asks for one; then the grid
+    quadrature serves as an independent check.  analytic=True evaluates
+    single-decoherence-stage branches by analytic_single_stage first.
     """
     sm = sm or recipe.spectral_model
     _check_recipe(recipe)
@@ -576,8 +577,8 @@ def simulate_recipe(
     for branch in recipe.branches:
         part = _branch_rho_analytic(branch, sm) if analytic else None
         if part is None:
-            if grid is None:
-                grid = make_grid(sm, grid_n or 2049)
+            if grid is None and grid_n is not None:
+                grid = make_grid(sm, grid_n)
             part = simulate_chain(branch_seed_state(branch), branch.stages, sm, grid, n0=n0)
         rho += branch.weight * part
     return qmath.validate_density(rho)

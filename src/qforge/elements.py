@@ -198,7 +198,8 @@ def compose_waveplates(plates) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DecohererSpec:
-    """Thick birefringent crystal; delta_n = n_V - n_H, optic axis label."""
+    """Thick birefringent crystal: the polarization named by axis sees an
+    index delta_n above the other one."""
 
     length_um: float
     delta_n: float = DEFAULT_DELTA_N
@@ -209,6 +210,11 @@ class DecohererSpec:
             raise OutOfRange(f"decoherer length {self.length_um} must be >= 0")
         if self.axis not in ("H", "V"):
             raise OutOfRange(f"axis must be 'H' or 'V', got {self.axis!r}")
+
+    @property
+    def effective_delta_n(self) -> float:
+        """n_V - n_H: +delta_n for axis 'V', -delta_n for axis 'H'."""
+        return self.delta_n if self.axis == "V" else -self.delta_n
 
 
 @dataclass(frozen=True)
@@ -257,7 +263,7 @@ def analytic_f(d1: DecohererSpec, d2: DecohererSpec, sm: SpectralModel) -> compl
             f"decoherers differ: delta_n {d1.delta_n} vs {d2.delta_n}, "
             f"axis {d1.axis} vs {d2.axis}"
         )
-    dn = d1.delta_n
+    dn = d1.effective_delta_n
     tau = dn * (d1.length_um - d2.length_um) * sm.delta_eps / C_UM_PER_S
     phase = -dn * (d1.length_um + d2.length_um) * sm.omega / (2.0 * C_UM_PER_S)
     return complex(np.exp(-0.5 * tau * tau) * np.exp(1j * phase))

@@ -9,6 +9,10 @@ class ValidationError(QforgeError, ValueError):
     """A state or spec failed an invariant check."""
 
 
+class NotFinite(ValidationError):
+    """A matrix holds a NaN or infinite entry."""
+
+
 class NotHermitian(ValidationError):
     pass
 

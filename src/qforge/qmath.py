@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitian, NotNormalized, NotPositive, TraceNotOne
+from .errors import NotFinite, NotHermitian, NotNormalized, NotPositive, TraceNotOne
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -63,11 +63,13 @@ def check_pure(psi: np.ndarray, tol: float = 1e-9) -> np.ndarray:
 def validate_density(m: np.ndarray) -> np.ndarray:
     """Validate a 4x4 density matrix and return a cleaned copy.
 
-    Checks hermiticity, unit trace and positivity.  Eigenvalues in
-    [-1e-10, 0) are clamped to zero and the matrix is renormalized to
+    Checks finiteness, hermiticity, unit trace and positivity.  Eigenvalues
+    in [-1e-10, 0) are clamped to zero and the matrix is renormalized to
     unit trace; anything worse raises the matching error.
     """
     m = np.asarray(m, dtype=complex)
+    if not np.isfinite(m).all():
+        raise NotFinite("matrix holds a NaN or infinite entry")
     if m.shape != (4, 4):
         raise NotHermitian(f"expected a 4x4 matrix, got shape {m.shape}")
     if np.abs(m - m.conj().T).max() > HERMITICITY_TOL:

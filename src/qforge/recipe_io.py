@@ -26,6 +26,7 @@ from .elements import DecohererSpec, SpdcSourceSpec, SpectralModel
 from .spectral import DecohererStage, LocalRotationStage
 
 FORMAT_VERSION = 1
+SCHEMES = ("I", "II", "III", "IV")
 
 
 def _cvec(v: np.ndarray) -> list:
@@ -140,6 +141,8 @@ def recipe_from_json(text: str) -> Recipe:
     doc = json.loads(text)
     if doc.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported recipe version {doc.get('version')!r}")
+    if doc.get("scheme") not in SCHEMES:
+        raise ValueError(f"unknown recipe scheme {doc.get('scheme')!r}; use I, II, III or IV")
     sm_doc = doc["spectral_model"]
     sm = SpectralModel(delta_eps=sm_doc["delta_eps"], omega=sm_doc["omega"])
     return Recipe(

@@ -1,9 +1,15 @@
 """Forward simulator for the joint polarization (x) frequency state.
 
-The working state keeps one complex amplitude per polarization basis
-state and frequency-grid point.  Waveplates act identically on every
-frequency slice; decoherers imprint frequency-dependent phases, and
-tracing out frequency yields the polarization density matrix.
+Waveplates act identically at every frequency; a decoherer imprints a
+phase linear in the frequency deviation eps on the polarization that
+sees its extra index, and tracing out frequency yields the polarization
+density matrix.
+
+simulate_chain is exact by default: the state stays a short list of
+delay-tagged polarization 4-vectors, and the Gaussian spectrum traces out
+in closed form.  Given a FrequencyGrid it instead keeps one amplitude per
+polarization basis state and grid point and integrates by quadrature;
+that path is the independent oracle for the exact one.
 """
 
 from __future__ import annotations
@@ -62,12 +68,24 @@ class JointSpectralState:
         return float(np.sqrt(np.sum(self.grid.weights * np.abs(self.amps) ** 2)))
 
 
+def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a (x) b for 2x2 matrices, without np.kron's general-shape overhead."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+
+
 @dataclass(frozen=True)
 class LocalRotationStage:
     """Frequency-independent local unitaries, one per arm."""
 
     u_a: np.ndarray
     u_b: np.ndarray
+
+    @property
+    def u4(self) -> np.ndarray:
+        """The two-photon unitary u_a (x) u_b."""
+        return _kron2(self.u_a, self.u_b)
 
 
 @dataclass(frozen=True)
@@ -99,8 +117,7 @@ def apply_local_unitary(
     s: JointSpectralState, u_a: np.ndarray, u_b: np.ndarray
 ) -> JointSpectralState:
     """Apply u_a (x) u_b to every frequency slice."""
-    u4 = np.kron(np.asarray(u_a, dtype=complex), np.asarray(u_b, dtype=complex))
-    return JointSpectralState(amps=u4 @ s.amps, grid=s.grid)
+    return JointSpectralState(amps=_kron2(u_a, u_b) @ s.amps, grid=s.grid)
 
 
 def apply_decoherer(
@@ -110,7 +127,9 @@ def apply_decoherer(
     sm: SpectralModel,
     n0: float = BASE_INDEX,
 ) -> JointSpectralState:
-    """Phase e^{i n_j L w_arm / c} per slice; arm A sees w/2 + eps, arm B w/2 - eps."""
+    """Phase e^{i n_j L w_arm / c} per slice; arm A sees w/2 + eps, arm B w/2 - eps.
+
+    n_H = n0 and n_V = n0 + d.effective_delta_n."""
     if arm == "A":
         pol = _POL_A
         w_arm = 0.5 * sm.omega + s.grid.points
@@ -119,7 +138,7 @@ def apply_decoherer(
         w_arm = 0.5 * sm.omega - s.grid.points
     else:
         raise ValueError(f"arm must be 'A' or 'B', got {arm!r}")
-    n_j = n0 + d.delta_n * pol  # n_H = n0, n_V = n0 + delta_n
+    n_j = n0 + d.effective_delta_n * pol
     phases = np.exp(1j * np.outer(n_j, w_arm) * (d.length_um / C_UM_PER_S))
     return JointSpectralState(amps=s.amps * phases, grid=s.grid)
 
@@ -136,19 +155,75 @@ def simulate_chain(
     psi: np.ndarray,
     stages: StageList,
     sm: SpectralModel,
-    grid: FrequencyGrid,
+    grid: FrequencyGrid | None = None,
     n0: float = BASE_INDEX,
 ) -> np.ndarray:
-    """Lift psi, apply the stages in order, trace out frequency."""
-    state = lift(psi, sm, grid)
+    """Apply the stages in order to psi and trace out frequency.
+
+    Without a grid the result is exact for the Gaussian spectrum.  The
+    state is a set of terms v_p: a local unitary acts on every term, and
+    decoherer k splits each term into its H part, unchanged, and its V
+    part, whose optical path grows by P_k = dn L (dn =
+    spec.effective_delta_n).  Term p took the V part at the decoherers
+    with c_pk = 1; its amplitude at eps is v_p e^{i w s_p / 2c} e^{i eps
+    t_p} with s_p = sum_k c_pk P_k and t_p = sum_k c_pk (+-P_k) / c, + on
+    arm A and - on arm B.  Tracing out the Gaussian spectrum gives
+
+        rho = sum_pq e^{i w (s_p - s_q) / 2c} e^{-(delta_eps (t_p - t_q))^2 / 2} v_p v_q^dag
+
+    The term count doubles per decoherer: the compilers emit at most two
+    per branch (four terms), and a chain of four decoherers holds sixteen.
+
+    Each factor is evaluated from the integer differences c_p - c_q, so
+    pairs with the same difference get bitwise the same factor.  The
+    trace then stays 1 to the rounding of the 4-vectors, however the
+    large phases w P_k / 2c (~1e4 rad) round, and a single-stage chain
+    reproduces analytic_single_stage to rounding.
+
+    With a grid, psi is lifted onto it and the frequency trace is the
+    trapezoid quadrature.  n0 adds only a phase common to every
+    polarization at each frequency, so it never changes the result.
+    """
+    if grid is not None:
+        state = lift(psi, sm, grid)
+        for stage in stages:
+            if isinstance(stage, LocalRotationStage):
+                state = apply_local_unitary(state, stage.u_a, stage.u_b)
+            elif isinstance(stage, DecohererStage):
+                state = apply_decoherer(state, stage.arm, stage.spec, sm, n0=n0)
+            else:
+                raise TypeError(f"unknown stage type {type(stage).__name__}")
+        return trace_to_polarization(state)
+
+    psi = np.asarray(psi, dtype=complex).reshape(4)
+    terms = (psi / np.linalg.norm(psi))[None, :]  # row p holds v_p
+    paths = []  # (P_k, P_k signed by arm) [um]
     for stage in stages:
         if isinstance(stage, LocalRotationStage):
-            state = apply_local_unitary(state, stage.u_a, stage.u_b)
+            terms = terms @ stage.u4.T
         elif isinstance(stage, DecohererStage):
-            state = apply_decoherer(state, stage.arm, stage.spec, sm, n0=n0)
+            path = stage.spec.effective_delta_n * stage.spec.length_um
+            if stage.arm == "A":
+                pol, signed = _POL_A, path
+            else:
+                pol, signed = _POL_B, -path
+            paths.append((path, signed))
+            terms = np.concatenate([terms * (1 - pol), terms * pol])
         else:
             raise TypeError(f"unknown stage type {type(stage).__name__}")
-    return trace_to_polarization(state)
+    # V parts are appended after the H parts, so c_pk is bit k of p
+    took_v = (np.arange(len(terms))[:, None] >> np.arange(len(paths))) & 1
+    diff = took_v[:, None, :] - took_v[None, :, :]
+    ds = np.zeros(diff.shape[:2])
+    dt = np.zeros(diff.shape[:2])
+    for k, (path, signed) in enumerate(paths):  # elementwise: equal c_p - c_q, equal sums
+        ds += diff[:, :, k] * path
+        dt += diff[:, :, k] * signed
+    const = ds * sm.omega / (2.0 * C_UM_PER_S)
+    lin = dt / C_UM_PER_S
+    kernel = np.exp(1j * const) * np.exp(-0.5 * (sm.delta_eps * lin) ** 2)
+    rho = terms.T @ kernel @ terms.conj()
+    return validate_density(0.5 * (rho + rho.conj().T))
 
 
 def analytic_single_stage(
@@ -158,7 +233,8 @@ def analytic_single_stage(
     delta_n: float,
     sm: SpectralModel,
 ) -> np.ndarray:
-    """Closed form for one decoherer per arm acting on a pure state.
+    """Closed form for one decoherer per arm acting on a pure state;
+    delta_n is the effective birefringence n_V - n_H.
 
     Each coherence (j, k) picks up exp(i phi) exp(-(delta_eps t)^2 / 2)
     where phi and t are the constant and eps-linear parts of the optical

@@ -191,6 +191,57 @@ def test_cli_simulate_grid_flag_and_analytic(runner, tmp_path):
     assert res.exit_code == 2
 
 
+def _single_error_line(res, kind):
+    lines = [l for l in res.stderr.splitlines() if l]
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {kind}: ")
+
+
+def test_cli_simulate_default_is_exact_and_builds_no_grid(runner, tmp_path, request):
+    specs = [("III", "mems:0.4"), ("IV", "bell-diagonal:0.1,0.2,0.3,0.4")]
+    oracle = []
+    for k, spec in enumerate(specs):
+        recipe, grid = tmp_path / f"r{k}.json", tmp_path / f"grid{k}.txt"
+        invoke(runner, "compile", *spec, "--out", str(recipe))
+        assert invoke(runner, "simulate", str(recipe), "--out", str(grid),
+                      "--grid-n", "4097").exit_code == 0
+        oracle.append(load_matrix(grid))
+    request.getfixturevalue("forbid_make_grid")
+    for k, want in enumerate(oracle):
+        exact = tmp_path / f"exact{k}.txt"
+        res = invoke(runner, "simulate", str(tmp_path / f"r{k}.json"), "--out", str(exact))
+        assert res.exit_code == 0
+        assert np.abs(load_matrix(exact) - want).max() < 1e-8
+
+
+def test_cli_rejects_unknown_recipe_scheme(runner, tmp_path):
+    r = tmp_path / "r.json"
+    invoke(runner, "compile", "III", "mems:0.4", "--out", str(r))
+    doc = json.loads(r.read_text())
+    doc["scheme"] = "V"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError):
+        recipe_from_json(bad.read_text())
+    for args in (["cost", str(bad)], ["simulate", str(bad), "--out", str(tmp_path / "x.txt")]):
+        res = invoke(runner, *args)
+        assert res.exit_code == 2
+        _single_error_line(res, "value-error")
+        assert "scheme 'V'" in res.stderr
+    assert not (tmp_path / "x.txt").exists()
+
+
+def test_cli_metrics_rejects_non_finite_matrix(runner, tmp_path):
+    m = tmp_path / "m.txt"
+    rho = np.eye(4, dtype=complex) / 4.0
+    rho[0, 1] = rho[1, 0] = np.nan
+    m.write_text(format_matrix(rho), encoding="utf-8")
+    assert "nan" in m.read_text()
+    res = invoke(runner, "metrics", str(m))
+    assert res.exit_code == 2
+    _single_error_line(res, "not-finite")
+
+
 def test_cli_simulate_rejects_garbage_recipe(runner, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qforge import families
-from qforge.errors import NotHermitian, NotPositive, TraceNotOne
+from qforge.errors import NotFinite, NotHermitian, NotPositive, TraceNotOne
 from qforge.qmath import (
     bell_state,
     canonical_decompose,
@@ -35,6 +35,19 @@ def test_validate_rejects_non_hermitian():
     m = np.eye(4, dtype=complex) / 4.0
     m[0, 1] = 0.1
     with pytest.raises(NotHermitian):
+        validate_density(m)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_validate_rejects_non_finite_entries(bad):
+    # a symmetric pair passes the hermiticity check; it must not reach eigh
+    m = np.eye(4, dtype=complex) / 4.0
+    m[0, 1] = m[1, 0] = bad
+    with pytest.raises(NotFinite):
+        validate_density(m)
+    m = np.eye(4, dtype=complex) / 4.0
+    m[2, 2] = bad
+    with pytest.raises(NotFinite):
         validate_density(m)
 
 

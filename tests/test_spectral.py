@@ -9,7 +9,15 @@ from qforge.elements import (
     full_dephasing_floor_um,
     rotation,
 )
-from qforge.qmath import bell_state, fidelity, projector, purity, random_pure_state, random_su2
+from qforge.qmath import (
+    bell_state,
+    fidelity,
+    projector,
+    purity,
+    random_pure_state,
+    random_su2,
+    validate_density,
+)
 from qforge.spectral import (
     DecohererStage,
     LocalRotationStage,
@@ -142,8 +150,11 @@ def test_numeric_vs_analytic_f_sweep():
 
 def test_simulate_chain_empty_stages():
     psi = random_pure_state(13)
-    rho = simulate_chain(psi, [], SM, GRID)
-    assert np.abs(rho - projector(psi)).max() < 1e-9
+    for grid in (GRID, None):
+        rho = simulate_chain(3.0 * psi, [], SM, grid)  # both paths normalize the seed
+        assert np.abs(rho - projector(psi)).max() < 1e-9
+        with pytest.raises(TypeError):
+            simulate_chain(psi, ["not a stage"], SM, grid)
 
 
 def test_analytic_single_stage_matches_grid():
@@ -203,6 +214,7 @@ def test_double_decoherence_with_45_degree_rotations():
         DecohererStage("B", d),
     ]
     rho = simulate_chain(bell_state("psi+"), stages, SM, GRID)
+    assert np.abs(simulate_chain(bell_state("psi+"), stages, SM) - rho).max() < 1e-8
     expected = np.array(
         [
             [0.25, 0, 0, 0.25],
@@ -212,3 +224,106 @@ def test_double_decoherence_with_45_degree_rotations():
         ]
     )
     assert np.abs(np.abs(rho) - expected).max() < 1e-4
+
+
+# ---------------------------------------------------- exact delay sum
+
+
+def _random_chain(rng, n_dec):
+    """Random local unitaries, each followed by a decoherer on a random arm
+    and axis, lengths in the range the compilers emit."""
+    top = FLOOR + 8.0 * dephasing_length_um(SM, DN)
+    stages = []
+    for _ in range(n_dec):
+        stages.append(LocalRotationStage(u_a=random_su2(rng), u_b=random_su2(rng)))
+        spec = DecohererSpec(float(rng.uniform(0.0, top)), DN, axis=str(rng.choice(["H", "V"])))
+        stages.append(DecohererStage(str(rng.choice(["A", "B"])), spec))
+    stages.append(LocalRotationStage(u_a=random_su2(rng), u_b=random_su2(rng)))
+    return stages
+
+
+def test_exact_matches_grid_on_random_chains(monkeypatch):
+    from qforge import spectral
+
+    # the raw exact trace must sit far inside validate_density's 1e-12,
+    # although the phases w dn L / 2c reach ~1e4 rad
+    raw_trace_error = [0.0]
+
+    def validate(m):
+        raw_trace_error[0] = max(raw_trace_error[0], abs(np.trace(m) - 1.0))
+        return validate_density(m)
+
+    monkeypatch.setattr(spectral, "validate_density", validate)
+    rng = np.random.default_rng(2049)
+    worst = 0.0
+    for k in range(120):
+        psi = random_pure_state(rng)
+        stages = _random_chain(rng, 2 + k % 3)
+        exact = simulate_chain(psi, stages, SM)
+        grid = simulate_chain(psi, stages, SM, GRID)
+        worst = max(worst, np.abs(exact - grid).max())
+    assert worst <= 1e-8
+    assert raw_trace_error[0] < 1e-13
+
+
+def test_exact_matches_analytic_single_stage():
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        psi = random_pure_state(rng)
+        l1 = float(rng.uniform(0.0, 3.0 * FLOOR))
+        l2 = float(rng.uniform(0.0, 3.0 * FLOOR))
+        stages = [
+            DecohererStage("A", DecohererSpec(l1, DN)),
+            DecohererStage("B", DecohererSpec(l2, DN)),
+        ]
+        exact = simulate_chain(psi, stages, SM)
+        closed = analytic_single_stage(psi, l1, l2, DN, SM)
+        assert np.abs(exact - closed).max() <= 1e-12
+
+
+def test_default_simulate_recipe_builds_no_grid(request):
+    from qforge.compilers import (
+        FamilyParams,
+        compile_scheme3,
+        compile_scheme4_bell_diagonal,
+        simulate_recipe,
+    )
+
+    recipes = [
+        compile_scheme3(FamilyParams("mems", (0.4,)), SM, DN),
+        compile_scheme4_bell_diagonal(0.1, 0.2, 0.3, 0.4, sm=SM, delta_n=DN),
+    ]
+    oracle = [simulate_recipe(r, grid=GRID) for r in recipes]
+    request.getfixturevalue("forbid_make_grid")
+    for recipe, want in zip(recipes, oracle):
+        for analytic in (False, True):
+            got = simulate_recipe(recipe, analytic=analytic)
+            assert np.abs(got - want).max() < 1e-8
+
+
+def test_axis_h_equals_v_with_negated_delta_n():
+    from qforge.compilers import Recipe, RecipeBranch, simulate_recipe
+
+    def recipe(delta_n, axis):
+        stages = (
+            LocalRotationStage(u_a=random_su2(8), u_b=random_su2(9)),
+            DecohererStage("A", DecohererSpec(FLOOR + 300.0, delta_n, axis=axis)),
+            DecohererStage("B", DecohererSpec(FLOOR, delta_n, axis=axis)),
+        )
+        branch = RecipeBranch(weight=1.0, timing_tag=1, seed_state=random_pure_state(53),
+                              stages=stages)
+        return Recipe(scheme="III", branches=(branch,), spectral_model=SM, delta_n=DN)
+
+    assert DecohererSpec(FLOOR, DN, axis="H").effective_delta_n == -DN
+    h, v_minus, v_plus = recipe(DN, "H"), recipe(-DN, "V"), recipe(DN, "V")
+    want = simulate_recipe(v_minus)
+    # exact, closed-form and grid paths
+    for kwargs in ({}, {"analytic": True}, {"grid": GRID}):
+        got = simulate_recipe(h, **kwargs)
+        assert np.abs(got - want).max() < 1e-8
+        assert np.abs(got - simulate_recipe(v_plus, **kwargs)).max() > 1e-3
+    f_h, f_minus, f_plus = (
+        analytic_f(*(st.spec for st in r.branches[0].stages[1:]), SM) for r in (h, v_minus, v_plus)
+    )
+    assert f_h == f_minus
+    assert abs(f_h - f_plus) > 1e-3
