@@ -2,11 +2,7 @@
 
 from .compilers import (
     FamilyParams,
-    HybridDecomposition,
-    Recipe,
-    RecipeBranch,
     ResourceCount,
-    SchemeIIPumpSplit,
     bell_diagonal_split,
     compile_scheme1,
     compile_scheme2,
@@ -14,11 +10,8 @@ from .compilers import (
     compile_scheme4_bell_diagonal,
     recipe_cost,
     simulate_recipe,
-    verify_hybrid,
 )
 from .elements import (
-    AttenuatorSpec,
-    BeamSplitterSpec,
     DecohererSpec,
     SpdcSourceSpec,
     SpectralModel,
@@ -33,17 +26,16 @@ from .elements import (
 from .families import bell_diagonal, collins_gisin, family_d1, mems, mems_boundary_tangle, werner
 from .qmath import (
     CanonicalDecomposition,
-    SchmidtForm,
     canonical_decompose,
     concurrence,
     fidelity,
     linear_entropy,
     ppt_separable,
     purity,
-    schmidt_decompose,
     tangle,
     validate_density,
 )
+from .recipe_io import Recipe, RecipeBranch, SchemeIIPumpSplit
 from .spectral import (
     DecohererStage,
     FrequencyGrid,

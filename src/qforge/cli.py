@@ -51,6 +51,7 @@ from .elements import (
     DEFAULT_L_SI_UM,
     DEFAULT_PUMP_WAVELENGTH_NM,
     SpectralModel,
+    check_finite,
     default_spectral_model,
 )
 from .errors import QforgeError, TimingCollision, UnsupportedTarget
@@ -60,14 +61,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_UNSUPPORTED = 3
 EXIT_SIM_CONTRACT = 4
-
-_FAMILY_ARITY = {
-    "mems": 1,
-    "werner": 1,
-    "collins_gisin": 2,
-    "bell_diagonal": 4,
-    "d1": 5,
-}
 
 
 def _slug(exc: BaseException) -> str:
@@ -135,35 +128,11 @@ def cli(ctx, seed, delta_n, l_si, pump_wavelength):
         else file_defaults.get("pump_wavelength_nm", DEFAULT_PUMP_WAVELENGTH_NM)
     )
     try:
+        check_finite(delta_n=dn)
         sm = default_spectral_model(l_si_um=lsi, pump_wavelength_nm=wl)
-    except (QforgeError, ValueError) as exc:
+    except (QforgeError, ValueError, TypeError) as exc:
         _fail(EXIT_BAD_INPUT, _slug(exc), exc)
     ctx.obj = Settings(spectral_model=sm, delta_n=dn, seed=seed)
-
-
-def _normalize_family(name: str) -> str:
-    key = name.replace("-", "_").lower()
-    if key not in _FAMILY_ARITY:
-        raise UnsupportedTarget(f"unknown family {name!r}; known: {', '.join(_FAMILY_ARITY)}")
-    return key
-
-
-def build_family_matrix(name: str, params) -> np.ndarray:
-    key = _normalize_family(name)
-    params = [float(p) for p in params]
-    if len(params) != _FAMILY_ARITY[key]:
-        raise ValueError(
-            f"family {key} takes {_FAMILY_ARITY[key]} parameter(s), got {len(params)}"
-        )
-    if key == "mems":
-        return fam.mems(params[0])
-    if key == "werner":
-        return fam.werner(params[0])
-    if key == "collins_gisin":
-        return fam.collins_gisin(params[0], params[1])
-    if key == "bell_diagonal":
-        return fam.bell_diagonal(*params)
-    return fam.family_d1(*params)
 
 
 def _write_text(out: str, text: str):
@@ -177,20 +146,23 @@ def _load_validated(path: str) -> np.ndarray:
     return qmath.validate_density(matrix_io.load_matrix(path))
 
 
-@cli.command()
+_FAMILY_USAGE = " | ".join(
+    " ".join((name.replace("_", "-"),) + f.param_names) for name, f in fam.FAMILIES.items()
+)
+
+
+@cli.command(
+    help=f"Write a named family state in the shared matrix format.\n\nFamilies: {_FAMILY_USAGE}."
+)
 @click.argument("family")
 @click.argument("params", nargs=-1)
 @click.option("--out", "-o", default="-", help="Output path ('-' for stdout).")
 @click.pass_obj
 @_handle_errors
 def families(settings, family, params, out):
-    """Write a named family state in the shared matrix format.
-
-    Families: mems R | werner R | collins-gisin LAMBDA THETA |
-    bell-diagonal L1 L2 L3 L4 | d1 A B C D F.
-    """
-    m = build_family_matrix(family, params)
-    label = f"{_normalize_family(family)}({', '.join(f'{float(p):.6g}' for p in params)})"
+    key, params = fam.family_params(family, params)
+    m = fam.FAMILIES[key].matrix(*params)
+    label = f"{key}({', '.join(f'{p:.6g}' for p in params)})"
     _write_text(out, matrix_io.format_matrix(m, comments=(label,)))
 
 
@@ -208,16 +180,9 @@ def _parse_target(target: str):
     if ":" in target:
         name, _, rest = target.partition(":")
         try:
-            key = _normalize_family(name)
+            return ("family", *fam.family_params(name, [x for x in rest.split(",") if x.strip()]))
         except UnsupportedTarget:
-            key = None
-        if key is not None:
-            params = [float(x) for x in rest.split(",") if x.strip()]
-            if len(params) != _FAMILY_ARITY[key]:
-                raise ValueError(
-                    f"family {key} takes {_FAMILY_ARITY[key]} parameter(s), got {len(params)}"
-                )
-            return ("family", key, params)
+            pass  # not a family name: a path holding ':'
     return ("matrix", target)
 
 
@@ -248,18 +213,16 @@ def compile_cmd(settings, scheme, target, out):
     sm, dn = settings.spectral_model, settings.delta_n
     if scheme in ("I", "II"):
         if kind[0] == "family":
-            rho = build_family_matrix(kind[1], kind[2])
+            rho = fam.FAMILIES[kind[1]].matrix(*kind[2])
         else:
             rho = _load_validated(kind[1])
         recipe = compile_scheme1(rho, sm, dn) if scheme == "I" else compile_scheme2(rho, sm, dn)
     elif scheme == "III":
         if kind[0] != "family":
             raise UnsupportedTarget("scheme III takes a family spec, not a raw matrix")
-        if kind[1] == "bell_diagonal":
-            raise UnsupportedTarget("bell-diagonal targets need scheme IV")
-        recipe = compile_scheme3(FamilyParams(kind[1], tuple(kind[2])), sm, dn)
-    else:  # IV
-        if kind[0] != "family" or kind[1] != "bell_diagonal":
+        recipe = compile_scheme3(FamilyParams(kind[1], kind[2]), sm, dn)
+    else:  # IV takes the family that has no scheme-III seed
+        if kind[0] != "family" or fam.FAMILIES[kind[1]].seed is not None:
             raise UnsupportedTarget("scheme IV takes a bell-diagonal:l1,l2,l3,l4 target")
         recipe = compile_scheme4_bell_diagonal(*kind[2], sm=sm, delta_n=dn)
     recipe_io.save_recipe(out, recipe)
@@ -345,12 +308,12 @@ def metrics(settings, matrix_path):
 def plane(settings, family, steps, out):
     """Sweep a one-parameter family and tabulate the tangle-entropy plane.
 
-    Supported families: mems, werner (parameter swept uniformly over [0, 1]).
+    Supported families: those with one parameter, swept uniformly over [0, 1].
     """
-    key = family.replace("-", "_").lower()
-    ctor = {"mems": fam.mems, "werner": fam.werner}.get(key)
+    one_param = {k: f.matrix for k, f in fam.FAMILIES.items() if f.arity == 1}
+    ctor = one_param.get(family.replace("-", "_").lower())
     if ctor is None:
-        raise ValueError(f"plane supports families mems and werner, got {family!r}")
+        raise ValueError(f"plane supports families {' and '.join(one_param)}, got {family!r}")
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
     rows = ["param,tangle,linear_entropy"]

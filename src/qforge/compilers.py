@@ -33,9 +33,9 @@ from .elements import (
     spdc_pair_state,
 )
 from .errors import BadF, BadWeights, OutOfRange, TimingCollision, UnsupportedTarget
-from .families import MEMS_BRANCH_SPLIT, family_d1
+from .families import FAMILIES, bell_weights, family_params
+from .recipe_io import Recipe, RecipeBranch, SchemeIIPumpSplit, same_branch
 from .spectral import (
-    BASE_INDEX,
     DecohererStage,
     FrequencyGrid,
     LocalRotationStage,
@@ -50,8 +50,6 @@ WEIGHT_SUM_TOL = 1e-10
 
 INCOHERENCE_NOTE = "path delay exceeds the pump coherence length"
 
-FAMILY_KINDS = ("mems", "werner", "collins_gisin", "bell_diagonal", "d1")
-
 
 @dataclass(frozen=True)
 class FamilyParams:
@@ -61,68 +59,12 @@ class FamilyParams:
     params: tuple
 
     def __post_init__(self):
-        kind = self.kind.replace("-", "_").lower()
-        if kind not in FAMILY_KINDS:
-            raise OutOfRange(f"unknown family {self.kind!r}; known: {FAMILY_KINDS}")
+        try:
+            kind, params = family_params(self.kind, self.params)
+        except UnsupportedTarget:
+            raise OutOfRange(f"unknown family {self.kind!r}; known: {tuple(FAMILIES)}") from None
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-
-
-@dataclass(frozen=True)
-class SchemeIIPumpSplit:
-    """Pump decomposition for one interferometric branch.
-
-    psi_upper/psi_lower hold the un-normalized pump amplitudes in the
-    (|H>, |V>) basis, scaled by sqrt(branch weight).  chain_transmission
-    is what the branch's pick-off beam splitter must transmit given the
-    pump power remaining at that point; upper_fraction is the share of
-    the branch power routed to the upper (HH/VV) path.
-    """
-
-    psi_upper: np.ndarray
-    psi_lower: np.ndarray
-    chain_transmission: float
-    upper_fraction: float
-
-    def branch_state(self) -> np.ndarray:
-        """Two-photon state the split produces (unit norm).
-
-        The V pump component downconverts to |HH> and the H component to
-        |VV>; the lower path carries a half-waveplate on arm B turning
-        b|HH> + c|VV> into b|HV> + c|VH>.
-        """
-        a = self.psi_upper[1]
-        d = self.psi_upper[0]
-        b = self.psi_lower[1]
-        c = self.psi_lower[0]
-        v = np.array([a, b, c, d], dtype=complex)
-        return v / np.linalg.norm(v)
-
-
-@dataclass(frozen=True)
-class RecipeBranch:
-    """One incoherent component of a recipe.
-
-    The seed is either a source setting (two-crystal SPDC) or a direct
-    pure state; scheme II branches carry the pump split that realizes the
-    state.  Stages act in order on the seed.
-    """
-
-    weight: float
-    timing_tag: int
-    source: Optional[SpdcSourceSpec] = None
-    seed_state: Optional[np.ndarray] = None
-    pump_split: Optional[SchemeIIPumpSplit] = None
-    stages: tuple = ()
-    note: str = ""
-
-
-@dataclass(frozen=True)
-class Recipe:
-    scheme: str  # "I" | "II" | "III" | "IV"
-    branches: tuple
-    spectral_model: SpectralModel
-    delta_n: float = DEFAULT_DELTA_N
+        object.__setattr__(self, "params", params)
 
 
 @dataclass(frozen=True)
@@ -136,68 +78,11 @@ class ResourceCount:
     controllable_params: int
 
 
-@dataclass(frozen=True)
-class HybridDecomposition:
-    """rho = p sigma + (1 - p)|psi><psi| with sigma given as a recipe."""
-
-    p: float
-    sigma_recipe: Recipe
-    pure_part: np.ndarray
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise BadWeights(f"p = {self.p} outside [0, 1]")
-
-
 def branch_seed_state(branch: RecipeBranch) -> np.ndarray:
     """Pure state entering the branch's stage chain."""
-    if branch.source is not None:
-        return spdc_pair_state(branch.source)
-    if branch.seed_state is not None:
-        return np.asarray(branch.seed_state, dtype=complex).reshape(4)
-    if branch.pump_split is not None:
-        return branch.pump_split.branch_state()
-    raise ValueError("branch carries no seed")
-
-
-def _branches_equal(b1: RecipeBranch, b2: RecipeBranch) -> bool:
-    def arr_eq(x, y):
-        if x is None or y is None:
-            return x is y
-        return np.array_equal(np.asarray(x), np.asarray(y))
-
-    if (b1.weight, b1.timing_tag, b1.source, b1.note) != (
-        b2.weight,
-        b2.timing_tag,
-        b2.source,
-        b2.note,
-    ):
-        return False
-    if not arr_eq(b1.seed_state, b2.seed_state):
-        return False
-    if (b1.pump_split is None) != (b2.pump_split is None):
-        return False
-    if b1.pump_split is not None:
-        p1, p2 = b1.pump_split, b2.pump_split
-        if not (
-            arr_eq(p1.psi_upper, p2.psi_upper)
-            and arr_eq(p1.psi_lower, p2.psi_lower)
-            and p1.chain_transmission == p2.chain_transmission
-            and p1.upper_fraction == p2.upper_fraction
-        ):
-            return False
-    if len(b1.stages) != len(b2.stages):
-        return False
-    for s1, s2 in zip(b1.stages, b2.stages):
-        if type(s1) is not type(s2):
-            return False
-        if isinstance(s1, LocalRotationStage):
-            if not (arr_eq(s1.u_a, s2.u_a) and arr_eq(s1.u_b, s2.u_b)):
-                return False
-        else:
-            if (s1.arm, s1.spec) != (s2.arm, s2.spec):
-                return False
-    return True
+    if isinstance(branch.seed, SpdcSourceSpec):
+        return spdc_pair_state(branch.seed)
+    return np.asarray(branch.seed, dtype=complex).reshape(4)
 
 
 def _check_recipe(recipe: Recipe) -> None:
@@ -209,7 +94,7 @@ def _check_recipe(recipe: Recipe) -> None:
     by_tag: dict[int, RecipeBranch] = {}
     for b in recipe.branches:
         other = by_tag.get(b.timing_tag)
-        if other is not None and not _branches_equal(b, other):
+        if other is not None and not same_branch(b, other):
             raise TimingCollision(
                 f"distinct branches share timing tag {b.timing_tag}"
             )
@@ -241,7 +126,7 @@ def compile_scheme1(
             RecipeBranch(
                 weight=float(lam),
                 timing_tag=k + 1,
-                source=pure.source,
+                seed=pure.source,
                 stages=(LocalRotationStage(u_a=pure.u_a, u_b=pure.u_b),),
                 note=INCOHERENCE_NOTE,
             )
@@ -282,7 +167,7 @@ def compile_scheme2(
             RecipeBranch(
                 weight=float(lam),
                 timing_tag=tag,
-                seed_state=np.array(psi, dtype=complex),
+                seed=np.array(psi, dtype=complex),
                 pump_split=SchemeIIPumpSplit(
                     psi_upper=psi_upper,
                     psi_lower=psi_lower,
@@ -346,42 +231,7 @@ def _d1_branch(
         DecohererStage(arm="A", spec=d_a),
         DecohererStage(arm="B", spec=d_b),
     ) + tuple(post_stages)
-    return RecipeBranch(
-        weight=weight, timing_tag=tag, source=pure.source, stages=stages, note=note
-    )
-
-
-def _scheme3_seed(target: FamilyParams) -> tuple[np.ndarray, float]:
-    """Seed amplitudes and real |f| target (signed) for a family."""
-    kind, p = target.kind, target.params
-    if kind == "mems":
-        (r,) = p
-        if not 0.0 <= r <= 1.0:
-            raise OutOfRange(f"mems r = {r} outside [0, 1]")
-        if r >= MEMS_BRANCH_SPLIT:
-            amps = np.array([math.sqrt(r / 2.0), math.sqrt(1.0 - r), 0.0, math.sqrt(r / 2.0)])
-            return amps, 1.0
-        third = math.sqrt(1.0 / 3.0)
-        return np.array([third, third, 0.0, third]), 1.5 * r
-    if kind == "werner":
-        (r,) = p
-        if not 0.0 <= r <= 1.0:
-            raise OutOfRange(f"werner r = {r} outside [0, 1]")
-        hi = math.sqrt((1.0 + r) / 4.0)
-        lo = math.sqrt((1.0 - r) / 4.0)
-        return np.array([hi, lo, lo, hi]), 2.0 * r / (1.0 + r)
-    if kind == "collins_gisin":
-        lam, theta = p
-        if not 0.0 <= lam <= 1.0:
-            raise OutOfRange(f"collins_gisin lambda = {lam} outside [0, 1]")
-        rl = math.sqrt(lam)
-        amps = np.array([rl * math.cos(theta), math.sqrt(1.0 - lam), 0.0, rl * math.sin(theta)])
-        return amps, 1.0
-    if kind == "d1":
-        a, b, c, d, f = p
-        family_d1(a, b, c, d, f)  # validates norm and |f|
-        return np.array([a, b, c, d]), f
-    raise UnsupportedTarget(f"scheme III cannot compile family {kind!r}")
+    return RecipeBranch(weight=weight, timing_tag=tag, seed=pure.source, stages=stages, note=note)
 
 
 def compile_scheme3(
@@ -395,11 +245,11 @@ def compile_scheme3(
     Werner uses |f| = 2r/(1+r); MEMS branch I and Collins-Gisin keep
     L1 = L2 at the dephasing floor (|f| = 1).
     """
-    if target.kind == "bell_diagonal":
-        raise UnsupportedTarget("bell-diagonal targets need scheme IV")
+    seed = FAMILIES[target.kind].seed
+    if seed is None:
+        raise UnsupportedTarget(f"{target.kind} targets need scheme IV")
     sm = sm or default_spectral_model()
-    amps, f_target = _scheme3_seed(target)
-    assert abs(f_target) <= 1.0 + 1e-12
+    amps, f_target = seed(*target.params)
     branch = _d1_branch(amps, f_target, sm, delta_n, weight=1.0, tag=1)
     recipe = Recipe(scheme="III", branches=(branch,), spectral_model=sm, delta_n=delta_n)
     _check_recipe(recipe)
@@ -428,12 +278,7 @@ class BellDiagonalSplit:
 
 
 def bell_diagonal_split(l1: float, l2: float, l3: float, l4: float) -> BellDiagonalSplit:
-    lam = np.array([l1, l2, l3, l4], dtype=float)
-    if lam.min() < -1e-12:
-        raise BadWeights(f"negative weight in {lam.tolist()}")
-    if abs(lam.sum() - 1.0) > 1e-12:
-        raise BadWeights(f"weights sum to {lam.sum()}, not 1")
-    lam = np.clip(lam, 0.0, None)
+    lam = bell_weights(l1, l2, l3, l4)
     swapped = abs(lam[2] - lam[3]) > 0.5
     if swapped:
         outer, inner = (lam[2], lam[3]), (lam[0], lam[1])
@@ -497,7 +342,7 @@ def compile_scheme4_bell_diagonal(
             RecipeBranch(
                 weight=split.pure_weight,
                 timing_tag=2,
-                source=pure.source,
+                seed=pure.source,
                 stages=(LocalRotationStage(u_a=pure.u_a, u_b=pure.u_b),),
                 note=INCOHERENCE_NOTE,
             )
@@ -562,7 +407,6 @@ def simulate_recipe(
     grid: Optional[FrequencyGrid] = None,
     analytic: bool = False,
     grid_n: Optional[int] = None,
-    n0: float = BASE_INDEX,
 ) -> np.ndarray:
     """Weighted incoherent sum of the branch simulations.
 
@@ -579,23 +423,9 @@ def simulate_recipe(
         if part is None:
             if grid is None and grid_n is not None:
                 grid = make_grid(sm, grid_n)
-            part = simulate_chain(branch_seed_state(branch), branch.stages, sm, grid, n0=n0)
+            part = simulate_chain(branch_seed_state(branch), branch.stages, sm, grid)
         rho += branch.weight * part
     return qmath.validate_density(rho)
-
-
-def verify_hybrid(
-    hybrid: HybridDecomposition,
-    target: np.ndarray,
-    sm: Optional[SpectralModel] = None,
-    grid: Optional[FrequencyGrid] = None,
-    analytic: bool = True,
-) -> float:
-    """Fidelity between p sigma + (1-p)|psi><psi| and the target."""
-    sigma = simulate_recipe(hybrid.sigma_recipe, sm=sm, grid=grid, analytic=analytic)
-    psi = qmath.check_pure(hybrid.pure_part)
-    rho = hybrid.p * sigma + (1.0 - hybrid.p) * qmath.projector(psi)
-    return qmath.fidelity(qmath.validate_density(rho), qmath.validate_density(target))
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,23 @@
-"""Optical element models: SPDC source, waveplates, decoherers, attenuators.
+"""Optical element models: SPDC source, waveplates, decoherers.
 
 Conventions used throughout:
   * angles in radians, lengths in micrometers, frequencies in rad/s;
   * the downconversion spectrum |A(eps)|^2 is Gaussian with half-width
     delta_eps around zero deviation from half the pump frequency;
-  * a decoherer of thickness L advances the phase of polarization j by
-    n_j L w / c at frequency w, with n_H = n0 and n_V = n0 + delta_n;
+  * a decoherer of thickness L advances the phase of polarization V by
+    delta_n L w / c at frequency w relative to H (an index common to
+    both polarizations adds only a global phase);
   * Jones matrices are defined up to a global phase.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MismatchedDecoherers, OutOfRange, TargetOutOfRange
+from .errors import MismatchedDecoherers, NotFinite, OutOfRange, TargetOutOfRange
 
 C_UM_PER_S = 2.99792458e14  # speed of light in micrometers per second
 
@@ -32,20 +33,26 @@ TAU_CAP = 8.0
 F_FLOOR = 1.3e-14
 
 
+def check_finite(**values: float) -> None:
+    """Raise NotFinite naming the first keyword whose value is NaN or infinite."""
+    for name, x in values.items():
+        if not math.isfinite(x):
+            raise NotFinite(f"{name} = {x} is not finite")
+
+
 @dataclass(frozen=True)
 class SpectralModel:
     """Gaussian downconversion spectrum parameters.
 
     delta_eps is the half-width of |A(eps)|^2 and omega the pump central
-    frequency, both in rad/s.  delta_omega (pump spectral half-width) only
-    feeds the informational pump coherence length and enters no physics.
+    frequency, both in rad/s.
     """
 
     delta_eps: float
     omega: float
-    delta_omega: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
+        check_finite(delta_eps=self.delta_eps, omega=self.omega)
         if self.delta_eps <= 0.0:
             raise OutOfRange(f"delta_eps must be positive, got {self.delta_eps}")
         if self.omega <= 0.0:
@@ -56,27 +63,20 @@ class SpectralModel:
         """Coherence length of the downconversion photons, c / delta_eps."""
         return C_UM_PER_S / self.delta_eps
 
-    @property
-    def l_p_um(self) -> float:
-        """Pump coherence length c / delta_omega (informational; inf if unset)."""
-        if self.delta_omega <= 0.0:
-            return math.inf
-        return C_UM_PER_S / self.delta_omega
-
 
 def default_spectral_model(
     l_si_um: float = DEFAULT_L_SI_UM,
     pump_wavelength_nm: float = DEFAULT_PUMP_WAVELENGTH_NM,
 ) -> SpectralModel:
     """Spectral model from photon coherence length and pump wavelength."""
+    check_finite(l_si=l_si_um, pump_wavelength=pump_wavelength_nm)
     if l_si_um <= 0.0:
         raise OutOfRange(f"l_si must be positive, got {l_si_um}")
     if pump_wavelength_nm <= 0.0:
         raise OutOfRange(f"pump wavelength must be positive, got {pump_wavelength_nm}")
     delta_eps = C_UM_PER_S / l_si_um
     omega = 2.0 * math.pi * C_UM_PER_S / (pump_wavelength_nm * 1e-3)
-    # pump linewidth only matters through l_p >> l_si; pick 100x for the report
-    return SpectralModel(delta_eps=delta_eps, omega=omega, delta_omega=delta_eps / 100.0)
+    return SpectralModel(delta_eps=delta_eps, omega=omega)
 
 
 def spectral_amplitude(sm: SpectralModel, eps: np.ndarray) -> np.ndarray:
@@ -215,28 +215,6 @@ class DecohererSpec:
     def effective_delta_n(self) -> float:
         """n_V - n_H: +delta_n for axis 'V', -delta_n for axis 'H'."""
         return self.delta_n if self.axis == "V" else -self.delta_n
-
-
-@dataclass(frozen=True)
-class AttenuatorSpec:
-    """Intensity transmission applied to the pump."""
-
-    transmission: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.transmission <= 1.0:
-            raise OutOfRange(f"transmission {self.transmission} outside [0, 1]")
-
-
-@dataclass(frozen=True)
-class BeamSplitterSpec:
-    """Intensity transmission of a (variable) beam splitter."""
-
-    transmission: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.transmission <= 1.0:
-            raise OutOfRange(f"transmission {self.transmission} outside [0, 1]")
 
 
 def dephasing_length_um(sm: SpectralModel, delta_n: float) -> float:

@@ -2,15 +2,19 @@
 
 All constructors return validated density matrices with real nonnegative
 off-diagonal elements (the free phase of those entries is set to zero).
+FAMILIES is the one table of families: the CLI and the compilers read
+names, parameter counts, constructors and scheme-III seeds from it.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BadF, BadNorm, BadWeights, OutOfRange
+from .errors import BadF, BadNorm, BadWeights, OutOfRange, UnsupportedTarget
 from .qmath import validate_density
 
 MEMS_BRANCH_SPLIT = 2.0 / 3.0  # branches coincide at r = 2/3
@@ -61,20 +65,38 @@ def collins_gisin(lam: float, theta: float) -> np.ndarray:
     return validate_density(m)
 
 
-def bell_diagonal(l1: float, l2: float, l3: float, l4: float) -> np.ndarray:
-    """Mixture of the four Bell states with the given weights."""
+def bell_weights(l1: float, l2: float, l3: float, l4: float) -> np.ndarray:
+    """Bell-diagonal weights as an array, checked nonnegative and summing
+    to one; round-off negatives down to -1e-12 are clipped to zero."""
     lam = np.array([l1, l2, l3, l4], dtype=float)
     if lam.min() < -1e-12:
         raise BadWeights(f"negative weight in {lam.tolist()}")
     if abs(lam.sum() - 1.0) > 1e-12:
         raise BadWeights(f"weights sum to {lam.sum()}, not 1")
-    lam = np.clip(lam, 0.0, None)
+    return np.clip(lam, 0.0, None)
+
+
+def bell_diagonal(l1: float, l2: float, l3: float, l4: float) -> np.ndarray:
+    """Mixture of the four Bell states with the given weights."""
+    lam = bell_weights(l1, l2, l3, l4)
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0] = m[3, 3] = (lam[0] + lam[1]) / 2.0
     m[1, 1] = m[2, 2] = (lam[2] + lam[3]) / 2.0
     m[0, 3] = m[3, 0] = (lam[0] - lam[1]) / 2.0
     m[1, 2] = m[2, 1] = (lam[2] - lam[3]) / 2.0
     return validate_density(m)
+
+
+def _check_d1(a: complex, b: complex, c: complex, d: complex, f: complex) -> np.ndarray:
+    """Amplitudes (a, b, c, d) renormalized, after checking that their norm
+    is 1 to 1e-9 and that |f| <= 1."""
+    amps = np.array([a, b, c, d], dtype=complex)
+    norm2 = float(np.sum(np.abs(amps) ** 2))
+    if abs(norm2 - 1.0) > 1e-9:
+        raise BadNorm(f"|a|^2+..+|d|^2 = {norm2} differs from 1")
+    if abs(complex(f)) > 1.0 + 1e-12:
+        raise BadF(f"|f| = {abs(complex(f))} exceeds 1")
+    return amps / math.sqrt(norm2)
 
 
 def family_d1(a: complex, b: complex, c: complex, d: complex, f: complex) -> np.ndarray:
@@ -84,18 +106,82 @@ def family_d1(a: complex, b: complex, c: complex, d: complex, f: complex) -> np.
     |f| <= 1 guarantees positivity (|f a d*| <= |a||d|), so only the input
     norm can fail.
     """
-    amps = np.array([a, b, c, d], dtype=complex)
-    norm2 = float(np.sum(np.abs(amps) ** 2))
-    if abs(norm2 - 1.0) > 1e-9:
-        raise BadNorm(f"|a|^2+..+|d|^2 = {norm2} differs from 1")
-    amps = amps / math.sqrt(norm2)
-    f = complex(f)
-    if abs(f) > 1.0 + 1e-12:
-        raise BadF(f"|f| = {abs(f)} exceeds 1")
+    amps = _check_d1(a, b, c, d, f)
     m = np.diag(np.abs(amps) ** 2).astype(complex)
-    m[0, 3] = f * amps[0] * np.conjugate(amps[3])
+    m[0, 3] = complex(f) * amps[0] * np.conjugate(amps[3])
     m[3, 0] = np.conjugate(m[0, 3])
     return validate_density(m)
+
+
+# Scheme-III seeds: amplitudes entering the single decoherence stage and the
+# real (signed) decoherence factor that turns them into the family state.
+
+
+def _mems_seed(r: float) -> tuple[np.ndarray, float]:
+    _check_unit_interval("r", r)
+    if r >= MEMS_BRANCH_SPLIT:
+        return np.array([math.sqrt(r / 2.0), math.sqrt(1.0 - r), 0.0, math.sqrt(r / 2.0)]), 1.0
+    third = math.sqrt(1.0 / 3.0)
+    return np.array([third, third, 0.0, third]), 1.5 * r
+
+
+def _werner_seed(r: float) -> tuple[np.ndarray, float]:
+    _check_unit_interval("r", r)
+    hi = math.sqrt((1.0 + r) / 4.0)
+    lo = math.sqrt((1.0 - r) / 4.0)
+    return np.array([hi, lo, lo, hi]), 2.0 * r / (1.0 + r)
+
+
+def _collins_gisin_seed(lam: float, theta: float) -> tuple[np.ndarray, float]:
+    _check_unit_interval("lambda", lam)
+    rl = math.sqrt(lam)
+    return np.array([rl * math.cos(theta), math.sqrt(1.0 - lam), 0.0, rl * math.sin(theta)]), 1.0
+
+
+def _d1_seed(a: float, b: float, c: float, d: float, f: float) -> tuple[np.ndarray, float]:
+    _check_d1(a, b, c, d, f)
+    return np.array([a, b, c, d]), f
+
+
+@dataclass(frozen=True)
+class Family:
+    """A named family: its parameter names (their count is the arity), the
+    density-matrix constructor, and the scheme-III seed, None when scheme
+    III cannot produce the family."""
+
+    param_names: tuple[str, ...]
+    matrix: Callable[..., np.ndarray]
+    seed: Optional[Callable[..., tuple[np.ndarray, float]]] = None
+
+    @property
+    def arity(self) -> int:
+        return len(self.param_names)
+
+
+# The constructors are called through the module globals (the lambdas look
+# them up at call time), so a rebinding of families.mems etc. is seen here.
+FAMILIES = {
+    "mems": Family(("R",), lambda r: mems(r), _mems_seed),
+    "werner": Family(("R",), lambda r: werner(r), _werner_seed),
+    "collins_gisin": Family(
+        ("LAMBDA", "THETA"), lambda lam, theta: collins_gisin(lam, theta), _collins_gisin_seed
+    ),
+    "bell_diagonal": Family(("L1", "L2", "L3", "L4"), lambda *w: bell_diagonal(*w)),
+    "d1": Family(("A", "B", "C", "D", "F"), lambda *p: family_d1(*p), _d1_seed),
+}
+
+
+def family_params(name: str, params) -> tuple[str, tuple[float, ...]]:
+    """Registry key of a family name ('Collins-Gisin' -> 'collins_gisin')
+    and the parameters as floats, checked against the family's arity."""
+    key = name.replace("-", "_").lower()
+    if key not in FAMILIES:
+        raise UnsupportedTarget(f"unknown family {name!r}; known: {', '.join(FAMILIES)}")
+    params = tuple(float(p) for p in params)
+    arity = FAMILIES[key].arity
+    if len(params) != arity:
+        raise ValueError(f"family {key} takes {arity} parameter(s), got {len(params)}")
+    return key, params
 
 
 def mems_boundary_tangle(linear_entropy: float) -> float:

@@ -124,49 +124,6 @@ def canonical_decompose(rho: np.ndarray) -> CanonicalDecomposition:
     return CanonicalDecomposition(eigenvalues=evals, eigenstates=states)
 
 
-@dataclass(frozen=True)
-class SchmidtForm:
-    """psi = (u_a x u_b)(alpha |HH> + beta |VV>) up to a global phase."""
-
-    alpha: float
-    beta: complex
-    u_a: np.ndarray
-    u_b: np.ndarray
-
-    def state(self) -> np.ndarray:
-        seed = np.array([self.alpha, 0.0, 0.0, self.beta], dtype=complex)
-        return np.kron(self.u_a, self.u_b) @ seed
-
-
-def schmidt_decompose(psi: np.ndarray) -> SchmidtForm:
-    """Schmidt decomposition of a two-qubit pure state.
-
-    The amplitudes reshaped as a 2x2 matrix M satisfy M = U S V^h; the
-    local bases are the columns of U and the rows of V^h.  alpha is the
-    larger Schmidt coefficient (real, nonnegative).
-    """
-    v = check_pure(psi, tol=1e-9)
-    m = v.reshape(2, 2)
-    u, s, vh = np.linalg.svd(m)
-    u_a = u
-    u_b = vh.T  # column k of u_b is the k-th row of vh
-    coeffs = s.astype(complex)
-    # phase-fix both unitaries column-wise; absorb the phases into the coefficients
-    for k in range(2):
-        for mat in (u_a, u_b):
-            col = mat[:, k]
-            i = int(np.argmax(np.abs(col)))
-            if abs(col[i]) > 0.0:
-                ph = col[i] / abs(col[i])
-                mat[:, k] = col * ph.conjugate()
-                coeffs[k] *= ph
-    # rotate the global phase so the first coefficient is real positive
-    if abs(coeffs[0]) > 0.0:
-        g = coeffs[0] / abs(coeffs[0])
-        coeffs = coeffs * g.conjugate()
-    return SchmidtForm(alpha=float(coeffs[0].real), beta=complex(coeffs[1]), u_a=u_a, u_b=u_b)
-
-
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     evals, evecs = np.linalg.eigh(m)
     return (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T

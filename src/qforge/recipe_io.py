@@ -1,4 +1,4 @@
-"""Recipe file format: JSON, round-trip exact.
+"""Recipes: the data model and its JSON file format, round-trip exact.
 
 Schema (version 1):
   {"version": 1, "scheme": "I".."IV",
@@ -17,16 +17,73 @@ round-trip repr, so serialize -> parse -> serialize is byte-identical.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional, Union
 
 import numpy as np
 
-from .compilers import Recipe, RecipeBranch, SchemeIIPumpSplit
-from .elements import DecohererSpec, SpdcSourceSpec, SpectralModel
+from .elements import DEFAULT_DELTA_N, DecohererSpec, SpdcSourceSpec, SpectralModel
 from .spectral import DecohererStage, LocalRotationStage
 
 FORMAT_VERSION = 1
 SCHEMES = ("I", "II", "III", "IV")
+
+
+@dataclass(frozen=True)
+class SchemeIIPumpSplit:
+    """Pump decomposition for one interferometric branch.
+
+    psi_upper/psi_lower hold the un-normalized pump amplitudes in the
+    (|H>, |V>) basis, scaled by sqrt(branch weight).  chain_transmission
+    is what the branch's pick-off beam splitter must transmit given the
+    pump power remaining at that point; upper_fraction is the share of
+    the branch power routed to the upper (HH/VV) path.
+    """
+
+    psi_upper: np.ndarray
+    psi_lower: np.ndarray
+    chain_transmission: float
+    upper_fraction: float
+
+    def branch_state(self) -> np.ndarray:
+        """Two-photon state the split produces (unit norm).
+
+        The V pump component downconverts to |HH> and the H component to
+        |VV>; the lower path carries a half-waveplate on arm B turning
+        b|HH> + c|VV> into b|HV> + c|VH>.
+        """
+        a = self.psi_upper[1]
+        d = self.psi_upper[0]
+        b = self.psi_lower[1]
+        c = self.psi_lower[0]
+        v = np.array([a, b, c, d], dtype=complex)
+        return v / np.linalg.norm(v)
+
+
+@dataclass(frozen=True)
+class RecipeBranch:
+    """One incoherent component of a recipe.
+
+    The seed is a source setting (two-crystal SPDC) or a direct pure
+    state; stages act in order on the state it gives.  Scheme II branches
+    also carry the pump split that realizes their seed.
+    """
+
+    weight: float
+    timing_tag: int
+    seed: Union[SpdcSourceSpec, np.ndarray]
+    stages: tuple = ()
+    pump_split: Optional[SchemeIIPumpSplit] = None
+    note: str = ""
+
+
+@dataclass(frozen=True)
+class Recipe:
+    scheme: str  # "I" | "II" | "III" | "IV"
+    branches: tuple
+    spectral_model: SpectralModel
+    delta_n: float = DEFAULT_DELTA_N
 
 
 def _cvec(v: np.ndarray) -> list:
@@ -75,12 +132,10 @@ def _stage_from_dict(data: dict):
 
 def _branch_to_dict(branch: RecipeBranch) -> dict:
     out: dict = {"weight": branch.weight, "timing_tag": branch.timing_tag}
-    if branch.source is not None:
-        out["seed"] = {"theta": branch.source.theta, "phi": branch.source.phi}
-    elif branch.seed_state is not None:
-        out["seed"] = {"amps": _cvec(branch.seed_state)}
+    if isinstance(branch.seed, SpdcSourceSpec):
+        out["seed"] = {"theta": branch.seed.theta, "phi": branch.seed.phi}
     else:
-        out["seed"] = {"amps": _cvec(branch.pump_split.branch_state())}
+        out["seed"] = {"amps": _cvec(branch.seed)}
     out["stages"] = [_stage_to_dict(s) for s in branch.stages]
     if branch.pump_split is not None:
         ps = branch.pump_split
@@ -97,12 +152,10 @@ def _branch_to_dict(branch: RecipeBranch) -> dict:
 
 def _branch_from_dict(data: dict) -> RecipeBranch:
     seed = data["seed"]
-    source = None
-    seed_state = None
     if "theta" in seed:
-        source = SpdcSourceSpec(theta=seed["theta"], phi=seed["phi"])
+        seed = SpdcSourceSpec(theta=seed["theta"], phi=seed["phi"])
     else:
-        seed_state = _vec_from(seed["amps"])
+        seed = _vec_from(seed["amps"])
     pump_split = None
     if "pump_split" in data:
         ps = data["pump_split"]
@@ -115,12 +168,16 @@ def _branch_from_dict(data: dict) -> RecipeBranch:
     return RecipeBranch(
         weight=data["weight"],
         timing_tag=data["timing_tag"],
-        source=source,
-        seed_state=seed_state,
-        pump_split=pump_split,
+        seed=seed,
         stages=tuple(_stage_from_dict(s) for s in data["stages"]),
+        pump_split=pump_split,
         note=data.get("note", ""),
     )
+
+
+def same_branch(b1: RecipeBranch, b2: RecipeBranch) -> bool:
+    """True when the two branches have the same recipe-v1 form."""
+    return _branch_to_dict(b1) == _branch_to_dict(b2)
 
 
 def recipe_to_json(recipe: Recipe) -> str:
@@ -139,15 +196,20 @@ def recipe_to_json(recipe: Recipe) -> str:
 
 def recipe_from_json(text: str) -> Recipe:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise TypeError(f"a recipe is a JSON object, got {type(doc).__name__}")
     if doc.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported recipe version {doc.get('version')!r}")
     if doc.get("scheme") not in SCHEMES:
         raise ValueError(f"unknown recipe scheme {doc.get('scheme')!r}; use I, II, III or IV")
+    branches = doc["branches"]
+    if not isinstance(branches, list):
+        raise TypeError(f"recipe branches must be a list, got {type(branches).__name__}")
     sm_doc = doc["spectral_model"]
     sm = SpectralModel(delta_eps=sm_doc["delta_eps"], omega=sm_doc["omega"])
     return Recipe(
         scheme=doc["scheme"],
-        branches=tuple(_branch_from_dict(b) for b in doc["branches"]),
+        branches=tuple(_branch_from_dict(b) for b in branches),
         spectral_model=sm,
         delta_n=sm_doc["delta_n"],
     )

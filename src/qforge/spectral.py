@@ -25,8 +25,6 @@ from .qmath import validate_density
 DEFAULT_GRID_N = 2049
 GRID_HALF_SPAN = 6.0  # grid covers +/- 6 delta_eps
 
-BASE_INDEX = 1.5  # n_H; only delta_n affects traced outputs
-
 # polarization of each photon in the basis order HH, HV, VH, VV (0 = H, 1 = V)
 _POL_A = np.array([0, 0, 1, 1])
 _POL_B = np.array([0, 1, 0, 1])
@@ -125,11 +123,11 @@ def apply_decoherer(
     arm: str,
     d: DecohererSpec,
     sm: SpectralModel,
-    n0: float = BASE_INDEX,
 ) -> JointSpectralState:
     """Phase e^{i n_j L w_arm / c} per slice; arm A sees w/2 + eps, arm B w/2 - eps.
 
-    n_H = n0 and n_V = n0 + d.effective_delta_n."""
+    n_j counts from n_H: n_H = 0 and n_V = d.effective_delta_n, since an
+    index common to both polarizations adds only a global phase per slice."""
     if arm == "A":
         pol = _POL_A
         w_arm = 0.5 * sm.omega + s.grid.points
@@ -138,15 +136,14 @@ def apply_decoherer(
         w_arm = 0.5 * sm.omega - s.grid.points
     else:
         raise ValueError(f"arm must be 'A' or 'B', got {arm!r}")
-    n_j = n0 + d.effective_delta_n * pol
+    n_j = d.effective_delta_n * pol
     phases = np.exp(1j * np.outer(n_j, w_arm) * (d.length_um / C_UM_PER_S))
     return JointSpectralState(amps=s.amps * phases, grid=s.grid)
 
 
-def trace_to_polarization(s: JointSpectralState, grid: FrequencyGrid | None = None) -> np.ndarray:
+def trace_to_polarization(s: JointSpectralState) -> np.ndarray:
     """Trace out frequency: rho_jk = sum_m w_m amps[j,m] conj(amps[k,m])."""
-    g = s.grid if grid is None else grid
-    rho = (s.amps * g.weights) @ s.amps.conj().T
+    rho = (s.amps * s.grid.weights) @ s.amps.conj().T
     rho = 0.5 * (rho + rho.conj().T)
     return validate_density(rho)
 
@@ -156,7 +153,6 @@ def simulate_chain(
     stages: StageList,
     sm: SpectralModel,
     grid: FrequencyGrid | None = None,
-    n0: float = BASE_INDEX,
 ) -> np.ndarray:
     """Apply the stages in order to psi and trace out frequency.
 
@@ -181,8 +177,7 @@ def simulate_chain(
     reproduces analytic_single_stage to rounding.
 
     With a grid, psi is lifted onto it and the frequency trace is the
-    trapezoid quadrature.  n0 adds only a phase common to every
-    polarization at each frequency, so it never changes the result.
+    trapezoid quadrature.
     """
     if grid is not None:
         state = lift(psi, sm, grid)
@@ -190,7 +185,7 @@ def simulate_chain(
             if isinstance(stage, LocalRotationStage):
                 state = apply_local_unitary(state, stage.u_a, stage.u_b)
             elif isinstance(stage, DecohererStage):
-                state = apply_decoherer(state, stage.arm, stage.spec, sm, n0=n0)
+                state = apply_decoherer(state, stage.arm, stage.spec, sm)
             else:
                 raise TypeError(f"unknown stage type {type(stage).__name__}")
         return trace_to_polarization(state)

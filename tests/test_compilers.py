@@ -3,7 +3,6 @@ import pytest
 
 from qforge.compilers import (
     FamilyParams,
-    HybridDecomposition,
     Recipe,
     RecipeBranch,
     bell_diagonal_split,
@@ -14,7 +13,6 @@ from qforge.compilers import (
     compile_scheme4_bell_diagonal,
     recipe_cost,
     simulate_recipe,
-    verify_hybrid,
 )
 from qforge.elements import (
     analytic_f,
@@ -109,7 +107,7 @@ def test_scheme2_split_reconstructs_eigenstate():
         recipe = compile_scheme2(rho, SM, DN)
         for branch in recipe.branches:
             rebuilt = branch.pump_split.branch_state()
-            assert abs(abs(np.vdot(rebuilt, branch.seed_state)) - 1.0) < 1e-10
+            assert abs(abs(np.vdot(rebuilt, branch.seed)) - 1.0) < 1e-10
 
 
 def test_scheme2_chain_transmissions():
@@ -295,7 +293,7 @@ def test_timing_collision_detected():
     clash = RecipeBranch(
         weight=b1.weight,
         timing_tag=b0.timing_tag,  # same tag, different branch
-        source=b1.source,
+        seed=b1.seed,
         stages=b1.stages,
     )
     bad = Recipe(
@@ -314,35 +312,6 @@ def test_weights_must_sum_to_one():
     bad = Recipe(scheme="I", branches=(b0,), spectral_model=SM, delta_n=DN)
     with pytest.raises(BadWeights):
         simulate_recipe(bad, analytic=True)
-
-
-# --------------------------------------------------------- verify_hybrid
-
-
-def test_verify_hybrid_degenerate_cases():
-    d1_recipe = compile_scheme3(FamilyParams("d1", (0.5, 0.5, 0.5, 0.5, 0.7)), SM, DN)
-    from qforge.families import family_d1
-
-    sigma = family_d1(0.5, 0.5, 0.5, 0.5, 0.7)
-    h1 = HybridDecomposition(p=1.0, sigma_recipe=d1_recipe, pure_part=bell_state("phi+"))
-    assert verify_hybrid(h1, sigma, SM) >= 1.0 - 1e-9
-    h0 = HybridDecomposition(p=0.0, sigma_recipe=d1_recipe, pure_part=bell_state("phi+"))
-    assert abs(
-        verify_hybrid(h0, projector(bell_state("phi+")), SM) - 1.0
-    ) < 1e-9
-    assert verify_hybrid(h0, projector(bell_state("psi-")), SM) < 1e-9
-
-
-def test_verify_hybrid_bell_diagonal_example():
-    lam = (0.4, 0.3, 0.2, 0.1)
-    split = bell_diagonal_split(*lam)
-    sigma_recipe = compile_scheme3(
-        FamilyParams("d1", (*split.d1_amps, split.d1_f)), SM, DN
-    )
-    hybrid = HybridDecomposition(
-        p=split.mixed_weight, sigma_recipe=sigma_recipe, pure_part=split.pure_state
-    )
-    assert verify_hybrid(hybrid, bell_diagonal(*lam), SM) >= 1.0 - 1e-9
 
 
 # ----------------------------------------------------------- recipe_cost

@@ -191,15 +191,3 @@ def test_invert_f_below_floor_capped():
 
 def test_spectral_model_lengths():
     assert abs(SM.l_si_um - 100.0) < 1e-9
-    assert SM.l_p_um > 100.0 * SM.l_si_um - 1.0
-
-
-def test_attenuator_and_beamsplitter_ranges():
-    from qforge.elements import AttenuatorSpec, BeamSplitterSpec
-
-    assert AttenuatorSpec(0.5).transmission == 0.5
-    assert BeamSplitterSpec(1.0).transmission == 1.0
-    with pytest.raises(OutOfRange):
-        AttenuatorSpec(1.5)
-    with pytest.raises(OutOfRange):
-        BeamSplitterSpec(-0.1)

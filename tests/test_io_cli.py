@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,9 +6,15 @@ import pytest
 from click.testing import CliRunner
 
 from qforge.cli import cli
-from qforge.compilers import FamilyParams, compile_scheme1, compile_scheme3
-from qforge.elements import default_spectral_model
-from qforge.families import werner
+from qforge.compilers import (
+    FamilyParams,
+    compile_scheme1,
+    compile_scheme3,
+    compile_scheme4_bell_diagonal,
+)
+from qforge.elements import SpectralModel, default_spectral_model
+from qforge.errors import NotFinite
+from qforge.families import FAMILIES, werner
 from qforge.matrix_io import format_matrix, load_matrix, parse_matrix, save_matrix
 from qforge.qmath import fidelity, random_density_matrix, validate_density
 from qforge.recipe_io import load_recipe, recipe_from_json, recipe_to_json, save_recipe
@@ -85,6 +92,53 @@ def test_recipe_file_round_trip_simulates_identically(tmp_path):
 def test_recipe_rejects_unknown_version():
     with pytest.raises(ValueError):
         recipe_from_json(json.dumps({"version": 99}))
+
+
+# SHA-256 of the default-model recipe JSON of each family at fixed parameters
+# (scheme III, scheme IV for the family scheme III has no seed for).  Family
+# recipes come from closed forms; eigensolver output (schemes I/II) is not
+# pinned because degenerate eigenvectors differ across LAPACK builds.
+FAMILY_RECIPE_SHA256 = [
+    ("mems", (0.4,), "e40cfe1f8f88fd9671d78d8a43fce588bdc1e83650c8e44c1e9f919bc9531e8c"),
+    ("mems", (0.8,), "bd9e97a9220c83c481b3c2bb03a91b81a530eef513d3a71c3954f8361eb59a7c"),
+    ("werner", (0.5,), "53a242864605c5ff9d0994cfc2dabba9ffaadb568d2b268544417a2f1c6ae6b8"),
+    ("collins_gisin", (0.5, 0.5236),
+     "51449126cfbc76ddf4d1c9699f205f3baed4a83ea332962e335658ae5d9eb605"),
+    ("d1", (0.5, 0.5, 0.5, 0.5, 0.8),
+     "be8ea0313f78825824c64a834ccc3a15d863dc60e5e99331d0718028c0be7154"),
+    ("d1", (0.6, 0.0, 0.0, 0.8, -0.3),
+     "57ea9f650a755684a3e1e7a03d04ded901fb9e53dba8874a9021665b31f81db6"),
+    ("bell_diagonal", (0.4, 0.3, 0.2, 0.1),
+     "f15b593efd8e1c97e122737b2e49a4a1209fbbf37a22921c5edc102aee1c63de"),
+    ("bell_diagonal", (0.05, 0.05, 0.85, 0.05),
+     "de03167a155e87c335f2316007b38a2807644245a91aefa1a8bc435fe7d97506"),
+]
+
+
+def test_family_recipe_bytes_pinned():
+    assert {name for name, _, _ in FAMILY_RECIPE_SHA256} == set(FAMILIES)
+    for name, params, want in FAMILY_RECIPE_SHA256:
+        if FAMILIES[name].seed is None:
+            recipe = compile_scheme4_bell_diagonal(*params)
+        else:
+            recipe = compile_scheme3(FamilyParams(name, params))
+        got = hashlib.sha256(recipe_to_json(recipe).encode("utf-8")).hexdigest()
+        assert got == want, (name, params)
+
+
+@pytest.mark.parametrize(
+    "doc", [[], {"version": 1, "scheme": "I", "spectral_model": {}, "branches": {}}]
+)
+def test_cli_rejects_recipe_of_wrong_json_type(runner, tmp_path, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(TypeError):
+        recipe_from_json(bad.read_text())
+    for args in (["cost", str(bad)], ["simulate", str(bad), "--out", str(tmp_path / "x.txt")]):
+        res = invoke(runner, *args)
+        assert res.exit_code == 2
+        _single_error_line(res, "recipe-parse")
+    assert not (tmp_path / "x.txt").exists()
 
 
 # ------------------------------------------------------------------- cli
@@ -344,6 +398,90 @@ def test_cli_defaults_env_file_bad(runner, tmp_path):
         env={"QFORGE_DEFAULTS": str(tmp_path / "missing.json")},
     )
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "flags, defaults",
+    [
+        (["--delta-n", "nan"], None),
+        (["--delta-n", "inf"], None),
+        (["--l-si", "nan"], None),
+        (["--l-si", "inf"], None),
+        (["--pump-wavelength", "nan"], None),
+        (["--pump-wavelength", "-inf"], None),
+        ([], '{"delta_n": NaN}'),
+        ([], '{"delta_n": -Infinity}'),
+        ([], '{"l_si_um": Infinity}'),
+        ([], '{"pump_wavelength_nm": NaN}'),
+    ],
+)
+def test_cli_rejects_non_finite_constants(runner, tmp_path, flags, defaults):
+    env = None
+    if defaults is not None:
+        path = tmp_path / "defaults.json"
+        path.write_text(defaults, encoding="utf-8")
+        env = {"QFORGE_DEFAULTS": str(path)}
+    recipe = tmp_path / "r.json"
+    res = invoke(runner, *flags, "compile", "III", "mems:0.4", "--out", str(recipe), env=env)
+    assert res.exit_code == 2
+    _single_error_line(res, "not-finite")
+    assert not recipe.exists()
+
+
+def test_spectral_model_rejects_non_finite():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NotFinite):
+            SpectralModel(delta_eps=bad, omega=1.0)
+        with pytest.raises(NotFinite):
+            SpectralModel(delta_eps=1.0, omega=bad)
+        with pytest.raises(NotFinite):
+            default_spectral_model(l_si_um=bad)
+        with pytest.raises(NotFinite):
+            default_spectral_model(pump_wavelength_nm=bad)
+
+
+# fixed parameters per registry family; a family added without an entry here
+# fails the CLI family test
+CLI_FAMILY_PARAMS = {
+    "mems": (0.4,),
+    "werner": (0.5,),
+    "collins_gisin": (0.5, 0.5236),
+    "bell_diagonal": (0.4, 0.3, 0.2, 0.1),
+    "d1": (0.5, 0.5, 0.5, 0.5, 0.8),
+}
+
+
+@pytest.mark.parametrize("key", list(FAMILIES))
+def test_cli_family_pipeline(runner, tmp_path, key):
+    family = FAMILIES[key]
+    params = CLI_FAMILY_PARAMS[key]
+    name = key.replace("_", "-")
+    args = [repr(p) for p in params]
+    target, recipe, produced = tmp_path / "t.txt", tmp_path / "r.json", tmp_path / "s.txt"
+    assert invoke(runner, "families", name, *args, "--out", str(target)).exit_code == 0
+    assert np.array_equal(load_matrix(target), family.matrix(*params))
+    scheme = "III" if family.seed is not None else "IV"
+    spec = f"{name}:{','.join(args)}"
+    assert invoke(runner, "compile", scheme, spec, "--out", str(recipe)).exit_code == 0
+    assert invoke(runner, "simulate", str(recipe), "--out", str(produced)).exit_code == 0
+    res = invoke(runner, "verify", str(target), str(produced), "--min-fidelity", "0.999999")
+    assert res.exit_code == 0
+    # one parameter too many, on the families command and in a compile spec
+    res = invoke(runner, "families", name, *args, "0.1")
+    assert res.exit_code == 2
+    _single_error_line(res, "value-error")
+    res = invoke(runner, "compile", scheme, spec + ",0.1", "--out", str(tmp_path / "x.json"))
+    assert res.exit_code == 2
+    _single_error_line(res, "value-error")
+    # plane sweeps exactly the one-parameter families
+    res = invoke(runner, "plane", name, "3", "--out", str(tmp_path / "p.csv"))
+    assert res.exit_code == (0 if family.arity == 1 else 2)
+
+
+def test_cli_unknown_family(runner, tmp_path):
+    res = invoke(runner, "families", "no-such-family", "0.5")
+    assert res.exit_code == 3
+    _single_error_line(res, "unsupported-target")
 
 
 def test_cli_pipeline_matches_library(runner, tmp_path):

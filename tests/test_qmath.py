@@ -15,7 +15,6 @@ from qforge.qmath import (
     purity,
     random_density_matrix,
     random_pure_state,
-    schmidt_decompose,
     tangle,
     validate_density,
 )
@@ -100,35 +99,6 @@ def test_canonical_phase_convention():
             assert abs(v[i].imag) < 1e-12
 
 
-def test_schmidt_bell():
-    form = schmidt_decompose(bell_state("phi+"))
-    assert abs(form.alpha - 1 / np.sqrt(2)) < 1e-12
-    assert abs(abs(form.beta) - 1 / np.sqrt(2)) < 1e-12
-
-
-def test_schmidt_product_state():
-    form = schmidt_decompose(np.array([0, 1, 0, 0], dtype=complex))
-    assert abs(form.alpha - 1.0) < 1e-12
-    assert abs(form.beta) < 1e-12
-
-
-def test_schmidt_already_diagonal():
-    form = schmidt_decompose(np.array([0.8, 0, 0, 0.6], dtype=complex))
-    assert {round(form.alpha, 12), round(abs(form.beta), 12)} == {0.8, 0.6}
-
-
-def test_schmidt_round_trip_random():
-    rng = np.random.default_rng(17)
-    for _ in range(500):
-        psi = random_pure_state(rng)
-        form = schmidt_decompose(psi)
-        assert abs(np.vdot(psi, form.state())) >= 1.0 - 1e-10
-        assert form.alpha >= 0.0
-        assert abs(form.alpha**2 + abs(form.beta) ** 2 - 1.0) < 1e-12
-        for u in (form.u_a, form.u_b):
-            assert np.abs(u @ u.conj().T - np.eye(2)).max() < 1e-12
-
-
 def test_fidelity_examples():
     rho = families.werner(0.37)
     assert abs(fidelity(rho, rho) - 1.0) < 1e-12
@@ -191,8 +161,7 @@ def test_random_pure_state_invariants():
     rng = np.random.default_rng(99)
     for _ in range(10_000):
         psi = random_pure_state(rng)
-        form = schmidt_decompose(psi)
-        assert abs(np.vdot(psi, form.state())) >= 1.0 - 1e-10
+        assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
         assert linear_entropy(projector(psi)) < 1e-10
 
 

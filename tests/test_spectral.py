@@ -194,15 +194,6 @@ def test_purity_never_increases_through_decoherers():
         assert after <= before + 1e-9
 
 
-def test_base_index_does_not_affect_trace():
-    psi = random_pure_state(41)
-    d = DecohererSpec(FLOOR + 111.0, DN)
-    stages = [DecohererStage("A", d), DecohererStage("B", DecohererSpec(FLOOR, DN))]
-    rho_a = simulate_chain(psi, stages, SM, GRID, n0=1.5)
-    rho_b = simulate_chain(psi, stages, SM, GRID, n0=2.25)
-    assert np.abs(rho_a - rho_b).max() < 1e-9
-
-
 def test_double_decoherence_with_45_degree_rotations():
     d = DecohererSpec(FLOOR, DN)
     rot = rotation(np.pi / 4.0).astype(complex)
@@ -310,7 +301,7 @@ def test_axis_h_equals_v_with_negated_delta_n():
             DecohererStage("A", DecohererSpec(FLOOR + 300.0, delta_n, axis=axis)),
             DecohererStage("B", DecohererSpec(FLOOR, delta_n, axis=axis)),
         )
-        branch = RecipeBranch(weight=1.0, timing_tag=1, seed_state=random_pure_state(53),
+        branch = RecipeBranch(weight=1.0, timing_tag=1, seed=random_pure_state(53),
                               stages=stages)
         return Recipe(scheme="III", branches=(branch,), spectral_model=SM, delta_n=DN)
 
