@@ -146,13 +146,21 @@ def _load_validated(path: str) -> np.ndarray:
     return qmath.validate_density(matrix_io.load_matrix(path))
 
 
+def _load_recipe(path: str) -> Recipe:
+    try:
+        return recipe_io.load_recipe(path)
+    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+        _fail(EXIT_BAD_INPUT, "recipe-parse", f"{path}: {exc}")
+
+
 _FAMILY_USAGE = " | ".join(
     " ".join((name.replace("_", "-"),) + f.param_names) for name, f in fam.FAMILIES.items()
 )
 
 
 @cli.command(
-    help=f"Write a named family state in the shared matrix format.\n\nFamilies: {_FAMILY_USAGE}."
+    help=f"Write a named family state in the shared matrix format.\n\nFamilies: {_FAMILY_USAGE}.",
+    context_settings={"ignore_unknown_options": True},  # negative parameters
 )
 @click.argument("family")
 @click.argument("params", nargs=-1)
@@ -247,12 +255,7 @@ def simulate(settings, recipe_path, out, grid_n, analytic):
 
     The simulation is exact for the Gaussian spectrum unless --grid-n is given.
     """
-    try:
-        recipe = recipe_io.load_recipe(recipe_path)
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
-        _fail(EXIT_BAD_INPUT, "recipe-parse", f"{recipe_path}: {exc}")
-    if grid_n is not None and (grid_n < 3 or grid_n % 2 == 0):
-        raise ValueError(f"--grid-n must be an odd integer >= 3, got {grid_n}")
+    recipe = _load_recipe(recipe_path)
     rho = simulate_recipe(recipe, analytic=analytic, grid_n=grid_n)
     comments = (f"simulated scheme {recipe.scheme} recipe from {recipe_path}",)
     _write_text(out, matrix_io.format_matrix(rho, comments=comments))
@@ -332,11 +335,7 @@ def plane(settings, family, steps, out):
 @_handle_errors
 def cost(settings, recipe_path):
     """Print the resource tally of a recipe."""
-    try:
-        recipe = recipe_io.load_recipe(recipe_path)
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
-        _fail(EXIT_BAD_INPUT, "recipe-parse", f"{recipe_path}: {exc}")
-    _print_cost_table(recipe)
+    _print_cost_table(_load_recipe(recipe_path))
 
 
 def main():

@@ -32,12 +32,11 @@ from .elements import (
     invert_f,
     spdc_pair_state,
 )
-from .errors import BadF, BadWeights, OutOfRange, TimingCollision, UnsupportedTarget
+from .errors import BadF, OutOfRange, UnsupportedTarget
 from .families import FAMILIES, bell_weights, family_params
-from .recipe_io import Recipe, RecipeBranch, SchemeIIPumpSplit, same_branch
+from .recipe_io import Recipe, RecipeBranch, SchemeIIPumpSplit
 from .spectral import (
     DecohererStage,
-    FrequencyGrid,
     LocalRotationStage,
     analytic_single_stage,
     make_grid,
@@ -46,7 +45,6 @@ from .spectral import (
 from .synth_pure import solve_pure
 
 RANK_EPS = 1e-12  # eigenvalues below this produce no branch
-WEIGHT_SUM_TOL = 1e-10
 
 INCOHERENCE_NOTE = "path delay exceeds the pump coherence length"
 
@@ -85,22 +83,6 @@ def branch_seed_state(branch: RecipeBranch) -> np.ndarray:
     return np.asarray(branch.seed, dtype=complex).reshape(4)
 
 
-def _check_recipe(recipe: Recipe) -> None:
-    weights = [b.weight for b in recipe.branches]
-    if any(w < 0.0 for w in weights):
-        raise BadWeights(f"negative branch weight in {weights}")
-    if abs(sum(weights) - 1.0) > WEIGHT_SUM_TOL:
-        raise BadWeights(f"branch weights sum to {sum(weights)}, not 1")
-    by_tag: dict[int, RecipeBranch] = {}
-    for b in recipe.branches:
-        other = by_tag.get(b.timing_tag)
-        if other is not None and not same_branch(b, other):
-            raise TimingCollision(
-                f"distinct branches share timing tag {b.timing_tag}"
-            )
-        by_tag.setdefault(b.timing_tag, b)
-
-
 # ---------------------------------------------------------------------------
 # Schemes I and II: eigenstate mixing
 
@@ -131,9 +113,7 @@ def compile_scheme1(
                 note=INCOHERENCE_NOTE,
             )
         )
-    recipe = Recipe(scheme="I", branches=tuple(branches), spectral_model=sm, delta_n=delta_n)
-    _check_recipe(recipe)
-    return recipe
+    return Recipe(scheme="I", branches=tuple(branches), spectral_model=sm, delta_n=delta_n)
 
 
 def compile_scheme2(
@@ -177,9 +157,7 @@ def compile_scheme2(
                 note=INCOHERENCE_NOTE,
             )
         )
-    recipe = Recipe(scheme="II", branches=tuple(branches), spectral_model=sm, delta_n=delta_n)
-    _check_recipe(recipe)
-    return recipe
+    return Recipe(scheme="II", branches=tuple(branches), spectral_model=sm, delta_n=delta_n)
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +229,7 @@ def compile_scheme3(
     sm = sm or default_spectral_model()
     amps, f_target = seed(*target.params)
     branch = _d1_branch(amps, f_target, sm, delta_n, weight=1.0, tag=1)
-    recipe = Recipe(scheme="III", branches=(branch,), spectral_model=sm, delta_n=delta_n)
-    _check_recipe(recipe)
-    return recipe
+    return Recipe(scheme="III", branches=(branch,), spectral_model=sm, delta_n=delta_n)
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +323,7 @@ def compile_scheme4_bell_diagonal(
                 note=INCOHERENCE_NOTE,
             )
         )
-    recipe = Recipe(scheme="IV", branches=tuple(branches), spectral_model=sm, delta_n=delta_n)
-    _check_recipe(recipe)
-    return recipe
+    return Recipe(scheme="IV", branches=tuple(branches), spectral_model=sm, delta_n=delta_n)
 
 
 # ---------------------------------------------------------------------------
@@ -402,27 +376,21 @@ def _branch_rho_analytic(
 
 
 def simulate_recipe(
-    recipe: Recipe,
-    sm: Optional[SpectralModel] = None,
-    grid: Optional[FrequencyGrid] = None,
-    analytic: bool = False,
-    grid_n: Optional[int] = None,
+    recipe: Recipe, analytic: bool = False, grid_n: Optional[int] = None
 ) -> np.ndarray:
-    """Weighted incoherent sum of the branch simulations.
+    """Weighted incoherent sum of the branch simulations, validated once.
 
     Every branch is simulated exactly (simulate_chain without a grid)
-    unless a grid is given, or grid_n asks for one; then the grid
-    quadrature serves as an independent check.  analytic=True evaluates
-    single-decoherence-stage branches by analytic_single_stage first.
+    unless grid_n asks for a grid; then the grid quadrature serves as an
+    independent check.  analytic=True evaluates single-decoherence-stage
+    branches by analytic_single_stage first.
     """
-    sm = sm or recipe.spectral_model
-    _check_recipe(recipe)
+    sm = recipe.spectral_model
+    grid = None if grid_n is None else make_grid(sm, grid_n)
     rho = np.zeros((4, 4), dtype=complex)
     for branch in recipe.branches:
         part = _branch_rho_analytic(branch, sm) if analytic else None
         if part is None:
-            if grid is None and grid_n is not None:
-                grid = make_grid(sm, grid_n)
             part = simulate_chain(branch_seed_state(branch), branch.stages, sm, grid)
         rho += branch.weight * part
     return qmath.validate_density(rho)

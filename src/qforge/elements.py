@@ -206,6 +206,7 @@ class DecohererSpec:
     axis: str = "V"
 
     def __post_init__(self):
+        check_finite(length_um=self.length_um, delta_n=self.delta_n)
         if self.length_um < 0.0:
             raise OutOfRange(f"decoherer length {self.length_um} must be >= 0")
         if self.axis not in ("H", "V"):

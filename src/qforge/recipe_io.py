@@ -23,11 +23,13 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .elements import DEFAULT_DELTA_N, DecohererSpec, SpdcSourceSpec, SpectralModel
+from .elements import DEFAULT_DELTA_N, DecohererSpec, SpdcSourceSpec, SpectralModel, check_finite
+from .errors import BadWeights, TimingCollision
 from .spectral import DecohererStage, LocalRotationStage
 
 FORMAT_VERSION = 1
 SCHEMES = ("I", "II", "III", "IV")
+WEIGHT_SUM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -80,10 +82,26 @@ class RecipeBranch:
 
 @dataclass(frozen=True)
 class Recipe:
+    """Incoherent mixture of branches, checked when built: weights finite,
+    non-negative, summing to 1; branches sharing a timing tag are equal."""
+
     scheme: str  # "I" | "II" | "III" | "IV"
     branches: tuple
     spectral_model: SpectralModel
     delta_n: float = DEFAULT_DELTA_N
+
+    def __post_init__(self):
+        weights = [b.weight for b in self.branches]
+        check_finite(**{f"weight[{k}]": w for k, w in enumerate(weights)})
+        if any(w < 0.0 for w in weights):
+            raise BadWeights(f"negative branch weight in {weights}")
+        if abs(sum(weights) - 1.0) > WEIGHT_SUM_TOL:
+            raise BadWeights(f"branch weights sum to {sum(weights)}, not 1")
+        by_tag: dict = {}
+        for b in self.branches:
+            other = by_tag.setdefault(b.timing_tag, b)
+            if other is not b and not same_branch(b, other):
+                raise TimingCollision(f"distinct branches share timing tag {b.timing_tag}")
 
 
 def _cvec(v: np.ndarray) -> list:

@@ -10,6 +10,9 @@ delay-tagged polarization 4-vectors, and the Gaussian spectrum traces out
 in closed form.  Given a FrequencyGrid it instead keeps one amplitude per
 polarization basis state and grid point and integrates by quadrature;
 that path is the independent oracle for the exact one.
+
+Branch results are returned as the Hermitian part of the traced matrix,
+not validated; compilers.simulate_recipe validates their weighted sum.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from typing import Sequence, Union
 import numpy as np
 
 from .elements import C_UM_PER_S, DecohererSpec, SpectralModel, spectral_amplitude
-from .qmath import validate_density
 
 DEFAULT_GRID_N = 2049
 GRID_HALF_SPAN = 6.0  # grid covers +/- 6 delta_eps
@@ -144,8 +146,7 @@ def apply_decoherer(
 def trace_to_polarization(s: JointSpectralState) -> np.ndarray:
     """Trace out frequency: rho_jk = sum_m w_m amps[j,m] conj(amps[k,m])."""
     rho = (s.amps * s.grid.weights) @ s.amps.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
-    return validate_density(rho)
+    return 0.5 * (rho + rho.conj().T)
 
 
 def simulate_chain(
@@ -218,7 +219,7 @@ def simulate_chain(
     lin = dt / C_UM_PER_S
     kernel = np.exp(1j * const) * np.exp(-0.5 * (sm.delta_eps * lin) ** 2)
     rho = terms.T @ kernel @ terms.conj()
-    return validate_density(0.5 * (rho + rho.conj().T))
+    return 0.5 * (rho + rho.conj().T)
 
 
 def analytic_single_stage(
@@ -243,4 +244,4 @@ def analytic_single_stage(
     lin = (da - db) / C_UM_PER_S
     factors = np.exp(1j * const) * np.exp(-0.5 * (sm.delta_eps * lin) ** 2)
     rho = np.outer(psi, psi.conj()) * factors
-    return validate_density(rho)
+    return 0.5 * (rho + rho.conj().T)

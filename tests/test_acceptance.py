@@ -50,7 +50,7 @@ def report(num, text):
 def test_criterion_1_mems_reproduction():
     target = mems(2.0 / 3.0)  # the 1/3-entry matrix
     recipe = compile_scheme3(FamilyParams("mems", (2.0 / 3.0,)), SM, DN)
-    f_grid = fidelity(simulate_recipe(recipe, grid=GRID), target)
+    f_grid = fidelity(simulate_recipe(recipe, grid_n=2049), target)
     f_analytic = fidelity(simulate_recipe(recipe, analytic=True), target)
     assert f_grid >= 0.9999
     assert f_analytic >= 1.0 - 1e-9
@@ -61,7 +61,7 @@ def test_criterion_2_werner_reproduction():
     r = 1.0 / 3.0
     target = werner(r)  # the (1/3, 1/6) matrix
     recipe = compile_scheme3(FamilyParams("werner", (r,)), SM, DN)
-    f_grid = fidelity(simulate_recipe(recipe, grid=GRID), target)
+    f_grid = fidelity(simulate_recipe(recipe, grid_n=2049), target)
     assert f_grid >= 0.9999
     # |f| target 2r/(1+r) must equal 1/2 exactly
     assert 2.0 * r / (1.0 + r) == 0.5

@@ -20,7 +20,7 @@ from qforge.elements import (
     dephasing_length_um,
     full_dephasing_floor_um,
 )
-from qforge.errors import BadWeights, TimingCollision, UnsupportedTarget
+from qforge.errors import BadWeights, NotFinite, TimingCollision, UnsupportedTarget
 from qforge.families import bell_diagonal, collins_gisin, mems, werner
 from qforge.qmath import (
     bell_state,
@@ -31,11 +31,10 @@ from qforge.qmath import (
     random_density_matrix,
     tangle,
 )
-from qforge.spectral import DecohererStage, make_grid
+from qforge.spectral import DecohererStage
 
 SM = default_spectral_model()
 DN = 0.009
-GRID = make_grid(SM)
 
 
 def decoherer_lengths(recipe):
@@ -179,7 +178,7 @@ def test_scheme3_family_sweeps_grid():
         ):
             params = (float(r), 0.9) if kind == "collins_gisin" else (float(r),)
             recipe = compile_scheme3(FamilyParams(kind, params), SM, DN)
-            produced = simulate_recipe(recipe, grid=GRID)
+            produced = simulate_recipe(recipe, grid_n=2049)
             assert fidelity(produced, target) >= 1.0 - 1e-6, (kind, r)
 
 
@@ -191,7 +190,7 @@ def test_scheme3_d1_target_complexish():
     target = family_d1(*amps, -0.4)  # signed f
     recipe = compile_scheme3(FamilyParams("d1", (*amps, -0.4)), SM, DN)
     assert fidelity(simulate_recipe(recipe, analytic=True), target) >= 1.0 - 1e-9
-    assert fidelity(simulate_recipe(recipe, grid=GRID), target) >= 1.0 - 1e-6
+    assert fidelity(simulate_recipe(recipe, grid_n=2049), target) >= 1.0 - 1e-6
 
 
 def test_scheme3_mems_sweep_on_boundary():
@@ -235,7 +234,7 @@ def test_scheme4_swapped_case():
     recipe = compile_scheme4_bell_diagonal(*lam, SM, DN)
     target = bell_diagonal(*lam)
     assert fidelity(simulate_recipe(recipe, analytic=True), target) >= 1.0 - 1e-9
-    assert fidelity(simulate_recipe(recipe, grid=GRID), target) >= 1.0 - 1e-6
+    assert fidelity(simulate_recipe(recipe, grid_n=2049), target) >= 1.0 - 1e-6
 
 
 def test_scheme4_random_simplex():
@@ -270,7 +269,7 @@ def test_simulate_grid_matches_analytic_for_scheme1():
     rho_t = random_density_matrix(5)
     recipe = compile_scheme1(rho_t, SM, DN)
     a = simulate_recipe(recipe, analytic=True)
-    g = simulate_recipe(recipe, grid=GRID)
+    g = simulate_recipe(recipe, grid_n=2049)
     assert np.abs(a - g).max() < 1e-8
 
 
@@ -280,11 +279,11 @@ def test_grid_path_round_trips_all_schemes():
         rho = random_density_matrix(rng)
         for compiler in (compile_scheme1, compile_scheme2):
             recipe = compiler(rho, SM, DN)
-            assert fidelity(simulate_recipe(recipe, grid=GRID), rho) >= 1.0 - 1e-6
+            assert fidelity(simulate_recipe(recipe, grid_n=2049), rho) >= 1.0 - 1e-6
     for _ in range(10):
         lam = rng.dirichlet(np.ones(4))
         recipe = compile_scheme4_bell_diagonal(*lam, SM, DN)
-        assert fidelity(simulate_recipe(recipe, grid=GRID), bell_diagonal(*lam)) >= 1.0 - 1e-6
+        assert fidelity(simulate_recipe(recipe, grid_n=2049), bell_diagonal(*lam)) >= 1.0 - 1e-6
 
 
 def test_timing_collision_detected():
@@ -296,22 +295,22 @@ def test_timing_collision_detected():
         seed=b1.seed,
         stages=b1.stages,
     )
-    bad = Recipe(
-        scheme="I",
-        branches=(b0, clash) + base.branches[2:],
-        spectral_model=SM,
-        delta_n=DN,
-    )
     with pytest.raises(TimingCollision):
-        simulate_recipe(bad, analytic=True)
+        Recipe(
+            scheme="I",
+            branches=(b0, clash) + base.branches[2:],
+            spectral_model=SM,
+            delta_n=DN,
+        )
 
 
 def test_weights_must_sum_to_one():
     base = compile_scheme1(werner(0.5), SM, DN)
     b0 = base.branches[0]
-    bad = Recipe(scheme="I", branches=(b0,), spectral_model=SM, delta_n=DN)
-    with pytest.raises(BadWeights):
-        simulate_recipe(bad, analytic=True)
+    nan_weight = RecipeBranch(weight=float("nan"), timing_tag=1, seed=b0.seed, stages=b0.stages)
+    for branch, error in ((b0, BadWeights), (nan_weight, NotFinite)):
+        with pytest.raises(error):
+            Recipe(scheme="I", branches=(branch,), spectral_model=SM, delta_n=DN)
 
 
 # ----------------------------------------------------------- recipe_cost

@@ -157,6 +157,16 @@ def test_cli_families_out_of_range(runner):
     assert res.exit_code == 2
 
 
+def test_cli_families_negative_parameters(runner, tmp_path):
+    out = tmp_path / "d1.txt"
+    res = invoke(runner, "families", "d1", "0.6", "0", "0", "0.8", "-0.3", "--out", str(out))
+    assert res.exit_code == 0
+    assert np.array_equal(load_matrix(out), FAMILIES["d1"].matrix(0.6, 0.0, 0.0, 0.8, -0.3))
+    res = invoke(runner, "families", "werner", "-0.5")
+    assert res.exit_code == 2
+    _single_error_line(res, "out-of-range")
+
+
 def test_cli_families_mems_one(runner, tmp_path):
     out = tmp_path / "m.txt"
     res = invoke(runner, "families", "mems", "1.0", "--out", str(out))
@@ -243,6 +253,10 @@ def test_cli_simulate_grid_flag_and_analytic(runner, tmp_path):
     assert np.abs(load_matrix(a) - load_matrix(b)).max() < 1e-6
     res = invoke(runner, "simulate", str(recipe), "--out", str(a), "--grid-n", "1024")
     assert res.exit_code == 2
+    # the closed form needs no grid, but a bad size is still rejected
+    res = invoke(runner, "simulate", str(recipe), "--out", str(a), "--analytic", "--grid-n", "4")
+    assert res.exit_code == 2
+    _single_error_line(res, "value-error")
 
 
 def _single_error_line(res, kind):
@@ -514,6 +528,52 @@ def test_cli_simulate_pure_recipe_gives_projector(runner, tmp_path):
     invoke(runner, "compile", "II", str(target), "--out", str(r))
     invoke(runner, "simulate", str(r), "--out", str(s))
     assert np.abs(load_matrix(s) - load_matrix(target)).max() < 1e-9
+
+
+def _nan_weight(doc):
+    doc["branches"][0]["weight"] = float("nan")
+
+
+def _nan_length(doc):
+    doc["branches"][0]["stages"][1]["length_um"] = float("nan")
+
+
+def _half_weight(doc):
+    doc["branches"][0]["weight"] = 0.5
+
+
+def _shared_tag(doc):
+    doc["branches"][1]["timing_tag"] = doc["branches"][0]["timing_tag"]
+
+
+@pytest.mark.parametrize("command", ["cost", "simulate"])
+@pytest.mark.parametrize(
+    "target, edit, kind, code",
+    [
+        ("mems:0.4", _nan_weight, "not-finite", 2),
+        ("mems:0.4", _nan_length, "not-finite", 2),
+        ("mems:0.4", _half_weight, "bad-weights", 2),
+        ("werner:0.5", _shared_tag, "timing-collision", 4),
+    ],
+)
+def test_cli_cost_and_simulate_reject_the_same_recipes(
+    runner, tmp_path, command, target, edit, kind, code
+):
+    r = tmp_path / "r.json"
+    scheme = "III" if target.startswith("mems") else "I"
+    assert invoke(runner, "compile", scheme, target, "--out", str(r)).exit_code == 0
+    doc = json.loads(r.read_text())
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    args = [command, str(bad)]
+    if command == "simulate":
+        args += ["--out", str(tmp_path / "x.txt")]
+    res = invoke(runner, *args)
+    assert res.exit_code == code
+    _single_error_line(res, kind)
+    assert res.stdout == ""
+    assert not (tmp_path / "x.txt").exists()
 
 
 def test_cli_timing_collision_exit_code(runner, tmp_path):

@@ -233,18 +233,10 @@ def _random_chain(rng, n_dec):
     return stages
 
 
-def test_exact_matches_grid_on_random_chains(monkeypatch):
-    from qforge import spectral
-
+def test_exact_matches_grid_on_random_chains():
     # the raw exact trace must sit far inside validate_density's 1e-12,
     # although the phases w dn L / 2c reach ~1e4 rad
-    raw_trace_error = [0.0]
-
-    def validate(m):
-        raw_trace_error[0] = max(raw_trace_error[0], abs(np.trace(m) - 1.0))
-        return validate_density(m)
-
-    monkeypatch.setattr(spectral, "validate_density", validate)
+    raw_trace_error = 0.0
     rng = np.random.default_rng(2049)
     worst = 0.0
     for k in range(120):
@@ -252,9 +244,12 @@ def test_exact_matches_grid_on_random_chains(monkeypatch):
         stages = _random_chain(rng, 2 + k % 3)
         exact = simulate_chain(psi, stages, SM)
         grid = simulate_chain(psi, stages, SM, GRID)
+        for rho in (exact, grid):
+            raw_trace_error = max(raw_trace_error, abs(np.trace(rho) - 1.0))
+            validate_density(rho)
         worst = max(worst, np.abs(exact - grid).max())
     assert worst <= 1e-8
-    assert raw_trace_error[0] < 1e-13
+    assert raw_trace_error < 1e-13
 
 
 def test_exact_matches_analytic_single_stage():
@@ -284,7 +279,7 @@ def test_default_simulate_recipe_builds_no_grid(request):
         compile_scheme3(FamilyParams("mems", (0.4,)), SM, DN),
         compile_scheme4_bell_diagonal(0.1, 0.2, 0.3, 0.4, sm=SM, delta_n=DN),
     ]
-    oracle = [simulate_recipe(r, grid=GRID) for r in recipes]
+    oracle = [simulate_recipe(r, grid_n=2049) for r in recipes]
     request.getfixturevalue("forbid_make_grid")
     for recipe, want in zip(recipes, oracle):
         for analytic in (False, True):
@@ -309,7 +304,7 @@ def test_axis_h_equals_v_with_negated_delta_n():
     h, v_minus, v_plus = recipe(DN, "H"), recipe(-DN, "V"), recipe(DN, "V")
     want = simulate_recipe(v_minus)
     # exact, closed-form and grid paths
-    for kwargs in ({}, {"analytic": True}, {"grid": GRID}):
+    for kwargs in ({}, {"analytic": True}, {"grid_n": 2049}):
         got = simulate_recipe(h, **kwargs)
         assert np.abs(got - want).max() < 1e-8
         assert np.abs(got - simulate_recipe(v_plus, **kwargs)).max() > 1e-3
