@@ -13,8 +13,10 @@ Examples:
     qforge cost recipe.json
 
 Exit codes: 0 ok, 1 verification failed, 2 bad input, 3 unsupported
-scheme/target pairing, 4 simulation contract violation.  Every error path
-prints a single "error: <kind>: <reason>" line to standard error.
+scheme/target pairing, 4 simulation contract violation.  They are mapped
+in one place, `_EXIT_CODES`, and every error path prints a single
+"error: <kind>: <reason>" line to standard error.  `--seed` and
+`simulate --analytic` are accepted and ignored.
 
 The env var QFORGE_DEFAULTS may point to a JSON file overriding the
 physical constants, e.g. {"delta_n": 0.009, "l_si_um": 100.0,
@@ -23,7 +25,6 @@ physical constants, e.g. {"delta_n": 0.009, "l_si_um": 100.0,
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import re
@@ -54,48 +55,43 @@ from .elements import (
     check_finite,
     default_spectral_model,
 )
-from .errors import QforgeError, TimingCollision, UnsupportedTarget
+from .errors import DefaultsFile, QforgeError, RecipeParse, TimingCollision
+from .errors import UnsupportedTarget, VerificationFailed
 
-EXIT_OK = 0
-EXIT_VERIFY_FAILED = 1
-EXIT_BAD_INPUT = 2
-EXIT_UNSUPPORTED = 3
-EXIT_SIM_CONTRACT = 4
+# exception -> exit code, the first matching row wins; anything else (click's
+# usage errors and --help included) passes through
+_BAD_INPUT = (QforgeError, ValueError, TypeError, OSError)
+_EXIT_CODES = (
+    (VerificationFailed, 1),
+    (TimingCollision, 4),
+    (UnsupportedTarget, 3),
+    (_BAD_INPUT, 2),
+)
 
 
 def _slug(exc: BaseException) -> str:
-    name = type(exc).__name__
-    return re.sub(r"(?<!^)(?=[A-Z])", "-", name).lower()
+    if isinstance(exc, OSError):
+        return "io-error"
+    return re.sub(r"(?<!^)(?=[A-Z])", "-", type(exc).__name__).lower()
 
 
-def _fail(code: int, slug: str, message: str):
-    message = " ".join(str(message).split())  # keep it on one line
-    click.echo(f"error: {slug}: {message}", err=True)
-    sys.exit(code)
+class _ErrorBoundary(click.Group):
+    """Runs the group callback and the command; ends a mapped error in one line."""
 
-
-def _handle_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
-        except TimingCollision as exc:
-            _fail(EXIT_SIM_CONTRACT, _slug(exc), exc)
-        except UnsupportedTarget as exc:
-            _fail(EXIT_UNSUPPORTED, _slug(exc), exc)
-        except (QforgeError, ValueError) as exc:
-            _fail(EXIT_BAD_INPUT, _slug(exc), exc)
-        except OSError as exc:
-            _fail(EXIT_BAD_INPUT, "io-error", exc)
-
-    return wrapper
+            return super().invoke(ctx)
+        except _BAD_INPUT as exc:  # every row's classes are among these
+            code = next(c for kinds, c in _EXIT_CODES if isinstance(exc, kinds))
+            message = " ".join(str(exc).split())  # keep it on one line
+            click.echo(f"error: {_slug(exc)}: {message}", err=True)
+            sys.exit(code)
 
 
 @dataclass
 class Settings:
     spectral_model: SpectralModel
     delta_n: float
-    seed: int | None
 
 
 def _load_defaults_file() -> dict:
@@ -104,20 +100,20 @@ def _load_defaults_file() -> dict:
         return {}
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        _fail(EXIT_BAD_INPUT, "defaults-file", f"cannot read QFORGE_DEFAULTS {path}: {exc}")
+    except (OSError, RecursionError, json.JSONDecodeError) as exc:
+        raise DefaultsFile(f"cannot read QFORGE_DEFAULTS {path}: {exc}") from exc
     if not isinstance(data, dict):
-        _fail(EXIT_BAD_INPUT, "defaults-file", f"{path} must hold a JSON object")
+        raise DefaultsFile(f"{path} must hold a JSON object")
     return data
 
 
-@click.group()
-@click.option("--seed", type=int, default=None, help="Seed for any randomized operation.")
+@click.group(cls=_ErrorBoundary)
+@click.option("--seed", type=int, expose_value=False, help="Accepted and ignored.")
 @click.option("--delta-n", type=float, default=None, help="Birefringence n_V - n_H.")
 @click.option("--l-si", type=float, default=None, help="Photon coherence length [um].")
 @click.option("--pump-wavelength", type=float, default=None, help="Pump wavelength [nm].")
 @click.pass_context
-def cli(ctx, seed, delta_n, l_si, pump_wavelength):
+def cli(ctx, delta_n, l_si, pump_wavelength):
     """Compile and simulate two-photon polarization mixed-state recipes."""
     file_defaults = _load_defaults_file()
     dn = delta_n if delta_n is not None else file_defaults.get("delta_n", DEFAULT_DELTA_N)
@@ -127,12 +123,8 @@ def cli(ctx, seed, delta_n, l_si, pump_wavelength):
         if pump_wavelength is not None
         else file_defaults.get("pump_wavelength_nm", DEFAULT_PUMP_WAVELENGTH_NM)
     )
-    try:
-        check_finite(delta_n=dn)
-        sm = default_spectral_model(l_si_um=lsi, pump_wavelength_nm=wl)
-    except (QforgeError, ValueError, TypeError) as exc:
-        _fail(EXIT_BAD_INPUT, _slug(exc), exc)
-    ctx.obj = Settings(spectral_model=sm, delta_n=dn, seed=seed)
+    check_finite(delta_n=dn)
+    ctx.obj = Settings(default_spectral_model(l_si_um=lsi, pump_wavelength_nm=wl), dn)
 
 
 def _write_text(out: str, text: str):
@@ -149,8 +141,8 @@ def _load_validated(path: str) -> np.ndarray:
 def _load_recipe(path: str) -> Recipe:
     try:
         return recipe_io.load_recipe(path)
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
-        _fail(EXIT_BAD_INPUT, "recipe-parse", f"{path}: {exc}")
+    except (KeyError, TypeError, RecursionError, json.JSONDecodeError) as exc:
+        raise RecipeParse(f"{path}: {exc}") from exc
 
 
 _FAMILY_USAGE = " | ".join(
@@ -165,9 +157,7 @@ _FAMILY_USAGE = " | ".join(
 @click.argument("family")
 @click.argument("params", nargs=-1)
 @click.option("--out", "-o", default="-", help="Output path ('-' for stdout).")
-@click.pass_obj
-@_handle_errors
-def families(settings, family, params, out):
+def families(family, params, out):
     key, params = fam.family_params(family, params)
     m = fam.FAMILIES[key].matrix(*params)
     label = f"{key}({', '.join(f'{p:.6g}' for p in params)})"
@@ -207,7 +197,6 @@ def _print_cost_table(recipe: Recipe):
 @click.argument("target")
 @click.option("--out", "-o", required=True, help="Recipe output path.")
 @click.pass_obj
-@_handle_errors
 def compile_cmd(settings, scheme, target, out):
     """Compile a target into a synthesis recipe.
 
@@ -245,18 +234,15 @@ def compile_cmd(settings, scheme, target, out):
 @click.option("--grid-n", type=int, default=None,
               help="Integrate on a frequency grid of this odd size instead of "
                    "the exact default; the grid is an independent check.")
-@click.option("--analytic", is_flag=True,
-              help="Closed form for single-stage branches; the others stay "
-                   "exact (or on the --grid-n grid).")
-@click.pass_obj
-@_handle_errors
-def simulate(settings, recipe_path, out, grid_n, analytic):
+@click.option("--analytic", is_flag=True, expose_value=False,
+              help="Accepted and ignored; the default is exact.")
+def simulate(recipe_path, out, grid_n):
     """Forward-simulate a recipe and write the traced density matrix.
 
     The simulation is exact for the Gaussian spectrum unless --grid-n is given.
     """
     recipe = _load_recipe(recipe_path)
-    rho = simulate_recipe(recipe, analytic=analytic, grid_n=grid_n)
+    rho = simulate_recipe(recipe, grid_n=grid_n)
     comments = (f"simulated scheme {recipe.scheme} recipe from {recipe_path}",)
     _write_text(out, matrix_io.format_matrix(rho, comments=comments))
 
@@ -273,9 +259,7 @@ def _echo_metrics(label: str, rho: np.ndarray):
 @click.argument("target_path")
 @click.argument("produced_path")
 @click.option("--min-fidelity", type=float, default=0.999, show_default=True)
-@click.pass_obj
-@_handle_errors
-def verify(settings, target_path, produced_path, min_fidelity):
+def verify(target_path, produced_path, min_fidelity):
     """Compare two matrix files; exit 1 if fidelity is below the threshold."""
     target = _load_validated(target_path)
     produced = _load_validated(produced_path)
@@ -284,17 +268,12 @@ def verify(settings, target_path, produced_path, min_fidelity):
     _echo_metrics("target", target)
     _echo_metrics("produced", produced)
     if f < min_fidelity:
-        click.echo(
-            f"error: verification-failed: fidelity {f:.9g} < {min_fidelity:.9g}", err=True
-        )
-        sys.exit(EXIT_VERIFY_FAILED)
+        raise VerificationFailed(f"fidelity {f:.9g} < {min_fidelity:.9g}")
 
 
 @cli.command()
 @click.argument("matrix_path")
-@click.pass_obj
-@_handle_errors
-def metrics(settings, matrix_path):
+def metrics(matrix_path):
     """Print tangle, linear entropy and purity of a matrix file."""
     rho = _load_validated(matrix_path)
     click.echo(f"tangle {qmath.tangle(rho):.6g}")
@@ -306,9 +285,7 @@ def metrics(settings, matrix_path):
 @click.argument("family")
 @click.argument("steps", type=int)
 @click.option("--out", "-o", default="-", help="CSV output path ('-' for stdout).")
-@click.pass_obj
-@_handle_errors
-def plane(settings, family, steps, out):
+def plane(family, steps, out):
     """Sweep a one-parameter family and tabulate the tangle-entropy plane.
 
     Supported families: those with one parameter, swept uniformly over [0, 1].
@@ -331,9 +308,7 @@ def plane(settings, family, steps, out):
 
 @cli.command()
 @click.argument("recipe_path")
-@click.pass_obj
-@_handle_errors
-def cost(settings, recipe_path):
+def cost(recipe_path):
     """Print the resource tally of a recipe."""
     _print_cost_table(_load_recipe(recipe_path))
 

@@ -93,6 +93,7 @@ class SpdcSourceSpec:
     phi: float = 0.0
 
     def __post_init__(self):
+        check_finite(theta=self.theta, phi=self.phi)
         if not 0.0 <= self.theta <= math.pi / 2.0 + 1e-12:
             raise OutOfRange(f"theta {self.theta} outside [0, pi/2]")
         object.__setattr__(self, "phi", float(self.phi) % (2.0 * math.pi))

@@ -29,6 +29,10 @@ class NotNormalized(ValidationError):
     pass
 
 
+class NotUnitary(ValidationError):
+    """A recipe's local rotation is not a unitary matrix."""
+
+
 class OutOfRange(ValidationError):
     """A family or element parameter is outside its allowed range."""
 
@@ -59,3 +63,15 @@ class TimingCollision(QforgeError):
 
 class UnsupportedTarget(QforgeError):
     """A compilation scheme cannot accept this kind of target."""
+
+
+class VerificationFailed(QforgeError):
+    """A produced state's fidelity to its target is below the threshold."""
+
+
+class RecipeParse(QforgeError):
+    """A recipe file is not a well-formed recipe-v1 document."""
+
+
+class DefaultsFile(QforgeError):
+    """The QFORGE_DEFAULTS file cannot be read or holds no JSON object."""

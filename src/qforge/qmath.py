@@ -19,8 +19,6 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_CLAMP = 1e-10  # eigenvalues in [-1e-10, 0) are treated as round-off
 
-BASIS_LABELS = ("HH", "HV", "VH", "VV")
-
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 

@@ -17,6 +17,7 @@ round-trip repr, so serialize -> parse -> serialize is byte-identical.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -24,12 +25,14 @@ from typing import Optional, Union
 import numpy as np
 
 from .elements import DEFAULT_DELTA_N, DecohererSpec, SpdcSourceSpec, SpectralModel, check_finite
-from .errors import BadWeights, TimingCollision
+from .errors import BadWeights, NotFinite, NotNormalized, NotUnitary, TimingCollision
 from .spectral import DecohererStage, LocalRotationStage
 
 FORMAT_VERSION = 1
 SCHEMES = ("I", "II", "III", "IV")
 WEIGHT_SUM_TOL = 1e-10
+SEED_NORM_TOL = 1e-9
+UNITARY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -134,10 +137,26 @@ def _stage_to_dict(stage) -> dict:
     raise TypeError(f"cannot serialize stage {type(stage).__name__}")
 
 
-def _stage_from_dict(data: dict):
+def _unitary_from(data, stage: int, arm: str) -> np.ndarray:
+    """_mat_from for a local rotation, checked unitary in scalar arithmetic
+    (cheaper than numpy on 2x2); NaN fails the check too."""
+    rows = [[complex(re, im) for re, im in row] for row in data]
+    try:
+        (a, b), (c, d) = rows
+    except ValueError:
+        raise NotUnitary(f"stage {stage} u_{arm} is not a 2x2 matrix") from None
+    err = max(abs(abs(a) ** 2 + abs(b) ** 2 - 1.0), abs(abs(c) ** 2 + abs(d) ** 2 - 1.0),
+              abs(a * c.conjugate() + b * d.conjugate()))
+    if not err <= UNITARY_TOL:
+        raise NotUnitary(f"stage {stage} u_{arm} is not unitary: |U U^+ - 1| = {err:.3g}")
+    return np.array(rows, dtype=complex)
+
+
+def _stage_from_dict(data: dict, index: int):
     kind = data["kind"]
     if kind == "local_unitary":
-        return LocalRotationStage(u_a=_mat_from(data["u_a"]), u_b=_mat_from(data["u_b"]))
+        return LocalRotationStage(u_a=_unitary_from(data["u_a"], index, "a"),
+                                  u_b=_unitary_from(data["u_b"], index, "b"))
     if kind == "decoherer":
         return DecohererStage(
             arm=data["arm"],
@@ -173,7 +192,14 @@ def _branch_from_dict(data: dict) -> RecipeBranch:
     if "theta" in seed:
         seed = SpdcSourceSpec(theta=seed["theta"], phi=seed["phi"])
     else:
-        seed = _vec_from(seed["amps"])
+        amps = seed["amps"]
+        seed = _vec_from(amps)
+        # checked only: the recipe keeps the amplitudes as written
+        norm = math.hypot(*(x for z in amps for x in z))
+        if not math.isfinite(norm):
+            raise NotFinite("seed amplitudes hold a NaN or infinite entry")
+        if len(seed) != 4 or not abs(norm - 1.0) <= SEED_NORM_TOL:
+            raise NotNormalized(f"seed needs 4 amplitudes of unit norm, not {len(seed)} of {norm}")
     pump_split = None
     if "pump_split" in data:
         ps = data["pump_split"]
@@ -187,7 +213,7 @@ def _branch_from_dict(data: dict) -> RecipeBranch:
         weight=data["weight"],
         timing_tag=data["timing_tag"],
         seed=seed,
-        stages=tuple(_stage_from_dict(s) for s in data["stages"]),
+        stages=tuple(_stage_from_dict(s, k) for k, s in enumerate(data["stages"])),
         pump_split=pump_split,
         note=data.get("note", ""),
     )

@@ -10,6 +10,7 @@ determinant D = ad - bc of the reshaped amplitude matrix:
 
   * |D| = 0: product state, built from |HH> with independent rotations;
   * 0 < |D| < 1/2: generic entangled state, closed-form branch;
+  * near |D| = 1/2, where the closed form loses digits: a 2x2 SVD;
   * |D| = 1/2: maximally entangled state, its own construction.
 """
 
@@ -23,9 +24,12 @@ from .elements import SpdcSourceSpec, WaveplateSpec, spdc_pair_state, su2_to_wav
 from .qmath import check_pure
 
 PRODUCT_THRESHOLD = 1e-12
-# near |D| = 1/2 the generic branch divides by |alpha|^2 - |beta|^2 -> 0;
-# route states this close to the maximal construction instead
-MAXIMAL_GUARD = 1e-8
+# 1 - 2|D| below this is |D| = 1/2 up to rounding (exact Bell states sit
+# about 2e-16 off): the maximal construction
+MAXIMAL_GUARD = 1e-15
+# the generic branch divides by |alpha|^2 - |beta|^2 = -(1 - 2|D|) (to first
+# order) and loses digits as eps / (1 - 2|D|); below this gap the SVD takes over
+SEAM_BAND = 1e-3
 
 _DEGENERATE = 1e-9
 
@@ -121,6 +125,18 @@ def _solve_generic(psi: np.ndarray, det: complex):
     return _source_from_coeffs(float(alpha), complex(beta)), u_a, u_b
 
 
+def _solve_near_seam(psi: np.ndarray):
+    """SVD for MAXIMAL_GUARD <= 1 - 2|D| < SEAM_BAND, exact at every |D|.
+
+    psi reshaped is u diag(cos theta, sin theta) vh, so U_A = u and
+    U_B = vh^T, each scaled into SU(2) (a global phase).
+    """
+    u, s, vh = np.linalg.svd(psi.reshape(2, 2))
+    u_b = vh.T
+    source = SpdcSourceSpec(theta=float(np.arctan2(s[1], s[0])), phi=0.0)
+    return source, u / np.sqrt(np.linalg.det(u)), u_b / np.sqrt(np.linalg.det(u_b))
+
+
 def _solve_maximal(psi: np.ndarray):
     """Construction for |D| = 1/2.
 
@@ -153,10 +169,13 @@ def solve_pure(target: np.ndarray) -> PureRecipe:
     """Compile a pure target state into source settings and local rotations."""
     psi = check_pure(target)
     det = psi[0] * psi[3] - psi[1] * psi[2]
+    gap = 1.0 - 2.0 * abs(det)
     if abs(det) < PRODUCT_THRESHOLD:
         source, u_a, u_b = _solve_product(psi)
-    elif abs(1.0 - 2.0 * abs(det)) < MAXIMAL_GUARD:
+    elif gap < MAXIMAL_GUARD:
         source, u_a, u_b = _solve_maximal(psi)
+    elif gap < SEAM_BAND:
+        source, u_a, u_b = _solve_near_seam(psi)
     else:
         source, u_a, u_b = _solve_generic(psi, det)
     return PureRecipe(

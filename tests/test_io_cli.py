@@ -141,6 +141,20 @@ def test_cli_rejects_recipe_of_wrong_json_type(runner, tmp_path, doc):
     assert not (tmp_path / "x.txt").exists()
 
 
+def test_cli_rejects_deeply_nested_json(runner, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    for args, env, kind in (
+        (["cost", str(deep)], None, "recipe-parse"),
+        (["simulate", str(deep), "--out", str(tmp_path / "x.txt")], None, "recipe-parse"),
+        (["families", "werner", "0.5"], {"QFORGE_DEFAULTS": str(deep)}, "defaults-file"),
+    ):
+        res = invoke(runner, *args, env=env)
+        assert res.exit_code == 2
+        _single_error_line(res, kind)
+    assert not (tmp_path / "x.txt").exists()
+
+
 # ------------------------------------------------------------------- cli
 
 
@@ -546,6 +560,18 @@ def _shared_tag(doc):
     doc["branches"][1]["timing_tag"] = doc["branches"][0]["timing_tag"]
 
 
+def _non_unitary_u_a(doc):
+    doc["branches"][0]["stages"][0]["u_a"][0][0] = [2.0, 0.0]
+
+
+def _nan_phi(doc):
+    doc["branches"][0]["seed"]["phi"] = float("nan")
+
+
+def _nan_amplitude(doc):
+    doc["branches"][0]["seed"]["amps"][0] = [float("nan"), 0.0]
+
+
 @pytest.mark.parametrize("command", ["cost", "simulate"])
 @pytest.mark.parametrize(
     "target, edit, kind, code",
@@ -554,13 +580,16 @@ def _shared_tag(doc):
         ("mems:0.4", _nan_length, "not-finite", 2),
         ("mems:0.4", _half_weight, "bad-weights", 2),
         ("werner:0.5", _shared_tag, "timing-collision", 4),
+        ("mems:0.4", _non_unitary_u_a, "not-unitary", 2),
+        ("mems:0.4", _nan_phi, "not-finite", 2),
+        ("collins-gisin:1.0,0.6", _nan_amplitude, "not-finite", 2),
     ],
 )
 def test_cli_cost_and_simulate_reject_the_same_recipes(
     runner, tmp_path, command, target, edit, kind, code
 ):
     r = tmp_path / "r.json"
-    scheme = "III" if target.startswith("mems") else "I"
+    scheme = {"mems": "III", "werner": "I", "collins-gisin": "II"}[target.partition(":")[0]]
     assert invoke(runner, "compile", scheme, target, "--out", str(r)).exit_code == 0
     doc = json.loads(r.read_text())
     edit(doc)
@@ -587,3 +616,40 @@ def test_cli_timing_collision_exit_code(runner, tmp_path):
     res = invoke(runner, "simulate", str(bad), "--out", str(tmp_path / "x.txt"), "--analytic")
     assert res.exit_code == 4
     assert "error: timing-collision" in res.output
+
+
+# the exit-code contract on paths no other test reaches: (arguments, QFORGE_DEFAULTS
+# text or None, exit code, slug of the one stderr line or None, text on stdout)
+CLI_CONTRACT = [
+    (["compile", "III", "mems:0.4", "--out", "{tmp}/missing/x.json"], None, 2, "io-error", ""),
+    (["families", "werner", "0.5"], "[1]", 2, "defaults-file", ""),
+    (["families", "werner", "0.5"], '{"delta_n": "abc"}', 2, "type-error", ""),
+    (["--delta-n", "0", "compile", "III", "mems:0.4", "--out", "{tmp}/x.json"], None, 2,
+     "out-of-range", ""),
+    (["compile", "IV", "mems:0.4", "--out", "{tmp}/x.json"], None, 3, "unsupported-target", ""),
+    (["verify", "{tmp}/hh.txt", "{tmp}/vv.txt", "--min-fidelity", "0.5"], None, 1,
+     "verification-failed", "fidelity 0\n"),
+    (["--seed", "7", "plane", "mems", "5"], None, 0, None, "param,tangle,linear_entropy\n"),
+    (["simulate", "{tmp}/r.json", "--out", "-", "--analytic"], None, 0, None, "# simulated"),
+]
+
+
+@pytest.mark.parametrize("args, defaults, code, kind, stdout", CLI_CONTRACT)
+def test_cli_exit_code_contract(runner, tmp_path, args, defaults, code, kind, stdout):
+    for name, k in (("hh.txt", 0), ("vv.txt", 3)):
+        m = np.zeros((4, 4), dtype=complex)
+        m[k, k] = 1.0
+        save_matrix(tmp_path / name, m)
+    assert invoke(runner, "compile", "III", "mems:0.4", "--out", str(tmp_path / "r.json")).exit_code == 0
+    env = None
+    if defaults is not None:
+        (tmp_path / "defaults.json").write_text(defaults, encoding="utf-8")
+        env = {"QFORGE_DEFAULTS": str(tmp_path / "defaults.json")}
+    res = invoke(runner, *[a.format(tmp=tmp_path) for a in args], env=env)
+    assert res.exit_code == code
+    if kind is None:
+        assert res.stderr == ""
+    else:
+        _single_error_line(res, kind)
+    assert res.stdout.startswith(stdout)
+    assert not (tmp_path / "x.json").exists()

@@ -3,7 +3,7 @@ import pytest
 
 from qforge.errors import NotNormalized
 from qforge.qmath import bell_state, random_pure_state, random_su2
-from qforge.synth_pure import MAXIMAL_GUARD, solve_pure, verify_pure
+from qforge.synth_pure import solve_pure, verify_pure
 
 
 def det2(psi):
@@ -139,5 +139,17 @@ def test_waveplate_expansion_matches_unitaries():
             assert 1.0 - abs(np.trace(w.conj().T @ u)) / 2.0 < 1e-10
 
 
-def test_guard_width():
-    assert MAXIMAL_GUARD == 1e-8
+def test_exact_across_the_seam():
+    # 200 locally rotated states per gap 1/2 - |D| = 1e-15 .. 1e-3: the SVD
+    # band and, at 1e-3, the generic branch just outside it
+    rng = np.random.default_rng(8)
+    for k in range(15, 2, -1):
+        t = 0.5 * np.arcsin(1.0 - 2.0 * 10.0**-k)
+        schmidt = np.array([np.cos(t), 0.0, 0.0, np.sin(t)], dtype=complex)
+        for _ in range(200):
+            psi = np.kron(random_su2(rng), random_su2(rng)) @ schmidt
+            produced = solve_pure(psi).state()
+            overlap = np.vdot(produced, psi)
+            assert 1.0 - abs(overlap) <= 1e-14, f"k={k}"
+            phase = overlap / abs(overlap)
+            assert np.abs(produced * phase - psi).max() <= 1e-11, f"k={k}"
