@@ -36,18 +36,7 @@ from .qmath import (
     validate_density,
 )
 from .recipe_io import Recipe, RecipeBranch, SchemeIIPumpSplit
-from .spectral import (
-    DecohererStage,
-    FrequencyGrid,
-    JointSpectralState,
-    LocalRotationStage,
-    apply_decoherer,
-    apply_local_unitary,
-    lift,
-    make_grid,
-    simulate_chain,
-    trace_to_polarization,
-)
+from .spectral import DecohererStage, FrequencyGrid, LocalRotationStage, make_grid, simulate_chain
 from .synth_pure import PureRecipe, solve_pure, verify_pure
 
 __version__ = "0.1.0"

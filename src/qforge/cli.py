@@ -12,10 +12,12 @@ Examples:
     qforge plane mems 101 --out plane.csv
     qforge cost recipe.json
 
-Exit codes: 0 ok, 1 verification failed, 2 bad input, 3 unsupported
-scheme/target pairing, 4 simulation contract violation.  They are mapped
-in one place, `_EXIT_CODES`, and every error path prints a single
-"error: <kind>: <reason>" line to standard error.  `--seed` and
+Exit codes: 0 ok, 1 verification failed, 2 bad input (a malformed
+command line included: kind usage-error), 3 unsupported scheme/target
+pairing, 4 simulation contract violation.  They are mapped in one place,
+`_EXIT_CODES`, and every error path prints a single
+"error: <kind>: <reason>" line to standard error; --help prints to
+standard output and exits 0.  `--seed` and
 `simulate --analytic` are accepted and ignored.
 
 The env var QFORGE_DEFAULTS may point to a JSON file overriding the
@@ -29,6 +31,7 @@ import json
 import os
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -58,9 +61,9 @@ from .elements import (
 from .errors import DefaultsFile, QforgeError, RecipeParse, TimingCollision
 from .errors import UnsupportedTarget, VerificationFailed
 
-# exception -> exit code, the first matching row wins; anything else (click's
-# usage errors and --help included) passes through
-_BAD_INPUT = (QforgeError, ValueError, TypeError, OSError)
+# exception -> exit code, the first matching row wins; anything else (--help
+# included) passes through
+_BAD_INPUT = (QforgeError, ValueError, TypeError, OSError, click.UsageError)
 _EXIT_CODES = (
     (VerificationFailed, 1),
     (TimingCollision, 4),
@@ -72,20 +75,42 @@ _EXIT_CODES = (
 def _slug(exc: BaseException) -> str:
     if isinstance(exc, OSError):
         return "io-error"
+    if isinstance(exc, click.UsageError):
+        return "usage-error"
     return re.sub(r"(?<!^)(?=[A-Z])", "-", type(exc).__name__).lower()
 
 
+def _message(exc: BaseException) -> str:
+    if not isinstance(exc, click.UsageError):
+        return str(exc)
+    hint = f" Try '{exc.ctx.command_path} --help'." if exc.ctx is not None else ""
+    return exc.format_message() + hint
+
+
+@contextmanager
+def _one_line_errors():
+    try:
+        yield
+    except _BAD_INPUT as exc:  # every row's classes are among these
+        code = next(c for kinds, c in _EXIT_CODES if isinstance(exc, kinds))
+        message = " ".join(_message(exc).split())  # keep it on one line
+        click.echo(f"error: {_slug(exc)}: {message}", err=True)
+        sys.exit(code)
+
+
 class _ErrorBoundary(click.Group):
-    """Runs the group callback and the command; ends a mapped error in one line."""
+    """Parses the group options, runs the group callback and the command, and
+    ends a mapped error in one line.  The group's own usage errors are raised
+    while click's main makes the context, before invoke; a subcommand's are
+    raised inside invoke."""
+
+    def make_context(self, *args, **kwargs):
+        with _one_line_errors():
+            return super().make_context(*args, **kwargs)
 
     def invoke(self, ctx):
-        try:
+        with _one_line_errors():
             return super().invoke(ctx)
-        except _BAD_INPUT as exc:  # every row's classes are among these
-            code = next(c for kinds, c in _EXIT_CODES if isinstance(exc, kinds))
-            message = " ".join(str(exc).split())  # keep it on one line
-            click.echo(f"error: {_slug(exc)}: {message}", err=True)
-            sys.exit(code)
 
 
 @dataclass
@@ -107,7 +132,7 @@ def _load_defaults_file() -> dict:
     return data
 
 
-@click.group(cls=_ErrorBoundary)
+@click.group(cls=_ErrorBoundary, no_args_is_help=False)  # a bare qforge is a usage error
 @click.option("--seed", type=int, expose_value=False, help="Accepted and ignored.")
 @click.option("--delta-n", type=float, default=None, help="Birefringence n_V - n_H.")
 @click.option("--l-si", type=float, default=None, help="Photon coherence length [um].")
@@ -141,7 +166,7 @@ def _load_validated(path: str) -> np.ndarray:
 def _load_recipe(path: str) -> Recipe:
     try:
         return recipe_io.load_recipe(path)
-    except (KeyError, TypeError, RecursionError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, OverflowError, RecursionError, json.JSONDecodeError) as exc:
         raise RecipeParse(f"{path}: {exc}") from exc
 
 
@@ -261,6 +286,7 @@ def _echo_metrics(label: str, rho: np.ndarray):
 @click.option("--min-fidelity", type=float, default=0.999, show_default=True)
 def verify(target_path, produced_path, min_fidelity):
     """Compare two matrix files; exit 1 if fidelity is below the threshold."""
+    check_finite(min_fidelity=min_fidelity)
     target = _load_validated(target_path)
     produced = _load_validated(produced_path)
     f = qmath.fidelity(target, produced)

@@ -169,7 +169,7 @@ def _decoherer_pair(
 ) -> tuple[DecohererSpec, DecohererSpec]:
     """Decoherer lengths realizing |f| = abs_f, both at least at the
     full-dephasing floor; targets below F_FLOOR get the tau = 8 cap."""
-    if abs_f > 1.0 + 1e-12:
+    if not abs_f <= 1.0 + 1e-12:
         raise BadF(f"|f| target {abs_f} exceeds 1")
     abs_f = min(abs_f, 1.0)
     if abs_f < F_FLOOR:

@@ -34,9 +34,14 @@ F_FLOOR = 1.3e-14
 
 
 def check_finite(**values: float) -> None:
-    """Raise NotFinite naming the first keyword whose value is NaN or infinite."""
+    """Raise NotFinite naming the first keyword whose value is NaN, infinite
+    or an integer beyond double range (a JSON number may be one)."""
     for name, x in values.items():
-        if not math.isfinite(x):
+        try:
+            finite = math.isfinite(x)
+        except OverflowError:
+            raise NotFinite(f"{name} is an integer beyond double range") from None
+        if not finite:
             raise NotFinite(f"{name} = {x} is not finite")
 
 

@@ -71,7 +71,7 @@ def bell_weights(l1: float, l2: float, l3: float, l4: float) -> np.ndarray:
     lam = np.array([l1, l2, l3, l4], dtype=float)
     if lam.min() < -1e-12:
         raise BadWeights(f"negative weight in {lam.tolist()}")
-    if abs(lam.sum() - 1.0) > 1e-12:
+    if not abs(lam.sum() - 1.0) <= 1e-12:  # NaN fails too
         raise BadWeights(f"weights sum to {lam.sum()}, not 1")
     return np.clip(lam, 0.0, None)
 
@@ -92,10 +92,10 @@ def _check_d1(a: complex, b: complex, c: complex, d: complex, f: complex) -> np.
     is 1 to 1e-9 and that |f| <= 1."""
     amps = np.array([a, b, c, d], dtype=complex)
     norm2 = float(np.sum(np.abs(amps) ** 2))
-    if abs(norm2 - 1.0) > 1e-9:
+    if not abs(norm2 - 1.0) <= 1e-9:  # NaN fails too
         raise BadNorm(f"|a|^2+..+|d|^2 = {norm2} differs from 1")
-    if abs(complex(f)) > 1.0 + 1e-12:
-        raise BadF(f"|f| = {abs(complex(f))} exceeds 1")
+    if not abs(complex(f)) <= 1.0 + 1e-12:
+        raise BadF(f"|f| = {abs(complex(f))} is not at most 1")
     return amps / math.sqrt(norm2)
 
 
@@ -192,7 +192,7 @@ def mems_boundary_tangle(linear_entropy: float) -> float:
     entangled state exists beyond 8/9.
     """
     s = linear_entropy
-    if s < 0.0 or s > 1.0 + 1e-12:
+    if not 0.0 <= s <= 1.0 + 1e-12:
         raise OutOfRange(f"linear entropy {s} outside [0, 1]")
     s_split = 16.0 / 27.0  # entropy of mems(2/3)
     s_edge = 8.0 / 9.0  # entropy of mems(0)

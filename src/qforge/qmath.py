@@ -53,7 +53,7 @@ def check_pure(psi: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     if v.shape != (4,):
         raise NotNormalized(f"expected 4 amplitudes, got shape {v.shape}")
     n = np.linalg.norm(v)
-    if abs(n - 1.0) > tol:
+    if not abs(n - 1.0) <= tol:  # NaN fails too
         raise NotNormalized(f"state norm {n} differs from 1 by more than {tol}")
     return v / n
 

@@ -5,11 +5,13 @@ phase linear in the frequency deviation eps on the polarization that
 sees its extra index, and tracing out frequency yields the polarization
 density matrix.
 
-simulate_chain is exact by default: the state stays a short list of
-delay-tagged polarization 4-vectors, and the Gaussian spectrum traces out
-in closed form.  Given a FrequencyGrid it instead keeps one amplitude per
-polarization basis state and grid point and integrates by quadrature;
-that path is the independent oracle for the exact one.
+simulate_chain is the one entry point.  It is exact by default: the state
+stays a short list of delay-tagged polarization 4-vectors, and the
+Gaussian spectrum traces out in closed form.  Given a FrequencyGrid (from
+make_grid) it instead runs one private loop, _simulate_on_grid, that
+keeps one amplitude per polarization basis state and grid point, applies
+the stages slice by slice and traces frequency out by the trapezoid rule;
+that loop is the independent oracle for the exact path.
 
 Branch results are returned as the Hermitian part of the traced matrix,
 not validated; compilers.simulate_recipe validates their weighted sum.
@@ -40,10 +42,6 @@ class FrequencyGrid:
     points: np.ndarray
     weights: np.ndarray
 
-    def __post_init__(self):
-        if self.points.size % 2 == 0:
-            raise ValueError("frequency grid must have an odd number of points")
-
 
 def make_grid(sm: SpectralModel, n: int = DEFAULT_GRID_N) -> FrequencyGrid:
     """Trapezoid-rule grid over [-6 delta_eps, +6 delta_eps] with n odd points."""
@@ -54,18 +52,6 @@ def make_grid(sm: SpectralModel, n: int = DEFAULT_GRID_N) -> FrequencyGrid:
     w[0] *= 0.5
     w[-1] *= 0.5
     return FrequencyGrid(points=pts, weights=w)
-
-
-@dataclass(frozen=True)
-class JointSpectralState:
-    """amps[j, k]: amplitude of polarization basis state j at frequency
-    deviation grid.points[k]; normalized so sum_k w_k sum_j |amps|^2 = 1."""
-
-    amps: np.ndarray
-    grid: FrequencyGrid
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(self.grid.weights * np.abs(self.amps) ** 2)))
 
 
 def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -104,48 +90,34 @@ Stage = Union[LocalRotationStage, DecohererStage]
 StageList = Sequence[Stage]
 
 
-def lift(psi: np.ndarray, sm: SpectralModel, grid: FrequencyGrid) -> JointSpectralState:
-    """Tensor the polarization amplitudes with the Gaussian spectral profile."""
+def _simulate_on_grid(
+    psi: np.ndarray, stages: StageList, sm: SpectralModel, grid: FrequencyGrid
+) -> np.ndarray:
+    """The quadrature oracle: amps[j, m] is the amplitude of polarization
+    basis state j at eps = grid.points[m], normalized on the grid.
+
+    A decoherer multiplies by e^{i n_j L w_arm / c}, where arm A sees
+    w/2 + eps and arm B w/2 - eps; n_j counts from n_H (n_H = 0, n_V =
+    spec.effective_delta_n), since an index common to both polarizations
+    adds only a global phase per slice.  Frequency is traced out by the
+    trapezoid rule, rho_jk = sum_m w_m amps[j, m] conj(amps[k, m]).
+    """
     psi = np.asarray(psi, dtype=complex).reshape(4)
-    prof = spectral_amplitude(sm, grid.points)
-    amps = np.outer(psi, prof)
-    n = np.sqrt(np.sum(grid.weights * np.abs(amps) ** 2))
-    return JointSpectralState(amps=amps / n, grid=grid)
-
-
-def apply_local_unitary(
-    s: JointSpectralState, u_a: np.ndarray, u_b: np.ndarray
-) -> JointSpectralState:
-    """Apply u_a (x) u_b to every frequency slice."""
-    return JointSpectralState(amps=_kron2(u_a, u_b) @ s.amps, grid=s.grid)
-
-
-def apply_decoherer(
-    s: JointSpectralState,
-    arm: str,
-    d: DecohererSpec,
-    sm: SpectralModel,
-) -> JointSpectralState:
-    """Phase e^{i n_j L w_arm / c} per slice; arm A sees w/2 + eps, arm B w/2 - eps.
-
-    n_j counts from n_H: n_H = 0 and n_V = d.effective_delta_n, since an
-    index common to both polarizations adds only a global phase per slice."""
-    if arm == "A":
-        pol = _POL_A
-        w_arm = 0.5 * sm.omega + s.grid.points
-    elif arm == "B":
-        pol = _POL_B
-        w_arm = 0.5 * sm.omega - s.grid.points
-    else:
-        raise ValueError(f"arm must be 'A' or 'B', got {arm!r}")
-    n_j = d.effective_delta_n * pol
-    phases = np.exp(1j * np.outer(n_j, w_arm) * (d.length_um / C_UM_PER_S))
-    return JointSpectralState(amps=s.amps * phases, grid=s.grid)
-
-
-def trace_to_polarization(s: JointSpectralState) -> np.ndarray:
-    """Trace out frequency: rho_jk = sum_m w_m amps[j,m] conj(amps[k,m])."""
-    rho = (s.amps * s.grid.weights) @ s.amps.conj().T
+    amps = np.outer(psi, spectral_amplitude(sm, grid.points))
+    amps = amps / np.sqrt(np.sum(grid.weights * np.abs(amps) ** 2))
+    for stage in stages:
+        if isinstance(stage, LocalRotationStage):
+            amps = stage.u4 @ amps
+        elif isinstance(stage, DecohererStage):
+            if stage.arm == "A":
+                pol, w_arm = _POL_A, 0.5 * sm.omega + grid.points
+            else:
+                pol, w_arm = _POL_B, 0.5 * sm.omega - grid.points
+            n_j = stage.spec.effective_delta_n * pol
+            amps = amps * np.exp(1j * np.outer(n_j, w_arm) * (stage.spec.length_um / C_UM_PER_S))
+        else:
+            raise TypeError(f"unknown stage type {type(stage).__name__}")
+    rho = (amps * grid.weights) @ amps.conj().T
     return 0.5 * (rho + rho.conj().T)
 
 
@@ -177,19 +149,11 @@ def simulate_chain(
     large phases w P_k / 2c (~1e4 rad) round, and a single-stage chain
     reproduces analytic_single_stage to rounding.
 
-    With a grid, psi is lifted onto it and the frequency trace is the
-    trapezoid quadrature.
+    With a grid, _simulate_on_grid integrates the same physics by
+    quadrature instead.
     """
     if grid is not None:
-        state = lift(psi, sm, grid)
-        for stage in stages:
-            if isinstance(stage, LocalRotationStage):
-                state = apply_local_unitary(state, stage.u_a, stage.u_b)
-            elif isinstance(stage, DecohererStage):
-                state = apply_decoherer(state, stage.arm, stage.spec, sm)
-            else:
-                raise TypeError(f"unknown stage type {type(stage).__name__}")
-        return trace_to_polarization(state)
+        return _simulate_on_grid(psi, stages, sm, grid)
 
     psi = np.asarray(psi, dtype=complex).reshape(4)
     terms = (psi / np.linalg.norm(psi))[None, :]  # row p holds v_p

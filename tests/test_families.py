@@ -142,6 +142,18 @@ def test_constructor_errors():
         family_d1(0.5, 0.5, 0.5, 0.5, 1.5)
 
 
+def test_nan_parameters_are_rejected():
+    nan = float("nan")
+    with pytest.raises(BadWeights):
+        bell_diagonal(0.4, 0.3, 0.2, nan)
+    with pytest.raises(BadNorm):
+        family_d1(nan, 0.0, 0.0, 0.8, 0.5)
+    with pytest.raises(BadF):
+        family_d1(0.6, 0.0, 0.0, 0.8, nan)
+    with pytest.raises(OutOfRange):
+        mems_boundary_tangle(nan)
+
+
 def test_all_constructors_validate():
     rng = np.random.default_rng(13)
     for _ in range(100):

@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import qforge
 from qforge.cli import cli
 from qforge.compilers import (
     FamilyParams,
@@ -572,6 +577,21 @@ def _nan_amplitude(doc):
     doc["branches"][0]["seed"]["amps"][0] = [float("nan"), 0.0]
 
 
+HUGE = 10**400  # a JSON integer beyond double range
+
+
+def _huge_length(doc):
+    doc["branches"][0]["stages"][1]["length_um"] = HUGE
+
+
+def _huge_weight(doc):
+    doc["branches"][0]["weight"] = HUGE
+
+
+def _huge_u_a_entry(doc):
+    doc["branches"][0]["stages"][0]["u_a"][0][0] = [HUGE, 0]
+
+
 @pytest.mark.parametrize("command", ["cost", "simulate"])
 @pytest.mark.parametrize(
     "target, edit, kind, code",
@@ -583,6 +603,9 @@ def _nan_amplitude(doc):
         ("mems:0.4", _non_unitary_u_a, "not-unitary", 2),
         ("mems:0.4", _nan_phi, "not-finite", 2),
         ("collins-gisin:1.0,0.6", _nan_amplitude, "not-finite", 2),
+        ("mems:0.4", _huge_length, "not-finite", 2),
+        ("mems:0.4", _huge_weight, "not-finite", 2),
+        ("mems:0.4", _huge_u_a_entry, "recipe-parse", 2),
     ],
 )
 def test_cli_cost_and_simulate_reject_the_same_recipes(
@@ -631,6 +654,20 @@ CLI_CONTRACT = [
      "verification-failed", "fidelity 0\n"),
     (["--seed", "7", "plane", "mems", "5"], None, 0, None, "param,tangle,linear_entropy\n"),
     (["simulate", "{tmp}/r.json", "--out", "-", "--analytic"], None, 0, None, "# simulated"),
+    # click's usage errors, raised by a command's parser and by the group's
+    (["plane", "mems", "x"], None, 2, "usage-error", ""),
+    (["--seed", "x", "plane", "mems", "5"], None, 2, "usage-error", ""),
+    (["compile", "III", "mems:0.4"], None, 2, "usage-error", ""),
+    ([], None, 2, "usage-error", ""),
+    (["--help"], None, 0, None, "Usage: "),
+    # NaN fails every tolerance check, and an integer beyond double range is not finite
+    (["compile", "III", "d1:nan,0,0,0.8,0.5", "--out", "{tmp}/x.json"], None, 2, "bad-norm", ""),
+    (["compile", "IV", "bell-diagonal:0.4,0.3,0.2,nan", "--out", "{tmp}/x.json"], None, 2,
+     "bad-weights", ""),
+    (["verify", "{tmp}/hh.txt", "{tmp}/hh.txt", "--min-fidelity", "nan"], None, 2,
+     "not-finite", ""),
+    pytest.param(["metrics", "{tmp}/hh.txt"], '{"l_si_um": 1%s}' % ("0" * 400), 2,
+                 "not-finite", "", id="huge-int-default"),
 ]
 
 
@@ -653,3 +690,13 @@ def test_cli_exit_code_contract(runner, tmp_path, args, defaults, code, kind, st
         _single_error_line(res, kind)
     assert res.stdout.startswith(stdout)
     assert not (tmp_path / "x.json").exists()
+
+
+def test_cli_usage_error_as_a_process():
+    src = str(Path(qforge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    bare = subprocess.run([sys.executable, "-m", "qforge.cli"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert bare.returncode == 2
+    assert bare.stdout == ""
+    assert bare.stderr == "error: usage-error: Missing command. Try 'qforge --help'.\n"

@@ -22,18 +22,19 @@ from qforge.spectral import (
     DecohererStage,
     LocalRotationStage,
     analytic_single_stage,
-    apply_decoherer,
-    apply_local_unitary,
-    lift,
     make_grid,
     simulate_chain,
-    trace_to_polarization,
 )
 
 SM = default_spectral_model()
 GRID = make_grid(SM)
 DN = 0.009
 FLOOR = full_dephasing_floor_um(SM, DN)
+HH = np.array([1, 0, 0, 0], dtype=complex)
+
+
+def _grid_rho(psi, *stages):
+    return simulate_chain(psi, stages, SM, GRID)
 
 
 def test_grid_requires_odd_size():
@@ -48,61 +49,56 @@ def test_grid_normalization():
     total = np.sum(GRID.weights * np.abs(prof) ** 2)
     # raw quadrature only misses the Gaussian tail beyond +/- 6 delta_eps
     assert abs(total - 1.0) < 1e-8
-    # lift() normalizes on the grid, after which the measure is exact
-    s = lift(np.array([1, 0, 0, 0], dtype=complex), SM, GRID)
-    assert abs(np.sum(GRID.weights * np.abs(s.amps) ** 2) - 1.0) < 1e-12
+    # the grid path normalizes the lifted state, after which the trace is exact
+    assert abs(np.trace(_grid_rho(HH)) - 1.0) < 1e-12
 
 
 def test_lift_hh_profile_and_norm():
-    s = lift(np.array([1, 0, 0, 0], dtype=complex), SM, GRID)
-    assert abs(s.norm() - 1.0) < 1e-12
-    assert np.abs(s.amps[1:]).max() == 0.0
+    rho = _grid_rho(HH)
+    assert abs(np.trace(rho) - 1.0) < 1e-12
+    rho[0, 0] = 0.0
+    assert np.abs(rho).max() == 0.0
 
 
 def test_lift_trace_round_trip():
     rng = np.random.default_rng(31)
     for _ in range(50):
         psi = random_pure_state(rng)
-        rho = trace_to_polarization(lift(psi, SM, GRID))
+        rho = _grid_rho(psi)
         assert np.abs(rho - projector(psi)).max() < 1e-9
 
 
 def test_apply_local_unitary_identity_and_swap():
-    s = lift(np.array([1, 0, 0, 0], dtype=complex), SM, GRID)
-    same = apply_local_unitary(s, np.eye(2, dtype=complex), np.eye(2, dtype=complex))
-    assert np.abs(same.amps - s.amps).max() == 0.0
+    eye = np.eye(2, dtype=complex)
+    same = _grid_rho(HH, LocalRotationStage(u_a=eye, u_b=eye))
+    assert same.tobytes() == _grid_rho(HH).tobytes()
     swap = np.array([[0, 1], [1, 0]], dtype=complex)
-    swapped = apply_local_unitary(s, np.eye(2, dtype=complex), swap)
-    rho = trace_to_polarization(swapped)
+    rho = _grid_rho(HH, LocalRotationStage(u_a=eye, u_b=swap))
     assert np.abs(rho - projector(np.array([0, 1, 0, 0], dtype=complex))).max() < 1e-9
 
 
 def test_unitary_preserves_norm():
     rng = np.random.default_rng(7)
     for _ in range(20):
-        s = lift(random_pure_state(rng), SM, GRID)
-        s2 = apply_local_unitary(s, random_su2(rng), random_su2(rng))
-        assert abs(s2.norm() - 1.0) < 1e-12
+        psi = random_pure_state(rng)
+        rho = _grid_rho(psi, LocalRotationStage(u_a=random_su2(rng), u_b=random_su2(rng)))
+        assert abs(np.trace(rho) - 1.0) < 1e-12
 
 
 def test_zero_length_decoherer_is_identity():
-    s = lift(random_pure_state(3), SM, GRID)
-    out = apply_decoherer(s, "A", DecohererSpec(0.0, DN), SM)
-    assert np.abs(out.amps - s.amps).max() == 0.0
+    psi = random_pure_state(3)
+    out = _grid_rho(psi, DecohererStage("A", DecohererSpec(0.0, DN)))
+    assert out.tobytes() == _grid_rho(psi).tobytes()
 
 
 def test_decoherer_preserves_norm():
-    s = lift(random_pure_state(5), SM, GRID)
-    out = apply_decoherer(s, "B", DecohererSpec(12345.6, DN), SM)
-    assert abs(out.norm() - 1.0) < 1e-12
+    out = _grid_rho(random_pure_state(5), DecohererStage("B", DecohererSpec(12345.6, DN)))
+    assert abs(np.trace(out) - 1.0) < 1e-12
 
 
 def test_equal_decoherers_keep_phi_plus_up_to_known_phase():
     d = DecohererSpec(FLOOR, DN)
-    s = lift(bell_state("phi+"), SM, GRID)
-    s = apply_decoherer(s, "A", d, SM)
-    s = apply_decoherer(s, "B", d, SM)
-    rho = trace_to_polarization(s)
+    rho = _grid_rho(bell_state("phi+"), DecohererStage("A", d), DecohererStage("B", d))
     f = analytic_f(d, d, SM)
     expected = projector(bell_state("phi+")).astype(complex)
     expected[0, 3] *= f
@@ -112,8 +108,7 @@ def test_equal_decoherers_keep_phi_plus_up_to_known_phase():
 
 def test_single_long_decoherer_kills_corner():
     d = DecohererSpec(8.0 * dephasing_length_um(SM, DN), DN)
-    s = lift(bell_state("phi+"), SM, GRID)
-    rho = trace_to_polarization(apply_decoherer(s, "A", d, SM))
+    rho = _grid_rho(bell_state("phi+"), DecohererStage("A", d))
     assert np.abs(rho - np.diag([0.5, 0, 0, 0.5])).max() < 1e-6
 
 
@@ -184,13 +179,12 @@ def test_grid_refinement_convergence():
 def test_purity_never_increases_through_decoherers():
     rng = np.random.default_rng(37)
     for _ in range(25):
-        s = lift(random_pure_state(rng), SM, GRID)
-        s = apply_local_unitary(s, random_su2(rng), random_su2(rng))
-        before = purity(trace_to_polarization(s))
+        psi = random_pure_state(rng)
+        rot = LocalRotationStage(u_a=random_su2(rng), u_b=random_su2(rng))
+        before = purity(_grid_rho(psi, rot))
         arm = "A" if rng.random() < 0.5 else "B"
         length = float(rng.uniform(0.0, 3.0 * FLOOR))
-        s = apply_decoherer(s, arm, DecohererSpec(length, DN), SM)
-        after = purity(trace_to_polarization(s))
+        after = purity(_grid_rho(psi, rot, DecohererStage(arm, DecohererSpec(length, DN))))
         assert after <= before + 1e-9
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,13 @@ def test_near_product_stability():
 def test_rejects_unnormalized():
     with pytest.raises(NotNormalized):
         solve_pure(np.array([1.0, 1.0, 0.0, 0.0], dtype=complex))
+
+
+def test_rejects_nan_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotNormalized):
+            solve_pure(np.array([np.nan, 0.0, 0.0, 0.0], dtype=complex))
 
 
 def test_waveplate_expansion_matches_unitaries():
