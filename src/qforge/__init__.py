@@ -12,7 +12,8 @@ from .compilers import (
     simulate_recipe,
 )
 from .elements import (
-    DecohererSpec,
+    DecohererStage,
+    LocalRotationStage,
     SpdcSourceSpec,
     SpectralModel,
     WaveplateSpec,
@@ -36,7 +37,7 @@ from .qmath import (
     validate_density,
 )
 from .recipe_io import Recipe, RecipeBranch, SchemeIIPumpSplit
-from .spectral import DecohererStage, FrequencyGrid, LocalRotationStage, make_grid, simulate_chain
+from .spectral import FrequencyGrid, make_grid, simulate_chain
 from .synth_pure import PureRecipe, solve_pure, verify_pure
 
 __version__ = "0.1.0"

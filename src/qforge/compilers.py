@@ -22,7 +22,8 @@ from .elements import (
     DEFAULT_DELTA_N,
     F_FLOOR,
     TAU_CAP,
-    DecohererSpec,
+    DecohererStage,
+    LocalRotationStage,
     SpdcSourceSpec,
     SpectralModel,
     analytic_f,
@@ -35,13 +36,7 @@ from .elements import (
 from .errors import BadF, OutOfRange, UnsupportedTarget
 from .families import FAMILIES, bell_weights, family_params
 from .recipe_io import Recipe, RecipeBranch, SchemeIIPumpSplit
-from .spectral import (
-    DecohererStage,
-    LocalRotationStage,
-    analytic_single_stage,
-    make_grid,
-    simulate_chain,
-)
+from .spectral import analytic_single_stage, make_grid, simulate_chain
 from .synth_pure import solve_pure
 
 RANK_EPS = 1e-12  # eigenvalues below this produce no branch
@@ -166,9 +161,9 @@ def compile_scheme2(
 
 def _decoherer_pair(
     abs_f: float, sm: SpectralModel, delta_n: float
-) -> tuple[DecohererSpec, DecohererSpec]:
-    """Decoherer lengths realizing |f| = abs_f, both at least at the
-    full-dephasing floor; targets below F_FLOOR get the tau = 8 cap."""
+) -> tuple[DecohererStage, DecohererStage]:
+    """Decoherers for arms A and B realizing |f| = abs_f, both at least at
+    the full-dephasing floor; targets below F_FLOOR get the tau = 8 cap."""
     if not abs_f <= 1.0 + 1e-12:
         raise BadF(f"|f| target {abs_f} exceeds 1")
     abs_f = min(abs_f, 1.0)
@@ -177,7 +172,7 @@ def _decoherer_pair(
         l1, l2 = floor + TAU_CAP * dephasing_length_um(sm, delta_n), floor
     else:
         l1, l2 = invert_f(abs_f, sm, delta_n)
-    return DecohererSpec(l1, delta_n=delta_n), DecohererSpec(l2, delta_n=delta_n)
+    return DecohererStage("A", l1, delta_n=delta_n), DecohererStage("B", l2, delta_n=delta_n)
 
 
 def _d1_branch(
@@ -204,11 +199,7 @@ def _d1_branch(
     seed = np.array(amps, dtype=complex)
     seed[0] *= comp
     pure = solve_pure(seed)
-    stages = (
-        LocalRotationStage(u_a=pure.u_a, u_b=pure.u_b),
-        DecohererStage(arm="A", spec=d_a),
-        DecohererStage(arm="B", spec=d_b),
-    ) + tuple(post_stages)
+    stages = (LocalRotationStage(u_a=pure.u_a, u_b=pure.u_b), d_a, d_b) + tuple(post_stages)
     return RecipeBranch(weight=weight, timing_tag=tag, seed=pure.source, stages=stages, note=note)
 
 
@@ -355,13 +346,13 @@ def _branch_rho_analytic(
             if suffix:
                 return None
             if delta_n is None:
-                delta_n = stage.spec.effective_delta_n
-            elif delta_n != stage.spec.effective_delta_n:
+                delta_n = stage.effective_delta_n
+            elif delta_n != stage.effective_delta_n:
                 return None
             if stage.arm == "A":
-                length_a += stage.spec.length_um
+                length_a += stage.length_um
             else:
-                length_b += stage.spec.length_um
+                length_b += stage.length_um
             seen_dec = True
         else:
             return None

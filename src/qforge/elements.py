@@ -1,5 +1,9 @@
 """Optical element models: SPDC source, waveplates, decoherers.
 
+The stage records a recipe branch applies after its seed live here:
+LocalRotationStage and DecohererStage.  spectral simulates chains of
+them; recipe_io reads and writes them.
+
 Conventions used throughout:
   * angles in radians, lengths in micrometers, frequencies in rad/s;
   * the downconversion spectrum |A(eps)|^2 is Gaussian with half-width
@@ -202,11 +206,32 @@ def compose_waveplates(plates) -> np.ndarray:
     return u
 
 
-@dataclass(frozen=True)
-class DecohererSpec:
-    """Thick birefringent crystal: the polarization named by axis sees an
-    index delta_n above the other one."""
+def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a (x) b for 2x2 matrices, without np.kron's general-shape overhead."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
+
+@dataclass(frozen=True)
+class LocalRotationStage:
+    """Frequency-independent local unitaries, one per arm."""
+
+    u_a: np.ndarray
+    u_b: np.ndarray
+
+    @property
+    def u4(self) -> np.ndarray:
+        """The two-photon unitary u_a (x) u_b."""
+        return _kron2(self.u_a, self.u_b)
+
+
+@dataclass(frozen=True)
+class DecohererStage:
+    """Thick birefringent crystal in one arm ('A' or 'B'): the polarization
+    named by axis sees an index delta_n above the other one."""
+
+    arm: str
     length_um: float
     delta_n: float = DEFAULT_DELTA_N
     axis: str = "V"
@@ -217,6 +242,8 @@ class DecohererSpec:
             raise OutOfRange(f"decoherer length {self.length_um} must be >= 0")
         if self.axis not in ("H", "V"):
             raise OutOfRange(f"axis must be 'H' or 'V', got {self.axis!r}")
+        if self.arm not in ("A", "B"):
+            raise ValueError(f"arm must be 'A' or 'B', got {self.arm!r}")
 
     @property
     def effective_delta_n(self) -> float:
@@ -236,21 +263,21 @@ def full_dephasing_floor_um(sm: SpectralModel, delta_n: float) -> float:
     return DEPHASING_FLOOR_FACTOR * dephasing_length_um(sm, delta_n)
 
 
-def analytic_f(d1: DecohererSpec, d2: DecohererSpec, sm: SpectralModel) -> complex:
-    """Decoherence factor on the HH<->VV coherence for decoherers L1 (arm A)
-    and L2 (arm B).
+def analytic_f(d_a: DecohererStage, d_b: DecohererStage, sm: SpectralModel) -> complex:
+    """Decoherence factor on the HH<->VV coherence for decoherers of
+    lengths L1 = d_a.length_um (arm A) and L2 = d_b.length_um (arm B).
 
     f = exp(-tau^2/2) exp(-i dn (L1+L2) w / 2c), tau = dn (L1-L2) delta_eps / c.
     |f| = 1 exactly when L1 = L2.
     """
-    if d1.delta_n != d2.delta_n or d1.axis != d2.axis:
+    if d_a.delta_n != d_b.delta_n or d_a.axis != d_b.axis:
         raise MismatchedDecoherers(
-            f"decoherers differ: delta_n {d1.delta_n} vs {d2.delta_n}, "
-            f"axis {d1.axis} vs {d2.axis}"
+            f"decoherers differ: delta_n {d_a.delta_n} vs {d_b.delta_n}, "
+            f"axis {d_a.axis} vs {d_b.axis}"
         )
-    dn = d1.effective_delta_n
-    tau = dn * (d1.length_um - d2.length_um) * sm.delta_eps / C_UM_PER_S
-    phase = -dn * (d1.length_um + d2.length_um) * sm.omega / (2.0 * C_UM_PER_S)
+    dn = d_a.effective_delta_n
+    tau = dn * (d_a.length_um - d_b.length_um) * sm.delta_eps / C_UM_PER_S
+    phase = -dn * (d_a.length_um + d_b.length_um) * sm.omega / (2.0 * C_UM_PER_S)
     return complex(np.exp(-0.5 * tau * tau) * np.exp(1j * phase))
 
 

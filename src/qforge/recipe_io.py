@@ -24,15 +24,17 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .elements import DEFAULT_DELTA_N, DecohererSpec, SpdcSourceSpec, SpectralModel, check_finite
-from .errors import BadWeights, NotFinite, NotNormalized, NotUnitary, TimingCollision
-from .spectral import DecohererStage, LocalRotationStage
+from .elements import C_UM_PER_S, DEFAULT_DELTA_N, SpdcSourceSpec, SpectralModel, check_finite
+from .elements import DecohererStage, LocalRotationStage
+from .errors import BadWeights, NotFinite, NotNormalized, NotUnitary, OutOfRange, TimingCollision
 
 FORMAT_VERSION = 1
 SCHEMES = ("I", "II", "III", "IV")
 WEIGHT_SUM_TOL = 1e-10
 SEED_NORM_TOL = 1e-9
 UNITARY_TOL = 1e-10
+# a path phase w |dn| L / 2c beyond 2**53 rad keeps no digit mod 2 pi in a double
+MAX_PATH_PHASE = 2.0**53
 
 
 @dataclass(frozen=True)
@@ -85,8 +87,10 @@ class RecipeBranch:
 
 @dataclass(frozen=True)
 class Recipe:
-    """Incoherent mixture of branches, checked when built: weights finite,
-    non-negative, summing to 1; branches sharing a timing tag are equal."""
+    """Incoherent mixture of branches, checked when built: a known scheme,
+    a finite delta_n, weights finite, non-negative, summing to 1; branches
+    sharing a timing tag are equal; no decoherer path phase beyond
+    MAX_PATH_PHASE."""
 
     scheme: str  # "I" | "II" | "III" | "IV"
     branches: tuple
@@ -94,8 +98,10 @@ class Recipe:
     delta_n: float = DEFAULT_DELTA_N
 
     def __post_init__(self):
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"unknown recipe scheme {self.scheme!r}; use I, II, III or IV")
         weights = [b.weight for b in self.branches]
-        check_finite(**{f"weight[{k}]": w for k, w in enumerate(weights)})
+        check_finite(delta_n=self.delta_n, **{f"weight[{k}]": w for k, w in enumerate(weights)})
         if any(w < 0.0 for w in weights):
             raise BadWeights(f"negative branch weight in {weights}")
         if abs(sum(weights) - 1.0) > WEIGHT_SUM_TOL:
@@ -105,6 +111,15 @@ class Recipe:
             other = by_tag.setdefault(b.timing_tag, b)
             if other is not b and not same_branch(b, other):
                 raise TimingCollision(f"distinct branches share timing tag {b.timing_tag}")
+            for stage in b.stages:
+                if isinstance(stage, DecohererStage):
+                    path = abs(stage.delta_n) * stage.length_um
+                    phase = self.spectral_model.omega * path / (2.0 * C_UM_PER_S)
+                    if phase > MAX_PATH_PHASE:
+                        raise OutOfRange(
+                            f"decoherer of {stage.length_um} um has a path phase of {phase:.3g} "
+                            f"rad, beyond 2**53 rad, where no digit of it is left"
+                        )
 
 
 def _cvec(v: np.ndarray) -> list:
@@ -119,10 +134,6 @@ def _vec_from(data) -> np.ndarray:
     return np.array([complex(re, im) for re, im in data], dtype=complex)
 
 
-def _mat_from(data) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in data], dtype=complex)
-
-
 def _stage_to_dict(stage) -> dict:
     if isinstance(stage, LocalRotationStage):
         return {"kind": "local_unitary", "u_a": _cmat(stage.u_a), "u_b": _cmat(stage.u_b)}
@@ -130,25 +141,26 @@ def _stage_to_dict(stage) -> dict:
         return {
             "kind": "decoherer",
             "arm": stage.arm,
-            "length_um": stage.spec.length_um,
-            "delta_n": stage.spec.delta_n,
-            "axis": stage.spec.axis,
+            "length_um": stage.length_um,
+            "delta_n": stage.delta_n,
+            "axis": stage.axis,
         }
     raise TypeError(f"cannot serialize stage {type(stage).__name__}")
 
 
 def _unitary_from(data, stage: int, arm: str) -> np.ndarray:
-    """_mat_from for a local rotation, checked unitary in scalar arithmetic
-    (cheaper than numpy on 2x2); NaN fails the check too."""
+    """A local rotation's 2x2 matrix, checked unitary in scalar arithmetic
+    (cheaper than numpy on 2x2); a NaN in any entry fails the check too."""
     rows = [[complex(re, im) for re, im in row] for row in data]
     try:
         (a, b), (c, d) = rows
     except ValueError:
         raise NotUnitary(f"stage {stage} u_{arm} is not a 2x2 matrix") from None
-    err = max(abs(abs(a) ** 2 + abs(b) ** 2 - 1.0), abs(abs(c) ** 2 + abs(d) ** 2 - 1.0),
-              abs(a * c.conjugate() + b * d.conjugate()))
-    if not err <= UNITARY_TOL:
-        raise NotUnitary(f"stage {stage} u_{arm} is not unitary: |U U^+ - 1| = {err:.3g}")
+    errs = (abs(abs(a) ** 2 + abs(b) ** 2 - 1.0), abs(abs(c) ** 2 + abs(d) ** 2 - 1.0),
+            abs(a * c.conjugate() + b * d.conjugate()))
+    for err in errs:  # not max(): it drops a NaN that is not its first argument
+        if not err <= UNITARY_TOL:
+            raise NotUnitary(f"stage {stage} u_{arm} is not unitary: |U U^+ - 1| = {err:.3g}")
     return np.array(rows, dtype=complex)
 
 
@@ -159,10 +171,7 @@ def _stage_from_dict(data: dict, index: int):
                                   u_b=_unitary_from(data["u_b"], index, "b"))
     if kind == "decoherer":
         return DecohererStage(
-            arm=data["arm"],
-            spec=DecohererSpec(
-                length_um=data["length_um"], delta_n=data["delta_n"], axis=data["axis"]
-            ),
+            arm=data["arm"], length_um=data["length_um"], delta_n=data["delta_n"], axis=data["axis"]
         )
     raise ValueError(f"unknown stage kind {kind!r}")
 
@@ -209,9 +218,16 @@ def _branch_from_dict(data: dict) -> RecipeBranch:
             chain_transmission=ps["chain_transmission"],
             upper_fraction=ps["upper_fraction"],
         )
+        check_finite(chain_transmission=pump_split.chain_transmission,
+                     upper_fraction=pump_split.upper_fraction)
+        if not np.isfinite(np.concatenate([pump_split.psi_upper, pump_split.psi_lower])).all():
+            raise NotFinite("pump split amplitudes hold a NaN or infinite entry")
+    tag = data["timing_tag"]
+    if type(tag) is not int:
+        raise TypeError(f"timing_tag must be an integer, got {tag!r}")
     return RecipeBranch(
         weight=data["weight"],
-        timing_tag=data["timing_tag"],
+        timing_tag=tag,
         seed=seed,
         stages=tuple(_stage_from_dict(s, k) for k, s in enumerate(data["stages"])),
         pump_split=pump_split,
@@ -244,8 +260,6 @@ def recipe_from_json(text: str) -> Recipe:
         raise TypeError(f"a recipe is a JSON object, got {type(doc).__name__}")
     if doc.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported recipe version {doc.get('version')!r}")
-    if doc.get("scheme") not in SCHEMES:
-        raise ValueError(f"unknown recipe scheme {doc.get('scheme')!r}; use I, II, III or IV")
     branches = doc["branches"]
     if not isinstance(branches, list):
         raise TypeError(f"recipe branches must be a list, got {type(branches).__name__}")

@@ -5,6 +5,9 @@ phase linear in the frequency deviation eps on the polarization that
 sees its extra index, and tracing out frequency yields the polarization
 density matrix.
 
+This module holds only the frequency grid and the simulators; the stage
+records they apply live in elements.
+
 simulate_chain is the one entry point.  It is exact by default: the state
 stays a short list of delay-tagged polarization 4-vectors, and the
 Gaussian spectrum traces out in closed form.  Given a FrequencyGrid (from
@@ -24,7 +27,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .elements import C_UM_PER_S, DecohererSpec, SpectralModel, spectral_amplitude
+from .elements import C_UM_PER_S, SpectralModel, spectral_amplitude
+from .elements import DecohererStage, LocalRotationStage
 
 DEFAULT_GRID_N = 2049
 GRID_HALF_SPAN = 6.0  # grid covers +/- 6 delta_eps
@@ -54,40 +58,7 @@ def make_grid(sm: SpectralModel, n: int = DEFAULT_GRID_N) -> FrequencyGrid:
     return FrequencyGrid(points=pts, weights=w)
 
 
-def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a (x) b for 2x2 matrices, without np.kron's general-shape overhead."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
-
-
-@dataclass(frozen=True)
-class LocalRotationStage:
-    """Frequency-independent local unitaries, one per arm."""
-
-    u_a: np.ndarray
-    u_b: np.ndarray
-
-    @property
-    def u4(self) -> np.ndarray:
-        """The two-photon unitary u_a (x) u_b."""
-        return _kron2(self.u_a, self.u_b)
-
-
-@dataclass(frozen=True)
-class DecohererStage:
-    """A decoherer inserted in one arm ('A' or 'B')."""
-
-    arm: str
-    spec: DecohererSpec
-
-    def __post_init__(self):
-        if self.arm not in ("A", "B"):
-            raise ValueError(f"arm must be 'A' or 'B', got {self.arm!r}")
-
-
-Stage = Union[LocalRotationStage, DecohererStage]
-StageList = Sequence[Stage]
+StageList = Sequence[Union[LocalRotationStage, DecohererStage]]
 
 
 def _simulate_on_grid(
@@ -98,7 +69,7 @@ def _simulate_on_grid(
 
     A decoherer multiplies by e^{i n_j L w_arm / c}, where arm A sees
     w/2 + eps and arm B w/2 - eps; n_j counts from n_H (n_H = 0, n_V =
-    spec.effective_delta_n), since an index common to both polarizations
+    stage.effective_delta_n), since an index common to both polarizations
     adds only a global phase per slice.  Frequency is traced out by the
     trapezoid rule, rho_jk = sum_m w_m amps[j, m] conj(amps[k, m]).
     """
@@ -113,8 +84,8 @@ def _simulate_on_grid(
                 pol, w_arm = _POL_A, 0.5 * sm.omega + grid.points
             else:
                 pol, w_arm = _POL_B, 0.5 * sm.omega - grid.points
-            n_j = stage.spec.effective_delta_n * pol
-            amps = amps * np.exp(1j * np.outer(n_j, w_arm) * (stage.spec.length_um / C_UM_PER_S))
+            n_j = stage.effective_delta_n * pol
+            amps = amps * np.exp(1j * np.outer(n_j, w_arm) * (stage.length_um / C_UM_PER_S))
         else:
             raise TypeError(f"unknown stage type {type(stage).__name__}")
     rho = (amps * grid.weights) @ amps.conj().T
@@ -133,7 +104,7 @@ def simulate_chain(
     state is a set of terms v_p: a local unitary acts on every term, and
     decoherer k splits each term into its H part, unchanged, and its V
     part, whose optical path grows by P_k = dn L (dn =
-    spec.effective_delta_n).  Term p took the V part at the decoherers
+    stage.effective_delta_n).  Term p took the V part at the decoherers
     with c_pk = 1; its amplitude at eps is v_p e^{i w s_p / 2c} e^{i eps
     t_p} with s_p = sum_k c_pk P_k and t_p = sum_k c_pk (+-P_k) / c, + on
     arm A and - on arm B.  Tracing out the Gaussian spectrum gives
@@ -162,7 +133,7 @@ def simulate_chain(
         if isinstance(stage, LocalRotationStage):
             terms = terms @ stage.u4.T
         elif isinstance(stage, DecohererStage):
-            path = stage.spec.effective_delta_n * stage.spec.length_um
+            path = stage.effective_delta_n * stage.length_um
             if stage.arm == "A":
                 pol, signed = _POL_A, path
             else:

@@ -17,7 +17,8 @@ from qforge.compilers import (
     simulate_recipe,
 )
 from qforge.elements import (
-    DecohererSpec,
+    DecohererStage,
+    LocalRotationStage,
     analytic_f,
     default_spectral_model,
     dephasing_length_um,
@@ -35,7 +36,7 @@ from qforge.qmath import (
     random_su2,
     tangle,
 )
-from qforge.spectral import DecohererStage, LocalRotationStage, make_grid, simulate_chain
+from qforge.spectral import make_grid, simulate_chain
 from qforge.synth_pure import solve_pure, verify_pure
 
 SM = default_spectral_model()
@@ -65,24 +66,17 @@ def test_criterion_2_werner_reproduction():
     assert f_grid >= 0.9999
     # |f| target 2r/(1+r) must equal 1/2 exactly
     assert 2.0 * r / (1.0 + r) == 0.5
-    specs = [
-        s.spec for s in recipe.branches[0].stages if isinstance(s, DecohererStage)
-    ]
-    realized = abs(analytic_f(specs[0], specs[1], SM))
+    decoherers = [s for s in recipe.branches[0].stages if isinstance(s, DecohererStage)]
+    realized = abs(analytic_f(decoherers[0], decoherers[1], SM))
     assert abs(realized - 0.5) < 1e-12
     report(2, f"Werner r=1/3 fidelity {f_grid:.10f}, |f| target {realized:.15f}")
 
 
 def test_criterion_3_double_decoherence():
-    d = DecohererSpec(full_dephasing_floor_um(SM, DN), DN)
+    floor = full_dephasing_floor_um(SM, DN)
+    d_a, d_b = DecohererStage("A", floor, DN), DecohererStage("B", floor, DN)
     rot = rotation(np.pi / 4.0).astype(complex)
-    stages = [
-        DecohererStage("A", d),
-        DecohererStage("B", d),
-        LocalRotationStage(u_a=rot, u_b=rot),
-        DecohererStage("A", d),
-        DecohererStage("B", d),
-    ]
+    stages = [d_a, d_b, LocalRotationStage(u_a=rot, u_b=rot), d_a, d_b]
     rho = simulate_chain(bell_state("psi+"), stages, SM, GRID)
     expected = np.array(
         [
@@ -175,15 +169,13 @@ def test_criterion_7_decoherence_factor():
     for k in range(20):
         l1 = floor + 0.25 * k * scale
         l2 = floor + 0.1 * (k % 5) * scale
-        d1, d2 = DecohererSpec(l1, DN), DecohererSpec(l2, DN)
-        rho = simulate_chain(
-            psi, [DecohererStage("A", d1), DecohererStage("B", d2)], SM, GRID
-        )
+        d1, d2 = DecohererStage("A", l1, DN), DecohererStage("B", l2, DN)
+        rho = simulate_chain(psi, [d1, d2], SM, GRID)
         f = analytic_f(d1, d2, SM)
         worst = max(worst, abs(abs(rho[0, 3]) - abs(f) * abs(psi[0]) * abs(psi[3])))
     assert worst < 1e-6
-    d = DecohererSpec(floor, DN)
-    assert abs(abs(analytic_f(d, d, SM)) - 1.0) < 1e-12
+    d_a, d_b = DecohererStage("A", floor, DN), DecohererStage("B", floor, DN)
+    assert abs(abs(analytic_f(d_a, d_b, SM)) - 1.0) < 1e-12
     report(7, f"20-point (L1, L2) sweep, worst numeric-vs-analytic gap {worst:.2e}")
 
 

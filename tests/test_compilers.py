@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,12 +17,13 @@ from qforge.compilers import (
     simulate_recipe,
 )
 from qforge.elements import (
+    DecohererStage,
     analytic_f,
     default_spectral_model,
     dephasing_length_um,
     full_dephasing_floor_um,
 )
-from qforge.errors import BadWeights, NotFinite, TimingCollision, UnsupportedTarget
+from qforge.errors import BadWeights, NotFinite, OutOfRange, TimingCollision, UnsupportedTarget
 from qforge.families import bell_diagonal, collins_gisin, mems, werner
 from qforge.qmath import (
     bell_state,
@@ -31,7 +34,6 @@ from qforge.qmath import (
     random_density_matrix,
     tangle,
 )
-from qforge.spectral import DecohererStage
 
 SM = default_spectral_model()
 DN = 0.009
@@ -39,7 +41,7 @@ DN = 0.009
 
 def decoherer_lengths(recipe):
     stages = [s for s in recipe.branches[0].stages if isinstance(s, DecohererStage)]
-    return {s.arm: s.spec.length_um for s in stages}
+    return {s.arm: s.length_um for s in stages}
 
 
 # ---------------------------------------------------------------- scheme I
@@ -131,9 +133,7 @@ def test_scheme2_round_trip_random():
 def test_scheme3_mems_branch_ii_construction():
     recipe = compile_scheme3(FamilyParams("mems", (0.4,)), SM, DN)
     lengths = decoherer_lengths(recipe)
-    f = analytic_f(
-        *[s.spec for s in recipe.branches[0].stages if isinstance(s, DecohererStage)], SM
-    )
+    f = analytic_f(*[s for s in recipe.branches[0].stages if isinstance(s, DecohererStage)], SM)
     assert abs(abs(f) - 0.6) < 1e-12  # |f| = 3r/2
     diff = (lengths["A"] - lengths["B"]) / dephasing_length_um(SM, DN)
     assert abs(diff - 1.0108) < 1e-4
@@ -141,8 +141,8 @@ def test_scheme3_mems_branch_ii_construction():
 
 def test_scheme3_werner_f_target():
     recipe = compile_scheme3(FamilyParams("werner", (0.5,)), SM, DN)
-    specs = [s.spec for s in recipe.branches[0].stages if isinstance(s, DecohererStage)]
-    assert abs(abs(analytic_f(*specs, SM)) - 2.0 / 3.0) < 1e-12
+    decoherers = [s for s in recipe.branches[0].stages if isinstance(s, DecohererStage)]
+    assert abs(abs(analytic_f(*decoherers, SM)) - 2.0 / 3.0) < 1e-12
 
 
 def test_scheme3_collins_gisin_equal_lengths():
@@ -311,6 +311,25 @@ def test_weights_must_sum_to_one():
     for branch, error in ((b0, BadWeights), (nan_weight, NotFinite)):
         with pytest.raises(error):
             Recipe(scheme="I", branches=(branch,), spectral_model=SM, delta_n=DN)
+
+
+def test_recipe_checks_scheme_delta_n_and_path_phase():
+    base = compile_scheme3(FamilyParams("mems", (0.4,)), SM, DN)
+    with pytest.raises(ValueError, match="scheme 'V'"):
+        dataclasses.replace(base, scheme="V")
+    with pytest.raises(NotFinite):
+        dataclasses.replace(base, delta_n=float("nan"))
+    # the path phase w |dn| L / 2c reaches 2**53 rad near L = 1.1e17 um at the defaults
+    (branch,) = base.branches
+    for length, ok in ((1.0e17, True), (1.2e17, False), (1e300, False)):
+        far = dataclasses.replace(branch.stages[1], length_um=length)
+        stages = (branch.stages[0], far, branch.stages[2])
+        edited = (dataclasses.replace(branch, stages=stages),)
+        if ok:
+            dataclasses.replace(base, branches=edited)
+        else:
+            with pytest.raises(OutOfRange, match=r"2\*\*53"):
+                dataclasses.replace(base, branches=edited)
 
 
 # ----------------------------------------------------------- recipe_cost

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qforge.elements import (
-    DecohererSpec,
+    DecohererStage,
     SpdcSourceSpec,
     WaveplateSpec,
     analytic_f,
@@ -120,28 +120,28 @@ def test_source_angle_ranges():
 
 
 def test_analytic_f_equal_lengths_unit_magnitude():
-    d = DecohererSpec(5000.0)
-    f = analytic_f(d, d, SM)
+    f = analytic_f(DecohererStage("A", 5000.0), DecohererStage("B", 5000.0), SM)
     assert abs(abs(f) - 1.0) < 1e-12
 
 
 def test_analytic_f_zero_lengths():
-    d = DecohererSpec(0.0)
-    assert analytic_f(d, d, SM) == 1.0 + 0.0j
+    assert analytic_f(DecohererStage("A", 0.0), DecohererStage("B", 0.0), SM) == 1.0 + 0.0j
 
 
 def test_analytic_f_tau_one():
     # tau = 1 -> |f| = e^{-1/2}
     diff = dephasing_length_um(SM, 0.009)
-    f = analytic_f(DecohererSpec(diff), DecohererSpec(0.0), SM)
+    f = analytic_f(DecohererStage("A", diff), DecohererStage("B", 0.0), SM)
     assert abs(abs(f) - math.exp(-0.5)) < 1e-12
 
 
 def test_analytic_f_mismatch():
     with pytest.raises(MismatchedDecoherers):
-        analytic_f(DecohererSpec(10.0, delta_n=0.009), DecohererSpec(10.0, delta_n=0.01), SM)
+        analytic_f(
+            DecohererStage("A", 10.0, delta_n=0.009), DecohererStage("B", 10.0, delta_n=0.01), SM
+        )
     with pytest.raises(MismatchedDecoherers):
-        analytic_f(DecohererSpec(10.0, axis="V"), DecohererSpec(10.0, axis="H"), SM)
+        analytic_f(DecohererStage("A", 10.0, axis="V"), DecohererStage("B", 10.0, axis="H"), SM)
 
 
 def test_analytic_f_monotone_and_symmetric():
@@ -149,8 +149,8 @@ def test_analytic_f_monotone_and_symmetric():
     diffs = np.linspace(0.0, 5.0 * dephasing_length_um(SM, 0.009), 40)
     mags = []
     for d in diffs:
-        f = analytic_f(DecohererSpec(base + d), DecohererSpec(base), SM)
-        swapped = analytic_f(DecohererSpec(base), DecohererSpec(base + d), SM)
+        f = analytic_f(DecohererStage("A", base + d), DecohererStage("B", base), SM)
+        swapped = analytic_f(DecohererStage("A", base), DecohererStage("B", base + d), SM)
         assert abs(abs(f) - abs(swapped)) < 1e-15
         mags.append(abs(f))
     assert all(a >= b - 1e-15 for a, b in zip(mags, mags[1:]))
@@ -171,7 +171,7 @@ def test_invert_f_example_target_0p6():
 def test_invert_f_round_trip_grid():
     for target in np.arange(0.01, 1.0 + 1e-9, 0.01):
         l1, l2 = invert_f(float(target), SM, 0.009)
-        f = analytic_f(DecohererSpec(l1), DecohererSpec(l2), SM)
+        f = analytic_f(DecohererStage("A", l1), DecohererStage("B", l2), SM)
         assert abs(abs(f) - target) < 1e-10
         assert l1 >= l2 >= full_dephasing_floor_um(SM, 0.009)
 
@@ -184,7 +184,7 @@ def test_invert_f_rejects_zero_and_out_of_range():
 
 def test_invert_f_below_floor_capped():
     l1, l2 = invert_f(1e-20, SM, 0.009)
-    f = analytic_f(DecohererSpec(l1), DecohererSpec(l2), SM)
+    f = analytic_f(DecohererStage("A", l1), DecohererStage("B", l2), SM)
     assert abs(f) < 1.3e-14
     assert abs(abs(f) - 1e-20) < 1e-12  # both effectively zero
 

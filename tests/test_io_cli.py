@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -592,6 +593,34 @@ def _huge_u_a_entry(doc):
     doc["branches"][0]["stages"][0]["u_a"][0][0] = [HUGE, 0]
 
 
+def _nan_u_a_row_2(doc):  # a NaN outside row 1 fails the check too
+    doc["branches"][0]["stages"][0]["u_a"][1][1][1] = float("nan")
+
+
+def _nan_u_b_row_2(doc):
+    doc["branches"][0]["stages"][0]["u_b"][1][0][0] = float("nan")
+
+
+def _far_length(doc):  # path phase ~8e28 rad: finite, but no digit of it left
+    doc["branches"][0]["stages"][1]["length_um"] = 1e30
+
+
+def _overflow_length(doc):
+    doc["branches"][0]["stages"][1]["length_um"] = 1e300
+
+
+def _nan_recipe_delta_n(doc):
+    doc["spectral_model"]["delta_n"] = float("nan")
+
+
+def _nan_chain_transmission(doc):
+    doc["branches"][0]["pump_split"]["chain_transmission"] = float("nan")
+
+
+def _string_timing_tag(doc):
+    doc["branches"][0]["timing_tag"] = "1"
+
+
 @pytest.mark.parametrize("command", ["cost", "simulate"])
 @pytest.mark.parametrize(
     "target, edit, kind, code",
@@ -606,6 +635,13 @@ def _huge_u_a_entry(doc):
         ("mems:0.4", _huge_length, "not-finite", 2),
         ("mems:0.4", _huge_weight, "not-finite", 2),
         ("mems:0.4", _huge_u_a_entry, "recipe-parse", 2),
+        ("mems:0.4", _nan_u_a_row_2, "not-unitary", 2),
+        ("mems:0.4", _nan_u_b_row_2, "not-unitary", 2),
+        ("mems:0.4", _far_length, "out-of-range", 2),
+        ("mems:0.4", _overflow_length, "out-of-range", 2),
+        ("mems:0.4", _nan_recipe_delta_n, "not-finite", 2),
+        ("collins-gisin:1.0,0.6", _nan_chain_transmission, "not-finite", 2),
+        ("mems:0.4", _string_timing_tag, "recipe-parse", 2),
     ],
 )
 def test_cli_cost_and_simulate_reject_the_same_recipes(
@@ -626,6 +662,58 @@ def test_cli_cost_and_simulate_reject_the_same_recipes(
     _single_error_line(res, kind)
     assert res.stdout == ""
     assert not (tmp_path / "x.txt").exists()
+
+
+MUTANTS = (float("nan"), float("inf"), float("-inf"), HUGE, "x", None)
+
+
+def _leaves(node):
+    """(container, key, value) for every scalar of a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in list(items):
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value)
+        else:
+            yield node, key, value
+
+
+def test_cli_leaf_mutations_end_in_one_error_line(runner, tmp_path):
+    """Every scalar of three compiled recipes, replaced by each of MUTANTS:
+    cost and simulate reject the file alike, each with one error line and
+    exit 2, or both accept it and simulate writes a finite matrix.  Every
+    numeric leaf is rejected, except a 400-digit timing tag, which is a
+    valid integer."""
+    bad, out = tmp_path / "bad.json", tmp_path / "x.txt"
+    failures = []
+    for scheme, target in (("I", "werner:0.5"), ("II", "werner:0.5"), ("III", "mems:0.4")):
+        r = tmp_path / "r.json"
+        assert invoke(runner, "compile", scheme, target, "--out", str(r)).exit_code == 0
+        doc = json.loads(r.read_text())
+        for node, key, value in _leaves(doc):
+            for mutant in MUTANTS:
+                node[key] = mutant
+                bad.write_text(json.dumps(doc), encoding="utf-8")
+                node[key] = value
+                out.unlink(missing_ok=True)
+                cost = runner.invoke(cli, ["cost", str(bad)])
+                sim = runner.invoke(cli, ["simulate", str(bad), "--out", str(out)])
+                case = f"scheme {scheme} {key}={mutant!r:.12}"
+                for res in (cost, sim):
+                    lines = res.stderr.splitlines()
+                    if res.exit_code != 0 and not (
+                        res.exit_code == 2 and len(lines) == 1
+                        and re.match(r"error: [a-z-]+: ", lines[0])
+                    ):
+                        failures.append(f"{case}: exit {res.exit_code}, stderr {lines[:3]}")
+                if (cost.exit_code == 0) != (sim.exit_code == 0):
+                    failures.append(f"{case}: cost exit {cost.exit_code}, simulate {sim.exit_code}")
+                elif sim.exit_code == 0:
+                    if not np.isfinite(load_matrix(out)).all():
+                        failures.append(f"{case}: accepted with a non-finite output")
+                    numeric = isinstance(value, (int, float))
+                    if numeric and not (key == "timing_tag" and mutant is HUGE):
+                        failures.append(f"{case}: numeric leaf accepted")
+    assert not failures, f"{len(failures)} failures:\n" + "\n".join(failures)
 
 
 def test_cli_timing_collision_exit_code(runner, tmp_path):

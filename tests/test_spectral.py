@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from qforge.elements import (
-    DecohererSpec,
+    DecohererStage,
+    LocalRotationStage,
     analytic_f,
     default_spectral_model,
     dephasing_length_um,
@@ -18,13 +19,7 @@ from qforge.qmath import (
     random_su2,
     validate_density,
 )
-from qforge.spectral import (
-    DecohererStage,
-    LocalRotationStage,
-    analytic_single_stage,
-    make_grid,
-    simulate_chain,
-)
+from qforge.spectral import analytic_single_stage, make_grid, simulate_chain
 
 SM = default_spectral_model()
 GRID = make_grid(SM)
@@ -87,19 +82,19 @@ def test_unitary_preserves_norm():
 
 def test_zero_length_decoherer_is_identity():
     psi = random_pure_state(3)
-    out = _grid_rho(psi, DecohererStage("A", DecohererSpec(0.0, DN)))
+    out = _grid_rho(psi, DecohererStage("A", 0.0, DN))
     assert out.tobytes() == _grid_rho(psi).tobytes()
 
 
 def test_decoherer_preserves_norm():
-    out = _grid_rho(random_pure_state(5), DecohererStage("B", DecohererSpec(12345.6, DN)))
+    out = _grid_rho(random_pure_state(5), DecohererStage("B", 12345.6, DN))
     assert abs(np.trace(out) - 1.0) < 1e-12
 
 
 def test_equal_decoherers_keep_phi_plus_up_to_known_phase():
-    d = DecohererSpec(FLOOR, DN)
-    rho = _grid_rho(bell_state("phi+"), DecohererStage("A", d), DecohererStage("B", d))
-    f = analytic_f(d, d, SM)
+    d_a, d_b = DecohererStage("A", FLOOR, DN), DecohererStage("B", FLOOR, DN)
+    rho = _grid_rho(bell_state("phi+"), d_a, d_b)
+    f = analytic_f(d_a, d_b, SM)
     expected = projector(bell_state("phi+")).astype(complex)
     expected[0, 3] *= f
     expected[3, 0] *= np.conj(f)
@@ -107,8 +102,8 @@ def test_equal_decoherers_keep_phi_plus_up_to_known_phase():
 
 
 def test_single_long_decoherer_kills_corner():
-    d = DecohererSpec(8.0 * dephasing_length_um(SM, DN), DN)
-    rho = _grid_rho(bell_state("phi+"), DecohererStage("A", d))
+    d = DecohererStage("A", 8.0 * dephasing_length_um(SM, DN), DN)
+    rho = _grid_rho(bell_state("phi+"), d)
     assert np.abs(rho - np.diag([0.5, 0, 0, 0.5])).max() < 1e-6
 
 
@@ -116,10 +111,8 @@ def test_family_matrix_emerges_from_single_stage():
     rng = np.random.default_rng(11)
     psi = random_pure_state(rng)
     l1, l2 = FLOOR + 700.0, FLOOR
-    d1, d2 = DecohererSpec(l1, DN), DecohererSpec(l2, DN)
-    rho = simulate_chain(
-        psi, [DecohererStage("A", d1), DecohererStage("B", d2)], SM, GRID
-    )
+    d1, d2 = DecohererStage("A", l1, DN), DecohererStage("B", l2, DN)
+    rho = simulate_chain(psi, [d1, d2], SM, GRID)
     f = analytic_f(d1, d2, SM)
     # diagonal |amps|^2, corner f a d*; all other off-diagonal entries dead
     assert np.abs(np.diag(rho) - np.abs(psi) ** 2).max() < 1e-9
@@ -135,10 +128,8 @@ def test_numeric_vs_analytic_f_sweep():
     scale = dephasing_length_um(SM, DN)
     pairs = [(FLOOR + k * 0.25 * scale, FLOOR + (k % 5) * 0.1 * scale) for k in range(20)]
     for l1, l2 in pairs:
-        d1, d2 = DecohererSpec(l1, DN), DecohererSpec(l2, DN)
-        rho = simulate_chain(
-            psi, [DecohererStage("A", d1), DecohererStage("B", d2)], SM, GRID
-        )
+        d1, d2 = DecohererStage("A", l1, DN), DecohererStage("B", l2, DN)
+        rho = simulate_chain(psi, [d1, d2], SM, GRID)
         f = analytic_f(d1, d2, SM)
         assert abs(abs(rho[0, 3]) - abs(f) * abs(psi[0]) * abs(psi[3])) < 1e-6
 
@@ -158,10 +149,7 @@ def test_analytic_single_stage_matches_grid():
         psi = random_pure_state(rng)
         l1 = FLOOR + float(rng.uniform(0, 2000.0))
         l2 = FLOOR + float(rng.uniform(0, 2000.0))
-        stages = [
-            DecohererStage("A", DecohererSpec(l1, DN)),
-            DecohererStage("B", DecohererSpec(l2, DN)),
-        ]
+        stages = [DecohererStage("A", l1, DN), DecohererStage("B", l2, DN)]
         grid_rho = simulate_chain(psi, stages, SM, GRID)
         closed = analytic_single_stage(psi, l1, l2, DN, SM)
         assert np.abs(grid_rho - closed).max() < 1e-6
@@ -169,8 +157,7 @@ def test_analytic_single_stage_matches_grid():
 
 def test_grid_refinement_convergence():
     psi = random_pure_state(2)
-    d = DecohererSpec(FLOOR + 505.0, DN)
-    stages = [DecohererStage("A", d), DecohererStage("B", DecohererSpec(FLOOR, DN))]
+    stages = [DecohererStage("A", FLOOR + 505.0, DN), DecohererStage("B", FLOOR, DN)]
     rho_a = simulate_chain(psi, stages, SM, make_grid(SM, 2049))
     rho_b = simulate_chain(psi, stages, SM, make_grid(SM, 4097))
     assert np.abs(rho_a - rho_b).max() < 1e-7
@@ -184,20 +171,14 @@ def test_purity_never_increases_through_decoherers():
         before = purity(_grid_rho(psi, rot))
         arm = "A" if rng.random() < 0.5 else "B"
         length = float(rng.uniform(0.0, 3.0 * FLOOR))
-        after = purity(_grid_rho(psi, rot, DecohererStage(arm, DecohererSpec(length, DN))))
+        after = purity(_grid_rho(psi, rot, DecohererStage(arm, length, DN)))
         assert after <= before + 1e-9
 
 
 def test_double_decoherence_with_45_degree_rotations():
-    d = DecohererSpec(FLOOR, DN)
+    d_a, d_b = DecohererStage("A", FLOOR, DN), DecohererStage("B", FLOOR, DN)
     rot = rotation(np.pi / 4.0).astype(complex)
-    stages = [
-        DecohererStage("A", d),
-        DecohererStage("B", d),
-        LocalRotationStage(u_a=rot, u_b=rot),
-        DecohererStage("A", d),
-        DecohererStage("B", d),
-    ]
+    stages = [d_a, d_b, LocalRotationStage(u_a=rot, u_b=rot), d_a, d_b]
     rho = simulate_chain(bell_state("psi+"), stages, SM, GRID)
     assert np.abs(simulate_chain(bell_state("psi+"), stages, SM) - rho).max() < 1e-8
     expected = np.array(
@@ -221,8 +202,8 @@ def _random_chain(rng, n_dec):
     stages = []
     for _ in range(n_dec):
         stages.append(LocalRotationStage(u_a=random_su2(rng), u_b=random_su2(rng)))
-        spec = DecohererSpec(float(rng.uniform(0.0, top)), DN, axis=str(rng.choice(["H", "V"])))
-        stages.append(DecohererStage(str(rng.choice(["A", "B"])), spec))
+        length, axis = float(rng.uniform(0.0, top)), str(rng.choice(["H", "V"]))
+        stages.append(DecohererStage(str(rng.choice(["A", "B"])), length, DN, axis=axis))
     stages.append(LocalRotationStage(u_a=random_su2(rng), u_b=random_su2(rng)))
     return stages
 
@@ -252,10 +233,7 @@ def test_exact_matches_analytic_single_stage():
         psi = random_pure_state(rng)
         l1 = float(rng.uniform(0.0, 3.0 * FLOOR))
         l2 = float(rng.uniform(0.0, 3.0 * FLOOR))
-        stages = [
-            DecohererStage("A", DecohererSpec(l1, DN)),
-            DecohererStage("B", DecohererSpec(l2, DN)),
-        ]
+        stages = [DecohererStage("A", l1, DN), DecohererStage("B", l2, DN)]
         exact = simulate_chain(psi, stages, SM)
         closed = analytic_single_stage(psi, l1, l2, DN, SM)
         assert np.abs(exact - closed).max() <= 1e-12
@@ -287,14 +265,14 @@ def test_axis_h_equals_v_with_negated_delta_n():
     def recipe(delta_n, axis):
         stages = (
             LocalRotationStage(u_a=random_su2(8), u_b=random_su2(9)),
-            DecohererStage("A", DecohererSpec(FLOOR + 300.0, delta_n, axis=axis)),
-            DecohererStage("B", DecohererSpec(FLOOR, delta_n, axis=axis)),
+            DecohererStage("A", FLOOR + 300.0, delta_n, axis=axis),
+            DecohererStage("B", FLOOR, delta_n, axis=axis),
         )
         branch = RecipeBranch(weight=1.0, timing_tag=1, seed=random_pure_state(53),
                               stages=stages)
         return Recipe(scheme="III", branches=(branch,), spectral_model=SM, delta_n=DN)
 
-    assert DecohererSpec(FLOOR, DN, axis="H").effective_delta_n == -DN
+    assert DecohererStage("A", FLOOR, DN, axis="H").effective_delta_n == -DN
     h, v_minus, v_plus = recipe(DN, "H"), recipe(-DN, "V"), recipe(DN, "V")
     want = simulate_recipe(v_minus)
     # exact, closed-form and grid paths
@@ -303,7 +281,7 @@ def test_axis_h_equals_v_with_negated_delta_n():
         assert np.abs(got - want).max() < 1e-8
         assert np.abs(got - simulate_recipe(v_plus, **kwargs)).max() > 1e-3
     f_h, f_minus, f_plus = (
-        analytic_f(*(st.spec for st in r.branches[0].stages[1:]), SM) for r in (h, v_minus, v_plus)
+        analytic_f(*r.branches[0].stages[1:], SM) for r in (h, v_minus, v_plus)
     )
     assert f_h == f_minus
     assert abs(f_h - f_plus) > 1e-3
