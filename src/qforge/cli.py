@@ -14,7 +14,8 @@ Examples:
 
 Exit codes: 0 ok, 1 verification failed, 2 bad input (a malformed
 command line included: kind usage-error), 3 unsupported scheme/target
-pairing, 4 simulation contract violation.  They are mapped in one place,
+pairing, 4 simulation contract violation, 5 internal error (any other
+exception: kind internal-error).  They are mapped in one place,
 `_EXIT_CODES`, and every error path prints a single
 "error: <kind>: <reason>" line to standard error; --help prints to
 standard output and exits 0.  `--seed` and
@@ -61,14 +62,15 @@ from .elements import (
 from .errors import DefaultsFile, QforgeError, RecipeParse, TimingCollision
 from .errors import UnsupportedTarget, VerificationFailed
 
-# exception -> exit code, the first matching row wins; anything else (--help
-# included) passes through
+# exception -> exit code, the first matching row wins; any exception outside
+# _BAD_INPUT is an internal-error, and click's Exit and Abort (--help) pass through
 _BAD_INPUT = (QforgeError, ValueError, TypeError, OSError, click.UsageError)
 _EXIT_CODES = (
     (VerificationFailed, 1),
     (TimingCollision, 4),
     (UnsupportedTarget, 3),
     (_BAD_INPUT, 2),
+    (Exception, 5),
 )
 
 
@@ -77,21 +79,25 @@ def _slug(exc: BaseException) -> str:
         return "io-error"
     if isinstance(exc, click.UsageError):
         return "usage-error"
+    if not isinstance(exc, _BAD_INPUT):
+        return "internal-error"
     return re.sub(r"(?<!^)(?=[A-Z])", "-", type(exc).__name__).lower()
 
 
 def _message(exc: BaseException) -> str:
-    if not isinstance(exc, click.UsageError):
-        return str(exc)
-    hint = f" Try '{exc.ctx.command_path} --help'." if exc.ctx is not None else ""
-    return exc.format_message() + hint
+    if isinstance(exc, click.UsageError):
+        hint = f" Try '{exc.ctx.command_path} --help'." if exc.ctx is not None else ""
+        return exc.format_message() + hint
+    return str(exc) if isinstance(exc, _BAD_INPUT) else f"{type(exc).__name__}: {exc}"
 
 
 @contextmanager
 def _one_line_errors():
     try:
         yield
-    except _BAD_INPUT as exc:  # every row's classes are among these
+    except (click.exceptions.Exit, click.Abort):
+        raise
+    except Exception as exc:
         code = next(c for kinds, c in _EXIT_CODES if isinstance(exc, kinds))
         message = " ".join(_message(exc).split())  # keep it on one line
         click.echo(f"error: {_slug(exc)}: {message}", err=True)

@@ -131,11 +131,10 @@ def compile_scheme2(
         if lam < RANK_EPS:
             continue
         tag += 1
-        a, b, c, d = psi
         scale = math.sqrt(lam)
-        psi_upper = scale * np.array([d, a], dtype=complex)  # (|H>, |V>)
-        psi_lower = scale * np.array([c, b], dtype=complex)
-        chain_t = float(np.clip(lam / remaining, 0.0, 1.0)) if remaining > RANK_EPS else 1.0
+        psi_upper = scale * psi[[3, 0]]  # (|H>, |V>) = (d, a)
+        psi_lower = scale * psi[[2, 1]]  # (c, b)
+        chain_t = float(min(max(lam / remaining, 0.0), 1.0)) if remaining > RANK_EPS else 1.0
         remaining -= lam
         upper_frac = float(np.linalg.norm(psi_upper) ** 2 / lam)
         branches.append(

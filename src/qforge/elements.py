@@ -187,15 +187,7 @@ def su2_to_waveplates(u: np.ndarray) -> tuple[WaveplateSpec, WaveplateSpec, Wave
     q_last = -a_ang
     q_first = c_ang
     h_mid = 0.5 * (-theta + q_last + q_first)
-
-    def norm_axis(t: float) -> float:
-        return t % math.pi
-
-    return (
-        qwp(norm_axis(q_first)),
-        hwp(norm_axis(h_mid)),
-        qwp(norm_axis(q_last)),
-    )
+    return qwp(q_first % math.pi), hwp(h_mid % math.pi), qwp(q_last % math.pi)
 
 
 def compose_waveplates(plates) -> np.ndarray:

@@ -21,6 +21,7 @@ EIGENVALUE_CLAMP = 1e-10  # eigenvalues in [-1e-10, 0) are treated as round-off
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
+_ROWS = np.arange(4)
 
 
 def bell_state(name: str) -> np.ndarray:
@@ -44,7 +45,7 @@ def bell_state(name: str) -> np.ndarray:
 def projector(psi: np.ndarray) -> np.ndarray:
     """|psi><psi| for a pure-state 4-vector."""
     v = np.asarray(psi, dtype=complex).reshape(4)
-    return np.outer(v, v.conj())
+    return v[:, None] * v.conj()
 
 
 def check_pure(psi: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -70,20 +71,20 @@ def validate_density(m: np.ndarray) -> np.ndarray:
         raise NotFinite("matrix holds a NaN or infinite entry")
     if m.shape != (4, 4):
         raise NotHermitian(f"expected a 4x4 matrix, got shape {m.shape}")
-    if np.abs(m - m.conj().T).max() > HERMITICITY_TOL:
-        raise NotHermitian(
-            f"max |m - m^dag| = {np.abs(m - m.conj().T).max():.3e} exceeds {HERMITICITY_TOL}"
-        )
+    m_dag = m.conj().T
+    skew = np.abs(m - m_dag).max()
+    if skew > HERMITICITY_TOL:
+        raise NotHermitian(f"max |m - m^dag| = {skew:.3e} exceeds {HERMITICITY_TOL}")
     tr = m.trace()
     if abs(tr - 1.0) > TRACE_TOL:
         raise TraceNotOne(f"trace {tr} differs from 1 by more than {TRACE_TOL}")
-    h = 0.5 * (m + m.conj().T)
+    h = 0.5 * (m + m_dag)
     evals, evecs = np.linalg.eigh(h)
-    if evals.min() < -EIGENVALUE_CLAMP:
-        raise NotPositive(f"minimum eigenvalue {evals.min():.3e} below -{EIGENVALUE_CLAMP}")
-    if evals.min() < 0.0:
-        evals = np.clip(evals, 0.0, None)
-        h = (evecs * evals) @ evecs.conj().T
+    lowest = evals[0]  # eigh returns them ascending
+    if lowest < -EIGENVALUE_CLAMP:
+        raise NotPositive(f"minimum eigenvalue {lowest:.3e} below -{EIGENVALUE_CLAMP}")
+    if lowest < 0.0:
+        h = (evecs * np.maximum(evals, 0.0)) @ evecs.conj().T
         h = 0.5 * (h + h.conj().T)
     return h / h.trace().real
 
@@ -104,27 +105,22 @@ class CanonicalDecomposition:
         return (self.eigenstates.T * self.eigenvalues) @ self.eigenstates.conj()
 
 
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    mags = np.abs(v)
-    i = int(np.argmax(mags))
-    if mags[i] == 0.0:
-        return v
-    return v * (v[i].conjugate() / mags[i])
-
-
 def canonical_decompose(rho: np.ndarray) -> CanonicalDecomposition:
     """Decompose rho into orthonormal eigenstates weighted by eigenvalues."""
     rho = validate_density(rho)
     evals, evecs = np.linalg.eigh(rho)
     order = np.argsort(evals)[::-1]
-    evals = np.clip(evals[order], 0.0, None)
-    states = np.array([_fix_phase(evecs[:, k]) for k in order])
-    return CanonicalDecomposition(eigenvalues=evals, eigenstates=states)
+    states = evecs.T[order]
+    # rotate each unit row so its first largest-magnitude entry is real, positive
+    mags = np.abs(states)
+    peak = mags.argmax(axis=1)
+    states = states * (states[_ROWS, peak].conj() / mags[_ROWS, peak])[:, None]
+    return CanonicalDecomposition(eigenvalues=np.maximum(evals[order], 0.0), eigenstates=states)
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     evals, evecs = np.linalg.eigh(m)
-    return (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
+    return (evecs * np.sqrt(np.maximum(evals, 0.0))) @ evecs.conj().T
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -135,7 +131,7 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     inner = sq @ sigma @ sq
     inner = 0.5 * (inner + inner.conj().T)
     f = _psd_sqrt(inner).trace().real ** 2
-    return float(np.clip(f, 0.0, 1.0))
+    return float(min(max(f, 0.0), 1.0))
 
 
 def concurrence(rho: np.ndarray) -> float:
@@ -149,18 +145,18 @@ def concurrence(rho: np.ndarray) -> float:
     """
     rho = np.asarray(rho, dtype=complex)
     mu, vec = np.linalg.eigh(0.5 * (rho + rho.conj().T))
-    keep = mu > 1e-15 * max(1.0, float(mu.max()))
+    keep = mu > 1e-15 * max(1.0, float(mu[-1]))
     w = vec[:, keep] * np.sqrt(mu[keep])
     tau = w.T @ _YY @ w
-    lam = np.sort(np.linalg.svd(tau, compute_uv=False))[::-1]
-    lam = np.concatenate([lam, np.zeros(4 - lam.size)])
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    # descending, as LAPACK returns them: one per kept eigenvalue, padded to four
+    lam = np.linalg.svd(tau, compute_uv=False).tolist() + [0.0] * 4
+    return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
 
 
 def tangle(rho: np.ndarray) -> float:
     """Squared concurrence; 0 for separable states, 1 for Bell states."""
     c = concurrence(rho)
-    return float(np.clip(c * c, 0.0, 1.0))
+    return min(max(c * c, 0.0), 1.0)
 
 
 def purity(rho: np.ndarray) -> float:
@@ -170,7 +166,7 @@ def purity(rho: np.ndarray) -> float:
 
 def linear_entropy(rho: np.ndarray) -> float:
     """(4/3)(1 - Tr rho^2), normalized so the maximally mixed state scores 1."""
-    return float(np.clip(4.0 / 3.0 * (1.0 - purity(rho)), 0.0, 1.0))
+    return min(max(4.0 / 3.0 * (1.0 - purity(rho)), 0.0), 1.0)
 
 
 def partial_transpose(rho: np.ndarray) -> np.ndarray:

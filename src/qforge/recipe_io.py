@@ -222,16 +222,18 @@ def _branch_from_dict(data: dict) -> RecipeBranch:
                      upper_fraction=pump_split.upper_fraction)
         if not np.isfinite(np.concatenate([pump_split.psi_upper, pump_split.psi_lower])).all():
             raise NotFinite("pump split amplitudes hold a NaN or infinite entry")
-    tag = data["timing_tag"]
+    tag, note = data["timing_tag"], data.get("note", "")
     if type(tag) is not int:
         raise TypeError(f"timing_tag must be an integer, got {tag!r}")
+    if type(note) is not str:
+        raise TypeError(f"note must be a string, got {type(note).__name__}")
     return RecipeBranch(
         weight=data["weight"],
         timing_tag=tag,
         seed=seed,
         stages=tuple(_stage_from_dict(s, k) for k, s in enumerate(data["stages"])),
         pump_split=pump_split,
-        note=data.get("note", ""),
+        note=note,
     )
 
 

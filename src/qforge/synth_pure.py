@@ -16,6 +16,7 @@ determinant D = ad - bc of the reshaped amplitude matrix:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,8 +90,8 @@ def _solve_generic(psi: np.ndarray, det: complex):
     """
     a, b, c, d = psi
     abs_d = abs(det)
-    root = np.sqrt(max(0.0, 1.0 - 4.0 * abs_d * abs_d))
-    alpha = abs_d * np.sqrt(2.0 / (1.0 + root))
+    root = math.sqrt(max(0.0, 1.0 - 4.0 * abs_d * abs_d))
+    alpha = abs_d * math.sqrt(2.0 / (1.0 + root))
     beta = det / alpha
     den = alpha * alpha - abs(beta) ** 2  # = -root, nonzero away from |D| = 1/2
     z1 = (a * alpha - np.conjugate(d) * beta) / den

@@ -82,6 +82,15 @@ def test_recipe_json_round_trip_byte_identical():
         assert text == again
 
 
+def test_recipe_string_note_round_trips_byte_identical():
+    doc = json.loads(recipe_to_json(compile_scheme1(werner(0.5))))
+    doc["branches"][0]["note"] = "hand-edited: \u00b5m \"quoted\""
+    text = json.dumps(doc, indent=2) + "\n"
+    recipe = recipe_from_json(text)
+    assert recipe.branches[0].note == "hand-edited: \u00b5m \"quoted\""
+    assert recipe_to_json(recipe) == text
+
+
 def test_recipe_file_round_trip_simulates_identically(tmp_path):
     from qforge.compilers import simulate_recipe
 
@@ -621,6 +630,14 @@ def _string_timing_tag(doc):
     doc["branches"][0]["timing_tag"] = "1"
 
 
+def _note(name, value):  # a note that is not a string
+    def edit(doc):
+        doc["branches"][0]["note"] = value
+
+    edit.__name__ = f"_{name}_note"
+    return edit
+
+
 @pytest.mark.parametrize("command", ["cost", "simulate"])
 @pytest.mark.parametrize(
     "target, edit, kind, code",
@@ -642,6 +659,10 @@ def _string_timing_tag(doc):
         ("mems:0.4", _nan_recipe_delta_n, "not-finite", 2),
         ("collins-gisin:1.0,0.6", _nan_chain_transmission, "not-finite", 2),
         ("mems:0.4", _string_timing_tag, "recipe-parse", 2),
+        ("werner:0.5", _note("nan", float("nan")), "recipe-parse", 2),
+        ("werner:0.5", _note("number", 3.5), "recipe-parse", 2),
+        ("werner:0.5", _note("null", None), "recipe-parse", 2),
+        ("werner:0.5", _note("list", ["a", "b"]), "recipe-parse", 2),
     ],
 )
 def test_cli_cost_and_simulate_reject_the_same_recipes(
@@ -778,6 +799,19 @@ def test_cli_exit_code_contract(runner, tmp_path, args, defaults, code, kind, st
         _single_error_line(res, kind)
     assert res.stdout.startswith(stdout)
     assert not (tmp_path / "x.json").exists()
+
+
+def test_cli_unexpected_exception_is_one_internal_error_line(runner, tmp_path, monkeypatch):
+    def broken(rho):
+        raise ZeroDivisionError("float division by zero")
+
+    path = tmp_path / "w.txt"
+    save_matrix(path, werner(0.5))
+    monkeypatch.setattr(qforge.qmath, "tangle", broken)
+    res = invoke(runner, "metrics", str(path))
+    assert res.exit_code == 5
+    assert res.stderr == "error: internal-error: ZeroDivisionError: float division by zero\n"
+    assert invoke(runner, "--help").exit_code == 0  # click's Exit still passes through
 
 
 def test_cli_usage_error_as_a_process():

@@ -89,10 +89,38 @@ def test_canonical_mems_two_thirds():
     assert np.allclose(dec.eigenvalues, [2 / 3, 1 / 3, 0.0, 0.0], atol=1e-12)
 
 
-def test_canonical_phase_convention():
+def _phase_fixed_reference(rho):
+    """The eigenstates, one vector at a time: descending eigenvalues, each
+    vector rotated so its first largest-magnitude entry is real, positive."""
+    evals, evecs = np.linalg.eigh(validate_density(rho))
+    rows = []
+    for k in np.argsort(evals)[::-1]:
+        v = evecs[:, k]
+        mags = np.abs(v)
+        i = int(np.argmax(mags))
+        rows.append(v * (v[i].conjugate() / mags[i]))
+    return np.array(rows)
+
+
+def _rank_targets():
+    """Seeded matrices of rank 1-4, and degenerate spectra."""
     rng = np.random.default_rng(5)
-    for _ in range(50):
-        dec = canonical_decompose(random_density_matrix(rng))
+    for rank in (1, 2, 3, 4):
+        for _ in range(25):
+            g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+            m = g @ g.conj().T
+            yield 0.5 * (m + m.conj().T) / m.trace().real
+    yield np.eye(4, dtype=complex) / 4.0
+    for r in (0.0, 1 / 3, 0.5, 0.9, 1.0):
+        yield families.werner(r)
+    for r in (0.1, 0.5, 2 / 3, 0.8, 1.0):
+        yield families.mems(r)
+
+
+def test_canonical_phase_convention():
+    for rho in _rank_targets():
+        dec = canonical_decompose(rho)
+        assert dec.eigenstates.tobytes() == _phase_fixed_reference(rho).tobytes()
         for v in dec.eigenstates:
             i = int(np.argmax(np.abs(v)))
             assert v[i].real > 0.0
@@ -121,6 +149,19 @@ def test_tangle_examples():
     assert abs(tangle(projector(bell_state("phi+"))) - 1.0) < 1e-12
     assert tangle(np.eye(4) / 4.0) == 0.0
     assert tangle(families.werner(1 / 3)) < 1e-12  # PPT boundary
+
+
+@pytest.mark.parametrize(
+    "rho, rank, want",
+    [(families.werner(1.0), 1, 1.0)]
+    + [(families.mems(r), 2 if r < 1.0 else 1, r * r) for r in (0.7, 0.8, 0.95, 1.0)]
+    + [(families.mems(r), 3, r * r) for r in (0.1, 0.4, 0.6)],
+)
+def test_tangle_of_rank_deficient_states(rho, rank, want):
+    # fewer kept eigenvalues than four: the spin-flip SVD returns `rank` values
+    assert (np.linalg.eigvalsh(rho) > 1e-15).sum() == rank
+    assert abs(tangle(rho) - want) < 1e-12
+    assert abs(concurrence(rho) - np.sqrt(want)) < 1e-12
 
 
 def test_linear_entropy_examples():
