@@ -1,43 +1,40 @@
-"""qforge: compile and simulate two-photon polarization mixed-state recipes."""
+"""qforge: compile and simulate two-photon polarization mixed-state recipes.
 
-from .compilers import (
-    FamilyParams,
-    ResourceCount,
-    bell_diagonal_split,
-    compile_scheme1,
-    compile_scheme2,
-    compile_scheme3,
-    compile_scheme4_bell_diagonal,
-    recipe_cost,
-    simulate_recipe,
-)
-from .elements import (
-    DecohererStage,
-    LocalRotationStage,
-    SpdcSourceSpec,
-    SpectralModel,
-    WaveplateSpec,
-    analytic_f,
-    default_spectral_model,
-    invert_f,
-    spdc_pair_state,
-    su2_to_waveplates,
-    waveplate_unitary,
-)
-from .families import bell_diagonal, collins_gisin, family_d1, mems, mems_boundary_tangle, werner
-from .qmath import (
-    CanonicalDecomposition,
-    canonical_decompose,
-    concurrence,
-    fidelity,
-    linear_entropy,
-    ppt_separable,
-    purity,
-    tangle,
-    validate_density,
-)
-from .recipe_io import Recipe, RecipeBranch, SchemeIIPumpSplit
-from .spectral import FrequencyGrid, make_grid, simulate_chain
-from .synth_pure import PureRecipe, solve_pure, verify_pure
+The namespace is lazy: `import qforge` loads no layer, and a name below
+loads its layer on first use (`qforge.fidelity` loads qmath, and
+`qforge.compilers` the compiler stack).  `recipe_cost` and `ResourceCount`
+live in recipe_io, next to the Recipe they count; compilers re-exports them.
+"""
 
+from importlib import import_module
+
+_EXPORTS = {
+    "compilers": "FamilyParams bell_diagonal_split compile_scheme1 compile_scheme2 "
+                 "compile_scheme3 compile_scheme4_bell_diagonal simulate_recipe",
+    "elements": "DecohererStage LocalRotationStage SpdcSourceSpec SpectralModel WaveplateSpec "
+                "analytic_f default_spectral_model invert_f spdc_pair_state su2_to_waveplates "
+                "waveplate_unitary",
+    "families": "bell_diagonal collins_gisin family_d1 mems mems_boundary_tangle werner",
+    "qmath": "CanonicalDecomposition canonical_decompose concurrence fidelity linear_entropy "
+             "ppt_separable purity tangle validate_density",
+    "recipe_io": "Recipe RecipeBranch ResourceCount SchemeIIPumpSplit recipe_cost",
+    "spectral": "FrequencyGrid make_grid simulate_chain",
+    "synth_pure": "PureRecipe solve_pure verify_pure",
+}
+_HOME = {name: layer for layer, names in _EXPORTS.items() for name in names.split()}
+_LAYERS = (*_EXPORTS, "cli", "errors", "matrix_io")
+
+__all__ = list(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _LAYERS:
+        return import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_LAYERS})

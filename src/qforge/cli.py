@@ -21,6 +21,11 @@ exception: kind internal-error).  They are mapped in one place,
 standard output and exits 0.  `--seed` and
 `simulate --analytic` are accepted and ignored.
 
+Each command loads only the qforge layers it runs: every one loads errors,
+elements, qmath, families and matrix_io; cost adds recipe_io (home of
+recipe_cost); compile and simulate add compilers, with synth_pure, spectral
+and recipe_io.
+
 The env var QFORGE_DEFAULTS may point to a JSON file overriding the
 physical constants, e.g. {"delta_n": 0.009, "l_si_um": 100.0,
 "pump_wavelength_nm": 351.0}; explicit flags win over the file.
@@ -28,7 +33,6 @@ physical constants, e.g. {"delta_n": 0.009, "l_si_um": 100.0,
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import sys
@@ -40,17 +44,7 @@ import click
 import numpy as np
 
 from . import families as fam
-from . import matrix_io, qmath, recipe_io
-from .compilers import (
-    FamilyParams,
-    Recipe,
-    compile_scheme1,
-    compile_scheme2,
-    compile_scheme3,
-    compile_scheme4_bell_diagonal,
-    recipe_cost,
-    simulate_recipe,
-)
+from . import matrix_io, qmath
 from .elements import (
     DEFAULT_DELTA_N,
     DEFAULT_L_SI_UM,
@@ -129,6 +123,8 @@ def _load_defaults_file() -> dict:
     path = os.environ.get("QFORGE_DEFAULTS")
     if not path:
         return {}
+    import json
+
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, RecursionError, json.JSONDecodeError) as exc:
@@ -169,9 +165,13 @@ def _load_validated(path: str) -> np.ndarray:
     return qmath.validate_density(matrix_io.load_matrix(path))
 
 
-def _load_recipe(path: str) -> Recipe:
+def _load_recipe(path: str):
+    import json
+
+    from .recipe_io import load_recipe
+
     try:
-        return recipe_io.load_recipe(path)
+        return load_recipe(path)
     except (KeyError, TypeError, OverflowError, RecursionError, json.JSONDecodeError) as exc:
         raise RecipeParse(f"{path}: {exc}") from exc
 
@@ -215,7 +215,9 @@ def _parse_target(target: str):
     return ("matrix", target)
 
 
-def _print_cost_table(recipe: Recipe):
+def _print_cost_table(recipe):
+    from .recipe_io import recipe_cost
+
     cost = recipe_cost(recipe)
     click.echo("scheme  NLC  other-optics  controllable-params")
     click.echo(
@@ -236,6 +238,10 @@ def compile_cmd(settings, scheme, target, out):
     'd1:0.5,0.5,0.5,0.5,0.8' (scheme III) or
     'bell-diagonal:0.4,0.3,0.2,0.1' (scheme IV).
     """
+    from . import recipe_io
+    from .compilers import FamilyParams, compile_scheme1, compile_scheme2, compile_scheme3
+    from .compilers import compile_scheme4_bell_diagonal
+
     scheme = _parse_scheme(scheme)
     kind = _parse_target(target)
     sm, dn = settings.spectral_model, settings.delta_n
@@ -272,6 +278,8 @@ def simulate(recipe_path, out, grid_n):
 
     The simulation is exact for the Gaussian spectrum unless --grid-n is given.
     """
+    from .compilers import simulate_recipe
+
     recipe = _load_recipe(recipe_path)
     rho = simulate_recipe(recipe, grid_n=grid_n)
     comments = (f"simulated scheme {recipe.scheme} recipe from {recipe_path}",)

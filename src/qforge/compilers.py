@@ -36,6 +36,8 @@ from .elements import (
 from .errors import BadF, OutOfRange, UnsupportedTarget
 from .families import FAMILIES, bell_weights, family_params
 from .recipe_io import Recipe, RecipeBranch, SchemeIIPumpSplit
+# the resource tally lives with the Recipe it counts; re-exported for old imports
+from .recipe_io import CONTROLLABLE_PARAMS, ResourceCount, _is_identity, recipe_cost  # noqa: F401
 from .spectral import analytic_single_stage, make_grid, simulate_chain
 from .synth_pure import solve_pure
 
@@ -58,17 +60,6 @@ class FamilyParams:
             raise OutOfRange(f"unknown family {self.kind!r}; known: {tuple(FAMILIES)}") from None
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "params", params)
-
-
-@dataclass(frozen=True)
-class ResourceCount:
-    """Element tally: crystal sets count two nonlinear crystals, a general
-    unitary costs three waveplates, and the pump is assumed pre-polarized
-    (two plates tune each source)."""
-
-    nlc: int
-    other_optics: int
-    controllable_params: int
 
 
 def branch_seed_state(branch: RecipeBranch) -> np.ndarray:
@@ -320,10 +311,6 @@ def compile_scheme4_bell_diagonal(
 # Simulation and verification
 
 
-def _is_identity(u: np.ndarray, tol: float = 1e-10) -> bool:
-    return abs(abs(np.trace(u)) / 2.0 - 1.0) < tol
-
-
 def _branch_rho_analytic(
     branch: RecipeBranch, sm: SpectralModel
 ) -> Optional[np.ndarray]:
@@ -384,57 +371,3 @@ def simulate_recipe(
             part = simulate_chain(branch_seed_state(branch), branch.stages, sm, grid)
         rho += branch.weight * part
     return qmath.validate_density(rho)
-
-
-# ---------------------------------------------------------------------------
-# Resource accounting
-
-_PUMP_WAVEPLATES_PER_SOURCE = 2
-_WAVEPLATES_PER_UNITARY = 3
-CONTROLLABLE_PARAMS = {"I": 15, "II": 15, "III": 10, "IV": 12}
-
-
-def _stage_waveplates(stages) -> int:
-    n = 0
-    for stage in stages:
-        if isinstance(stage, LocalRotationStage):
-            if not _is_identity(stage.u_a):
-                n += _WAVEPLATES_PER_UNITARY
-            if not _is_identity(stage.u_b):
-                n += _WAVEPLATES_PER_UNITARY
-    return n
-
-
-def _stage_decoherers(stages) -> int:
-    return sum(1 for s in stages if isinstance(s, DecohererStage))
-
-
-def recipe_cost(recipe: Recipe) -> ResourceCount:
-    """Count crystals and auxiliary optics for a recipe.
-
-    Crystal sets hold two crystals; each source needs two pump waveplates;
-    a general unitary expands to three waveplates; scheme I attenuates all
-    but the strongest branch, scheme IV only its pure part; scheme II
-    branches each use two beam splitters, four pump waveplates and the
-    lower-path half-waveplate.
-    """
-    nb = len(recipe.branches)
-    if recipe.scheme == "II":
-        nlc = 2
-        other = sum(2 + 4 + 1 for _ in recipe.branches)
-    else:
-        nlc = 2 * nb
-        other = 0
-        for b in recipe.branches:
-            other += _PUMP_WAVEPLATES_PER_SOURCE
-            other += _stage_waveplates(b.stages)
-            other += _stage_decoherers(b.stages)
-        if recipe.scheme == "I":
-            other += max(0, nb - 1)  # attenuators
-        elif recipe.scheme == "IV":
-            other += 1 if nb > 1 else 0  # attenuate the pure part only
-    return ResourceCount(
-        nlc=nlc,
-        other_optics=other,
-        controllable_params=CONTROLLABLE_PARAMS[recipe.scheme],
-    )

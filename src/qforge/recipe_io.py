@@ -1,4 +1,4 @@
-"""Recipes: the data model and its JSON file format, round-trip exact.
+"""Recipes: the data model, its JSON file format and its resource tally.
 
 Schema (version 1):
   {"version": 1, "scheme": "I".."IV",
@@ -281,3 +281,73 @@ def save_recipe(path, recipe: Recipe) -> None:
 
 def load_recipe(path) -> Recipe:
     return recipe_from_json(Path(path).read_text(encoding="utf-8"))
+
+
+# ---------------------------------------------------------------------------
+# Resource accounting
+
+
+@dataclass(frozen=True)
+class ResourceCount:
+    """Element tally: crystal sets count two nonlinear crystals, a general
+    unitary costs three waveplates, and the pump is assumed pre-polarized
+    (two plates tune each source)."""
+
+    nlc: int
+    other_optics: int
+    controllable_params: int
+
+
+def _is_identity(u: np.ndarray, tol: float = 1e-10) -> bool:
+    return abs(abs(np.trace(u)) / 2.0 - 1.0) < tol
+
+
+_PUMP_WAVEPLATES_PER_SOURCE = 2
+_WAVEPLATES_PER_UNITARY = 3
+CONTROLLABLE_PARAMS = {"I": 15, "II": 15, "III": 10, "IV": 12}
+
+
+def _stage_waveplates(stages) -> int:
+    n = 0
+    for stage in stages:
+        if isinstance(stage, LocalRotationStage):
+            if not _is_identity(stage.u_a):
+                n += _WAVEPLATES_PER_UNITARY
+            if not _is_identity(stage.u_b):
+                n += _WAVEPLATES_PER_UNITARY
+    return n
+
+
+def _stage_decoherers(stages) -> int:
+    return sum(1 for s in stages if isinstance(s, DecohererStage))
+
+
+def recipe_cost(recipe: Recipe) -> ResourceCount:
+    """Count crystals and auxiliary optics for a recipe.
+
+    Crystal sets hold two crystals; each source needs two pump waveplates;
+    a general unitary expands to three waveplates; scheme I attenuates all
+    but the strongest branch, scheme IV only its pure part; scheme II
+    branches each use two beam splitters, four pump waveplates and the
+    lower-path half-waveplate.
+    """
+    nb = len(recipe.branches)
+    if recipe.scheme == "II":
+        nlc = 2
+        other = sum(2 + 4 + 1 for _ in recipe.branches)
+    else:
+        nlc = 2 * nb
+        other = 0
+        for b in recipe.branches:
+            other += _PUMP_WAVEPLATES_PER_SOURCE
+            other += _stage_waveplates(b.stages)
+            other += _stage_decoherers(b.stages)
+        if recipe.scheme == "I":
+            other += max(0, nb - 1)  # attenuators
+        elif recipe.scheme == "IV":
+            other += 1 if nb > 1 else 0  # attenuate the pure part only
+    return ResourceCount(
+        nlc=nlc,
+        other_optics=other,
+        controllable_params=CONTROLLABLE_PARAMS[recipe.scheme],
+    )

@@ -1,0 +1,130 @@
+"""The lazy package namespace, and the layers each CLI command loads.
+
+What a command loads is checked in a fresh interpreter per command: this
+test process has long since imported every layer.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qforge
+from qforge.compilers import FamilyParams, compile_scheme3
+from qforge.families import werner
+from qforge.matrix_io import save_matrix
+from qforge.recipe_io import save_recipe
+
+# the names `from qforge import *` has always given
+EXPORTS = {
+    "FamilyParams", "ResourceCount", "bell_diagonal_split", "compile_scheme1",
+    "compile_scheme2", "compile_scheme3", "compile_scheme4_bell_diagonal", "recipe_cost",
+    "simulate_recipe", "DecohererStage", "LocalRotationStage", "SpdcSourceSpec",
+    "SpectralModel", "WaveplateSpec", "analytic_f", "default_spectral_model", "invert_f",
+    "spdc_pair_state", "su2_to_waveplates", "waveplate_unitary", "bell_diagonal",
+    "collins_gisin", "family_d1", "mems", "mems_boundary_tangle", "werner",
+    "CanonicalDecomposition", "canonical_decompose", "concurrence", "fidelity",
+    "linear_entropy", "ppt_separable", "purity", "tangle", "validate_density", "Recipe",
+    "RecipeBranch", "SchemeIIPumpSplit", "FrequencyGrid", "make_grid", "simulate_chain",
+    "PureRecipe", "solve_pure", "verify_pure",
+}
+LAYERS = ("cli", "compilers", "elements", "errors", "families", "matrix_io", "qmath",
+          "recipe_io", "spectral", "synth_pure")
+COMPILER_STACK = {"qforge.compilers", "qforge.synth_pure", "qforge.spectral", "qforge.recipe_io"}
+
+# runs `qforge ARGS` and prints, on its last stdout line, the qforge modules loaded
+CLI_CHILD = """
+import sys
+from qforge.cli import main
+sys.argv[0] = "qforge"
+try:
+    main()
+finally:
+    import json
+    print(json.dumps(sorted(m for m in sys.modules if m.startswith("qforge"))))
+"""
+
+
+def _child(code: str, *args: str, cwd=None):
+    src = str(Path(qforge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    res = subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=cwd,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    return res.stdout.splitlines()
+
+
+def test_namespace_holds_the_exports():
+    assert set(qforge.__all__) == EXPORTS
+    assert len(qforge.__all__) == len(EXPORTS)
+    listed = dir(qforge)
+    assert EXPORTS.issubset(listed)
+    assert set(LAYERS).issubset(listed)
+    star: dict = {}
+    exec("from qforge import *", star)
+    assert EXPORTS.issubset(star)
+
+
+def test_namespace_names_are_the_layer_objects():
+    for name in qforge.__all__:
+        obj = getattr(qforge, name)
+        assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+    for layer in LAYERS:
+        assert getattr(qforge, layer) is importlib.import_module(f"qforge.{layer}")
+
+
+def test_resource_tally_lives_in_recipe_io():
+    from qforge import compilers, recipe_io
+
+    assert qforge.recipe_cost is compilers.recipe_cost is recipe_io.recipe_cost
+    assert qforge.ResourceCount is compilers.ResourceCount is recipe_io.ResourceCount
+    assert compilers.CONTROLLABLE_PARAMS is recipe_io.CONTROLLABLE_PARAMS
+    assert compilers._is_identity is recipe_io._is_identity
+    assert recipe_io.recipe_cost.__module__ == "qforge.recipe_io"
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qforge.no_such_name
+    assert not hasattr(qforge, "no_such_name")
+    with pytest.raises(ImportError):
+        exec("from qforge import no_such_name", {})
+
+
+def test_bare_import_loads_no_layer():
+    code = (
+        "import json, sys\n"
+        "import qforge\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('qforge'))\n"
+        "print(json.dumps(loaded()))\n"
+        "assert qforge.qmath.__name__ == 'qforge.qmath'\n"
+        "assert qforge.fidelity is qforge.qmath.fidelity\n"
+        "print(json.dumps(loaded()))\n"
+    )
+    bare, after = (json.loads(line) for line in _child(code))
+    assert bare == ["qforge"]
+    assert "qforge.qmath" in after
+    assert not COMPILER_STACK.intersection(after)
+
+
+@pytest.mark.parametrize(
+    "args, unloaded",
+    [
+        (["families", "werner", "0.5"], COMPILER_STACK),
+        (["metrics", "w.txt"], COMPILER_STACK),
+        (["verify", "w.txt", "w.txt"], COMPILER_STACK),
+        (["plane", "mems", "3"], COMPILER_STACK),
+        (["cost", "r.json"], {"qforge.compilers", "qforge.synth_pure", "qforge.spectral"}),
+    ],
+)
+def test_cli_command_loads_only_its_layers(tmp_path, args, unloaded):
+    save_matrix(tmp_path / "w.txt", werner(0.5))
+    save_recipe(tmp_path / "r.json", compile_scheme3(FamilyParams("mems", (0.4,))))
+    loaded = set(json.loads(_child(CLI_CHILD, *args, cwd=tmp_path)[-1]))
+    assert "qforge.cli" in loaded
+    assert not unloaded & loaded, sorted(unloaded & loaded)
+    assert ("qforge.recipe_io" in loaded) == (args[0] == "cost")
