@@ -17,7 +17,7 @@ _EXPORTS = {
     "families": "bell_diagonal collins_gisin family_d1 mems mems_boundary_tangle werner",
     "qmath": "CanonicalDecomposition canonical_decompose concurrence fidelity linear_entropy "
              "ppt_separable purity tangle validate_density",
-    "recipe_io": "Recipe RecipeBranch ResourceCount SchemeIIPumpSplit recipe_cost",
+    "recipe_io": "Recipe RecipeBranch ResourceCount pump_splits recipe_cost",
     "spectral": "FrequencyGrid make_grid simulate_chain",
     "synth_pure": "PureRecipe solve_pure verify_pure",
 }

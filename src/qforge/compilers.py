@@ -35,13 +35,11 @@ from .elements import (
 )
 from .errors import BadF, OutOfRange, UnsupportedTarget
 from .families import FAMILIES, bell_weights, family_params
-from .recipe_io import Recipe, RecipeBranch, SchemeIIPumpSplit
+from .recipe_io import RANK_EPS, Recipe, RecipeBranch
 # the resource tally lives with the Recipe it counts; re-exported for old imports
 from .recipe_io import CONTROLLABLE_PARAMS, ResourceCount, _is_identity, recipe_cost  # noqa: F401
 from .spectral import analytic_single_stage, make_grid, simulate_chain
 from .synth_pure import solve_pure
-
-RANK_EPS = 1e-12  # eigenvalues below this produce no branch
 
 INCOHERENCE_NOTE = "path delay exceeds the pump coherence length"
 
@@ -73,6 +71,13 @@ def branch_seed_state(branch: RecipeBranch) -> np.ndarray:
 # Schemes I and II: eigenstate mixing
 
 
+def _eigenstates(rho: np.ndarray) -> list:
+    """(eigenvalue, eigenstate) pairs of rho, descending, eigenvalues below 1e-12 dropped."""
+    decomp = qmath.canonical_decompose(rho)
+    return [(float(lam), psi) for lam, psi in zip(decomp.eigenvalues, decomp.eigenstates)
+            if lam >= RANK_EPS]
+
+
 def compile_scheme1(
     rho: np.ndarray,
     sm: Optional[SpectralModel] = None,
@@ -84,21 +89,11 @@ def compile_scheme1(
     descending order; eigenvalues below 1e-12 are dropped.
     """
     sm = sm or default_spectral_model()
-    decomp = qmath.canonical_decompose(rho)
     branches = []
-    for k, (lam, psi) in enumerate(zip(decomp.eigenvalues, decomp.eigenstates)):
-        if lam < RANK_EPS:
-            continue
+    for tag, (lam, psi) in enumerate(_eigenstates(rho), start=1):
         pure = solve_pure(psi)
-        branches.append(
-            RecipeBranch(
-                weight=float(lam),
-                timing_tag=k + 1,
-                seed=pure.source,
-                stages=(LocalRotationStage(u_a=pure.u_a, u_b=pure.u_b),),
-                note=INCOHERENCE_NOTE,
-            )
-        )
+        stages = (LocalRotationStage(u_a=pure.u_a, u_b=pure.u_b),)
+        branches.append(RecipeBranch(lam, tag, pure.source, stages, note=INCOHERENCE_NOTE))
     return Recipe(scheme="I", branches=tuple(branches), spectral_model=sm, delta_n=delta_n)
 
 
@@ -109,40 +104,16 @@ def compile_scheme2(
 ) -> Recipe:
     """Single crystal set; each eigenstate comes from one pump split.
 
-    For an eigenstate (a, b, c, d) with weight lam the pump parts are
-    psi_U ~ sqrt(lam)(a|V> + d|H>) and psi_L ~ sqrt(lam)(b|V> + c|H>),
-    so the branch intensity <psi_U|psi_U> + <psi_L|psi_L> equals lam.
+    Branches as in scheme I, each seeded with its eigenstate's amplitudes
+    and holding no stages, the only scheme-II branch Recipe accepts.  The
+    pump split is not stored: recipe_io.pump_splits derives it, the recipe
+    file carries it for the lab, and parsing checks it to 1e-10 (else
+    InconsistentRecipe) and keeps nothing of it.
     """
     sm = sm or default_spectral_model()
-    decomp = qmath.canonical_decompose(rho)
-    branches = []
-    remaining = 1.0
-    tag = 0
-    for lam, psi in zip(decomp.eigenvalues, decomp.eigenstates):
-        if lam < RANK_EPS:
-            continue
-        tag += 1
-        scale = math.sqrt(lam)
-        psi_upper = scale * psi[[3, 0]]  # (|H>, |V>) = (d, a)
-        psi_lower = scale * psi[[2, 1]]  # (c, b)
-        chain_t = float(min(max(lam / remaining, 0.0), 1.0)) if remaining > RANK_EPS else 1.0
-        remaining -= lam
-        upper_frac = float(np.linalg.norm(psi_upper) ** 2 / lam)
-        branches.append(
-            RecipeBranch(
-                weight=float(lam),
-                timing_tag=tag,
-                seed=np.array(psi, dtype=complex),
-                pump_split=SchemeIIPumpSplit(
-                    psi_upper=psi_upper,
-                    psi_lower=psi_lower,
-                    chain_transmission=chain_t,
-                    upper_fraction=upper_frac,
-                ),
-                note=INCOHERENCE_NOTE,
-            )
-        )
-    return Recipe(scheme="II", branches=tuple(branches), spectral_model=sm, delta_n=delta_n)
+    branches = tuple(RecipeBranch(lam, tag, np.array(psi, dtype=complex), note=INCOHERENCE_NOTE)
+                     for tag, (lam, psi) in enumerate(_eigenstates(rho), start=1))
+    return Recipe(scheme="II", branches=branches, spectral_model=sm, delta_n=delta_n)
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,11 @@ F_FLOOR = 1.3e-14
 
 def check_finite(**values: float) -> None:
     """Raise NotFinite naming the first keyword whose value is NaN, infinite
-    or an integer beyond double range (a JSON number may be one)."""
+    or an integer beyond double range (a JSON number may be one); a bool,
+    which Python would read as 0 or 1, is a TypeError."""
     for name, x in values.items():
+        if isinstance(x, bool):
+            raise TypeError(f"{name} must be a number, got {x}")
         try:
             finite = math.isfinite(x)
         except OverflowError:

@@ -69,6 +69,10 @@ class VerificationFailed(QforgeError):
     """A produced state's fidelity to its target is below the threshold."""
 
 
+class InconsistentRecipe(ValidationError):
+    """A recipe's scheme label or scheme-II pump split disagrees with its branches."""
+
+
 class RecipeParse(QforgeError):
     """A recipe file is not a well-formed recipe-v1 document."""
 

@@ -8,10 +8,17 @@ Schema (version 1):
                  "stages": [{"kind": "local_unitary", "u_a": .., "u_b": ..} |
                             {"kind": "decoherer", "arm": "A"|"B",
                              "length_um": .., "delta_n": .., "axis": ..}],
-                 "pump_split": {...}?, "note": ".."?}]}
+                 "pump_split": {"psi_upper": [[re, im] x2], "psi_lower": [[re, im] x2],
+                                "chain_transmission": .., "upper_fraction": ..}?,
+                 "note": ".."?}]}
 
 Complex numbers serialize as [re, im]; floats use Python's shortest
 round-trip repr, so serialize -> parse -> serialize is byte-identical.
+
+A scheme-II branch seeds from amplitudes, holds no stages and weighs more
+than 0.  Its pump split is derived in branch order (pump_splits), written
+for the lab, checked to 1e-10 when parsed and never kept; other schemes
+carry none.  A recipe that breaks these rules raises InconsistentRecipe.
 """
 
 from __future__ import annotations
@@ -26,46 +33,18 @@ import numpy as np
 
 from .elements import C_UM_PER_S, DEFAULT_DELTA_N, SpdcSourceSpec, SpectralModel, check_finite
 from .elements import DecohererStage, LocalRotationStage
-from .errors import BadWeights, NotFinite, NotNormalized, NotUnitary, OutOfRange, TimingCollision
+from .errors import BadWeights, InconsistentRecipe, NotFinite, NotNormalized, NotUnitary, OutOfRange
+from .errors import TimingCollision
 
 FORMAT_VERSION = 1
 SCHEMES = ("I", "II", "III", "IV")
 WEIGHT_SUM_TOL = 1e-10
 SEED_NORM_TOL = 1e-9
 UNITARY_TOL = 1e-10
+SPLIT_TOL = 1e-10
+RANK_EPS = 1e-12  # eigenvalues below this produce no branch; pump power below it is spent
 # a path phase w |dn| L / 2c beyond 2**53 rad keeps no digit mod 2 pi in a double
 MAX_PATH_PHASE = 2.0**53
-
-
-@dataclass(frozen=True)
-class SchemeIIPumpSplit:
-    """Pump decomposition for one interferometric branch.
-
-    psi_upper/psi_lower hold the un-normalized pump amplitudes in the
-    (|H>, |V>) basis, scaled by sqrt(branch weight).  chain_transmission
-    is what the branch's pick-off beam splitter must transmit given the
-    pump power remaining at that point; upper_fraction is the share of
-    the branch power routed to the upper (HH/VV) path.
-    """
-
-    psi_upper: np.ndarray
-    psi_lower: np.ndarray
-    chain_transmission: float
-    upper_fraction: float
-
-    def branch_state(self) -> np.ndarray:
-        """Two-photon state the split produces (unit norm).
-
-        The V pump component downconverts to |HH> and the H component to
-        |VV>; the lower path carries a half-waveplate on arm B turning
-        b|HH> + c|VV> into b|HV> + c|VH>.
-        """
-        a = self.psi_upper[1]
-        d = self.psi_upper[0]
-        b = self.psi_lower[1]
-        c = self.psi_lower[0]
-        v = np.array([a, b, c, d], dtype=complex)
-        return v / np.linalg.norm(v)
 
 
 @dataclass(frozen=True)
@@ -73,24 +52,23 @@ class RecipeBranch:
     """One incoherent component of a recipe.
 
     The seed is a source setting (two-crystal SPDC) or a direct pure
-    state; stages act in order on the state it gives.  Scheme II branches
-    also carry the pump split that realizes their seed.
+    state; stages act in order on the state it gives.  A scheme-II
+    branch's pump split is derived (pump_splits), not stored.
     """
 
     weight: float
     timing_tag: int
     seed: Union[SpdcSourceSpec, np.ndarray]
     stages: tuple = ()
-    pump_split: Optional[SchemeIIPumpSplit] = None
     note: str = ""
 
 
 @dataclass(frozen=True)
 class Recipe:
     """Incoherent mixture of branches, checked when built: a known scheme,
-    a finite delta_n, weights finite, non-negative, summing to 1; branches
-    sharing a timing tag are equal; no decoherer path phase beyond
-    MAX_PATH_PHASE."""
+    a finite delta_n, weights finite, non-negative, summing to 1; scheme-II
+    branches of amplitudes alone, weighing more than 0; branches sharing a
+    timing tag are equal; no decoherer path phase beyond MAX_PATH_PHASE."""
 
     scheme: str  # "I" | "II" | "III" | "IV"
     branches: tuple
@@ -106,6 +84,10 @@ class Recipe:
             raise BadWeights(f"negative branch weight in {weights}")
         if abs(sum(weights) - 1.0) > WEIGHT_SUM_TOL:
             raise BadWeights(f"branch weights sum to {sum(weights)}, not 1")
+        for k, b in enumerate(self.branches if self.scheme == "II" else ()):
+            if isinstance(b.seed, SpdcSourceSpec) or b.stages or not b.weight > 0.0:
+                raise InconsistentRecipe(f"scheme-II branch {k} must seed from amplitudes, "
+                                         f"hold no stages and weigh more than 0")
         by_tag: dict = {}
         for b in self.branches:
             other = by_tag.setdefault(b.timing_tag, b)
@@ -122,6 +104,31 @@ class Recipe:
                         )
 
 
+def pump_splits(recipe: Recipe) -> list:
+    """Per branch, in order, the pump split that realizes it: psi_upper,
+    psi_lower, chain_transmission and upper_fraction for scheme II, else None.
+
+    A seed (a, b, c, d) of weight w takes the pump parts sqrt(w)(d, a) and
+    sqrt(w)(c, b) in the (|H>, |V>) basis: the V pump gives |HH>, the H pump
+    |VV>, and the lower path's half-waveplate on arm B turns b|HH> + c|VV>
+    into b|HV> + c|VH>.  chain_transmission is what the branch's pick-off
+    beam splitter passes of the pump power left; upper_fraction is the
+    branch power's share on the upper path.
+    """
+    if recipe.scheme != "II":
+        return [None] * len(recipe.branches)
+    splits, remaining = [], 1.0
+    for b in recipe.branches:
+        lam, seed = b.weight, np.asarray(b.seed, dtype=complex)
+        psi_upper = math.sqrt(lam) * seed[[3, 0]]
+        chain_t = float(min(max(lam / remaining, 0.0), 1.0)) if remaining > RANK_EPS else 1.0
+        remaining -= lam
+        splits.append({"psi_upper": psi_upper, "psi_lower": math.sqrt(lam) * seed[[2, 1]],
+                       "chain_transmission": chain_t,
+                       "upper_fraction": float(np.linalg.norm(psi_upper) ** 2 / lam)})
+    return splits
+
+
 def _cvec(v: np.ndarray) -> list:
     return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex).reshape(-1)]
 
@@ -130,8 +137,14 @@ def _cmat(m: np.ndarray) -> list:
     return [_cvec(row) for row in np.asarray(m, dtype=complex)]
 
 
+def _complex(re, im) -> complex:
+    if isinstance(re, bool) or isinstance(im, bool):  # complex() would read them as 0 or 1
+        raise TypeError(f"a complex entry must hold two numbers, got [{re}, {im}]")
+    return complex(re, im)
+
+
 def _vec_from(data) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in data], dtype=complex)
+    return np.array([_complex(re, im) for re, im in data], dtype=complex)
 
 
 def _stage_to_dict(stage) -> dict:
@@ -151,7 +164,7 @@ def _stage_to_dict(stage) -> dict:
 def _unitary_from(data, stage: int, arm: str) -> np.ndarray:
     """A local rotation's 2x2 matrix, checked unitary in scalar arithmetic
     (cheaper than numpy on 2x2); a NaN in any entry fails the check too."""
-    rows = [[complex(re, im) for re, im in row] for row in data]
+    rows = [[_complex(re, im) for re, im in row] for row in data]
     try:
         (a, b), (c, d) = rows
     except ValueError:
@@ -176,27 +189,23 @@ def _stage_from_dict(data: dict, index: int):
     raise ValueError(f"unknown stage kind {kind!r}")
 
 
-def _branch_to_dict(branch: RecipeBranch) -> dict:
+def _branch_to_dict(branch: RecipeBranch, split: Optional[dict] = None) -> dict:
     out: dict = {"weight": branch.weight, "timing_tag": branch.timing_tag}
     if isinstance(branch.seed, SpdcSourceSpec):
         out["seed"] = {"theta": branch.seed.theta, "phi": branch.seed.phi}
     else:
         out["seed"] = {"amps": _cvec(branch.seed)}
     out["stages"] = [_stage_to_dict(s) for s in branch.stages]
-    if branch.pump_split is not None:
-        ps = branch.pump_split
-        out["pump_split"] = {
-            "psi_upper": _cvec(ps.psi_upper),
-            "psi_lower": _cvec(ps.psi_lower),
-            "chain_transmission": ps.chain_transmission,
-            "upper_fraction": ps.upper_fraction,
-        }
+    if split is not None:
+        psi = {key: _cvec(split[key]) for key in ("psi_upper", "psi_lower")}
+        out["pump_split"] = {**split, **psi}
     if branch.note:
         out["note"] = branch.note
     return out
 
 
-def _branch_from_dict(data: dict) -> RecipeBranch:
+def _branch_from_dict(data: dict) -> tuple:
+    """The branch, and its pump split as written (checked finite) or None."""
     seed = data["seed"]
     if "theta" in seed:
         seed = SpdcSourceSpec(theta=seed["theta"], phi=seed["phi"])
@@ -209,32 +218,23 @@ def _branch_from_dict(data: dict) -> RecipeBranch:
             raise NotFinite("seed amplitudes hold a NaN or infinite entry")
         if len(seed) != 4 or not abs(norm - 1.0) <= SEED_NORM_TOL:
             raise NotNormalized(f"seed needs 4 amplitudes of unit norm, not {len(seed)} of {norm}")
-    pump_split = None
+    split = None
     if "pump_split" in data:
         ps = data["pump_split"]
-        pump_split = SchemeIIPumpSplit(
-            psi_upper=_vec_from(ps["psi_upper"]),
-            psi_lower=_vec_from(ps["psi_lower"]),
-            chain_transmission=ps["chain_transmission"],
-            upper_fraction=ps["upper_fraction"],
-        )
-        check_finite(chain_transmission=pump_split.chain_transmission,
-                     upper_fraction=pump_split.upper_fraction)
-        if not np.isfinite(np.concatenate([pump_split.psi_upper, pump_split.psi_lower])).all():
+        psi = {key: _vec_from(ps[key]) for key in ("psi_upper", "psi_lower")}
+        check_finite(chain_transmission=ps["chain_transmission"],
+                     upper_fraction=ps["upper_fraction"])
+        if not np.isfinite(np.concatenate(list(psi.values()))).all():
             raise NotFinite("pump split amplitudes hold a NaN or infinite entry")
+        split = {**ps, **psi}
     tag, note = data["timing_tag"], data.get("note", "")
     if type(tag) is not int:
         raise TypeError(f"timing_tag must be an integer, got {tag!r}")
     if type(note) is not str:
         raise TypeError(f"note must be a string, got {type(note).__name__}")
-    return RecipeBranch(
-        weight=data["weight"],
-        timing_tag=tag,
-        seed=seed,
-        stages=tuple(_stage_from_dict(s, k) for k, s in enumerate(data["stages"])),
-        pump_split=pump_split,
-        note=note,
-    )
+    stages = tuple(_stage_from_dict(s, k) for k, s in enumerate(data["stages"]))
+    return RecipeBranch(weight=data["weight"], timing_tag=tag, seed=seed, stages=stages,
+                        note=note), split
 
 
 def same_branch(b1: RecipeBranch, b2: RecipeBranch) -> bool:
@@ -251,7 +251,7 @@ def recipe_to_json(recipe: Recipe) -> str:
             "omega": recipe.spectral_model.omega,
             "delta_n": recipe.delta_n,
         },
-        "branches": [_branch_to_dict(b) for b in recipe.branches],
+        "branches": [_branch_to_dict(b, s) for b, s in zip(recipe.branches, pump_splits(recipe))],
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -260,19 +260,31 @@ def recipe_from_json(text: str) -> Recipe:
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise TypeError(f"a recipe is a JSON object, got {type(doc).__name__}")
-    if doc.get("version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported recipe version {doc.get('version')!r}")
+    version = doc.get("version")
+    if isinstance(version, bool) or version != FORMAT_VERSION:
+        raise ValueError(f"unsupported recipe version {version!r}")
     branches = doc["branches"]
     if not isinstance(branches, list):
         raise TypeError(f"recipe branches must be a list, got {type(branches).__name__}")
     sm_doc = doc["spectral_model"]
     sm = SpectralModel(delta_eps=sm_doc["delta_eps"], omega=sm_doc["omega"])
-    return Recipe(
+    parsed = [_branch_from_dict(b) for b in branches]
+    recipe = Recipe(
         scheme=doc["scheme"],
-        branches=tuple(_branch_from_dict(b) for b in branches),
+        branches=tuple(b for b, _ in parsed),
         spectral_model=sm,
         delta_n=sm_doc["delta_n"],
     )
+    for k, ((_, have), want) in enumerate(zip(parsed, pump_splits(recipe))):
+        if (have is None) != (want is None):
+            raise InconsistentRecipe(f"branch {k} of a scheme-{recipe.scheme} recipe "
+                                     f"{'lacks' if have is None else 'carries'} a pump split")
+        for key, value in (want or {}).items():
+            same_shape = np.shape(have[key]) == np.shape(value)
+            if not (same_shape and np.abs(np.subtract(have[key], value)).max() <= SPLIT_TOL):
+                raise InconsistentRecipe(f"branch {k} pump_split {key} is off by more than "
+                                         f"{SPLIT_TOL:g} from the split its seed and weight give")
+    return recipe
 
 
 def save_recipe(path, recipe: Recipe) -> None:
@@ -304,50 +316,40 @@ def _is_identity(u: np.ndarray, tol: float = 1e-10) -> bool:
 
 _PUMP_WAVEPLATES_PER_SOURCE = 2
 _WAVEPLATES_PER_UNITARY = 3
+_INTERFEROMETER_OPTICS = 2 + 4 + 1  # per scheme-II branch
 CONTROLLABLE_PARAMS = {"I": 15, "II": 15, "III": 10, "IV": 12}
 
 
-def _stage_waveplates(stages) -> int:
+def _stage_optics(stages) -> int:
+    """Three waveplates per non-identity arm unitary, one crystal per decoherer."""
     n = 0
     for stage in stages:
         if isinstance(stage, LocalRotationStage):
-            if not _is_identity(stage.u_a):
-                n += _WAVEPLATES_PER_UNITARY
-            if not _is_identity(stage.u_b):
-                n += _WAVEPLATES_PER_UNITARY
+            n += _WAVEPLATES_PER_UNITARY * sum(not _is_identity(u) for u in (stage.u_a, stage.u_b))
+        elif isinstance(stage, DecohererStage):
+            n += 1
     return n
-
-
-def _stage_decoherers(stages) -> int:
-    return sum(1 for s in stages if isinstance(s, DecohererStage))
 
 
 def recipe_cost(recipe: Recipe) -> ResourceCount:
     """Count crystals and auxiliary optics for a recipe.
 
-    Crystal sets hold two crystals; each source needs two pump waveplates;
-    a general unitary expands to three waveplates; scheme I attenuates all
-    but the strongest branch, scheme IV only its pure part; scheme II
-    branches each use two beam splitters, four pump waveplates and the
-    lower-path half-waveplate.
+    Every branch counts its stage optics.  Scheme II shares one crystal set
+    and gives each branch two beam splitters, four pump waveplates and the
+    lower-path half-waveplate; every other scheme gives each branch its own
+    crystal set with two pump waveplates.  Scheme I attenuates all but the
+    strongest branch, scheme IV only its pure part.
     """
+    shared = recipe.scheme == "II"
+    per_branch = _INTERFEROMETER_OPTICS if shared else _PUMP_WAVEPLATES_PER_SOURCE
     nb = len(recipe.branches)
-    if recipe.scheme == "II":
-        nlc = 2
-        other = sum(2 + 4 + 1 for _ in recipe.branches)
-    else:
-        nlc = 2 * nb
-        other = 0
-        for b in recipe.branches:
-            other += _PUMP_WAVEPLATES_PER_SOURCE
-            other += _stage_waveplates(b.stages)
-            other += _stage_decoherers(b.stages)
-        if recipe.scheme == "I":
-            other += max(0, nb - 1)  # attenuators
-        elif recipe.scheme == "IV":
-            other += 1 if nb > 1 else 0  # attenuate the pure part only
+    other = sum(per_branch + _stage_optics(b.stages) for b in recipe.branches)
+    if recipe.scheme == "I":
+        other += max(0, nb - 1)  # attenuators
+    elif recipe.scheme == "IV":
+        other += 1 if nb > 1 else 0  # attenuate the pure part only
     return ResourceCount(
-        nlc=nlc,
+        nlc=2 if shared else 2 * nb,
         other_optics=other,
         controllable_params=CONTROLLABLE_PARAMS[recipe.scheme],
     )

@@ -1,11 +1,15 @@
-"""Property test: mutated matrix files keep the CLI's error contract.
+"""Property tests: mutated matrix and recipe files keep the CLI's error contract.
 
 `verify`, `metrics` and `compile I` each read a matrix file.  Whatever the
 file holds, a command either succeeds with finite printed numbers and
 nothing on stderr, or prints one `error: <kind>: <reason>` line to stderr
 and exits with a documented code (1 only for a failed verification).
+`cost` and `simulate` each read a recipe file, and accept or reject the
+same files alike.
 """
 
+import copy
+import json
 import re
 
 import numpy as np
@@ -15,9 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qforge.cli import cli
+from qforge.compilers import FamilyParams, compile_scheme1, compile_scheme2, compile_scheme3
+from qforge.compilers import compile_scheme4_bell_diagonal
 from qforge.families import werner
-from qforge.matrix_io import format_matrix
+from qforge.matrix_io import format_matrix, load_matrix
 from qforge.qmath import projector, random_density_matrix
+from qforge.recipe_io import recipe_to_json
 
 BASES = (werner(0.5), projector(np.array([1.0, 0.0, 0.0, 0.0])), random_density_matrix(7))
 HUGE = "1" + "0" * 400  # an integer beyond double range
@@ -92,3 +99,68 @@ def test_mutated_matrix_files_keep_the_error_contract(workdir, text):
             assert res.stdout == "", case
     if recipe.exists():
         assert not NON_FINITE.search(recipe.read_text()), text
+
+
+# compiled recipes of every scheme: scheme II carries pump splits, III and IV decoherers
+RECIPES = tuple(recipe_to_json(r) for r in (
+    compile_scheme1(werner(0.5)),
+    compile_scheme2(werner(0.5)),
+    compile_scheme3(FamilyParams("mems", (0.4,))),
+    compile_scheme4_bell_diagonal(0.4, 0.3, 0.2, 0.1),
+))
+JUNK = (None, True, False, "x", "II", 0, -1, 0.5, 1e300, float("nan"), float("-inf"),
+        10**400, [], {}, [[0.5, 0.0]])
+
+
+def _slots(node):
+    """(container, key) of every value in a JSON document, nested ones included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in list(items):
+        yield node, key
+        if isinstance(value, (dict, list)):
+            yield from _slots(value)
+
+
+@st.composite
+def recipe_docs(draw):
+    """A compiled recipe with one to three edits: a key dropped, a value
+    replaced by junk, or a branch duplicated, moved or deleted."""
+    doc = json.loads(draw(st.sampled_from(RECIPES)))
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(("drop", "junk", "duplicate", "move", "delete")))
+        branches = doc.get("branches")
+        if edit in ("duplicate", "move", "delete") and isinstance(branches, list) and branches:
+            k = draw(st.integers(0, len(branches) - 1))
+            if edit == "duplicate":
+                branches.insert(k, copy.deepcopy(branches[k]))
+            elif edit == "move":
+                branches.insert(draw(st.integers(0, len(branches) - 1)), branches.pop(k))
+            else:
+                del branches[k]
+        elif edit == "drop":
+            dicts = [doc] + [c[k] for c, k in _slots(doc) if isinstance(c[k], dict) and c[k]]
+            node = draw(st.sampled_from(dicts))
+            del node[draw(st.sampled_from(sorted(node)))]
+        else:
+            node, key = draw(st.sampled_from(list(_slots(doc))))
+            node[key] = copy.deepcopy(draw(st.sampled_from(JUNK)))
+    return doc
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(doc=recipe_docs())
+def test_mutated_recipe_files_keep_the_error_contract(workdir, doc):
+    recipe, out = workdir / "bad.json", workdir / "x.txt"
+    recipe.write_text(json.dumps(doc), encoding="utf-8")
+    out.unlink(missing_ok=True)
+    runner = CliRunner()
+    cost = runner.invoke(cli, ["cost", str(recipe)])
+    sim = runner.invoke(cli, ["simulate", str(recipe), "--out", str(out)])
+    case = f"cost {cost.exit_code} {cost.stderr!r}, simulate {sim.exit_code} {sim.stderr!r}"
+    assert (cost.exit_code, cost.stderr) == (sim.exit_code, sim.stderr), case
+    if sim.exit_code == 0:
+        assert sim.stderr == "" and np.isfinite(load_matrix(out)).all(), case
+    else:
+        lines = sim.stderr.splitlines()
+        assert sim.exit_code in (2, 4) and len(lines) == 1 and ERROR_LINE.match(lines[0]), case
+        assert not out.exists() and cost.stdout == "", case

@@ -23,7 +23,8 @@ from qforge.elements import (
     dephasing_length_um,
     full_dephasing_floor_um,
 )
-from qforge.errors import BadWeights, NotFinite, OutOfRange, TimingCollision, UnsupportedTarget
+from qforge.errors import BadWeights, InconsistentRecipe, NotFinite, OutOfRange, TimingCollision
+from qforge.errors import UnsupportedTarget
 from qforge.families import bell_diagonal, collins_gisin, mems, werner
 from qforge.qmath import (
     bell_state,
@@ -34,6 +35,7 @@ from qforge.qmath import (
     random_density_matrix,
     tangle,
 )
+from qforge.recipe_io import pump_splits
 
 SM = default_spectral_model()
 DN = 0.009
@@ -87,18 +89,18 @@ def test_scheme1_round_trip_random():
 def test_scheme2_hv_target_all_lower():
     recipe = compile_scheme2(projector(np.array([0, 1, 0, 0], dtype=complex)), SM, DN)
     assert len(recipe.branches) == 1
-    split = recipe.branches[0].pump_split
-    assert np.abs(split.psi_upper).max() < 1e-12
-    assert np.linalg.norm(split.psi_lower) == pytest.approx(1.0)
-    assert split.upper_fraction == pytest.approx(0.0)
+    (split,) = pump_splits(recipe)
+    assert np.abs(split["psi_upper"]).max() < 1e-12
+    assert np.linalg.norm(split["psi_lower"]) == pytest.approx(1.0)
+    assert split["upper_fraction"] == pytest.approx(0.0)
 
 
 def test_scheme2_pump_parts_for_pure_target():
     a, b, c, d = 0.5, 0.5, 0.5, 0.5
     recipe = compile_scheme2(projector(np.array([a, b, c, d])), SM, DN)
-    split = recipe.branches[0].pump_split
-    assert np.allclose(split.psi_upper, [d, a])  # (|H>, |V>) components
-    assert np.allclose(split.psi_lower, [c, b])
+    (split,) = pump_splits(recipe)
+    assert np.allclose(split["psi_upper"], [d, a])  # (|H>, |V>) components
+    assert np.allclose(split["psi_lower"], [c, b])
 
 
 def test_scheme2_split_reconstructs_eigenstate():
@@ -106,14 +108,17 @@ def test_scheme2_split_reconstructs_eigenstate():
     for _ in range(50):
         rho = random_density_matrix(rng)
         recipe = compile_scheme2(rho, SM, DN)
-        for branch in recipe.branches:
-            rebuilt = branch.pump_split.branch_state()
+        for branch, split in zip(recipe.branches, pump_splits(recipe)):
+            # the V pump gives |HH>, the H pump |VV>; the lower path's HWP on B
+            # turns b|HH> + c|VV> into b|HV> + c|VH>
+            (d, a), (c, b) = split["psi_upper"], split["psi_lower"]
+            rebuilt = np.array([a, b, c, d]) / np.linalg.norm([a, b, c, d])
             assert abs(abs(np.vdot(rebuilt, branch.seed)) - 1.0) < 1e-10
 
 
 def test_scheme2_chain_transmissions():
     recipe = compile_scheme2(werner(0.5), SM, DN)
-    t = [b.pump_split.chain_transmission for b in recipe.branches]
+    t = [split["chain_transmission"] for split in pump_splits(recipe)]
     assert t[0] == pytest.approx(5 / 8)
     assert t[-1] == pytest.approx(1.0)
     assert all(0.0 <= x <= 1.0 for x in t)
@@ -330,6 +335,20 @@ def test_recipe_checks_scheme_delta_n_and_path_phase():
         else:
             with pytest.raises(OutOfRange, match=r"2\*\*53"):
                 dataclasses.replace(base, branches=edited)
+
+
+def test_scheme2_branches_are_amplitudes_alone():
+    base = compile_scheme2(werner(0.5), SM, DN)
+    b0, b1, *rest = base.branches
+    spdc = compile_scheme1(werner(0.5), SM, DN).branches[0]
+    merged = b0.weight + b1.weight
+    for edited in (
+        (dataclasses.replace(b0, seed=spdc.seed), b1),
+        (dataclasses.replace(b0, stages=spdc.stages), b1),
+        (dataclasses.replace(b0, weight=merged), dataclasses.replace(b1, weight=0.0)),
+    ):
+        with pytest.raises(InconsistentRecipe, match="scheme-II branch"):
+            dataclasses.replace(base, branches=edited + tuple(rest))
 
 
 # ----------------------------------------------------------- recipe_cost

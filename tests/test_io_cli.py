@@ -626,6 +626,32 @@ def _nan_chain_transmission(doc):
     doc["branches"][0]["pump_split"]["chain_transmission"] = float("nan")
 
 
+def _split_value(key, value):  # branch 0's pump split, one entry replaced
+    def edit(doc):
+        doc["branches"][0]["pump_split"][key] = value
+
+    edit.__name__ = f"_split_{key}"
+    return edit
+
+
+def _drop_split(doc):
+    del doc["branches"][0]["pump_split"]
+
+
+def _add_split(doc):  # a scheme-I branch given a split of finite numbers
+    half = [[0.5, 0.0], [0.5, 0.0]]
+    doc["branches"][0]["pump_split"] = {"psi_upper": half, "psi_lower": half,
+                                        "chain_transmission": 1.0, "upper_fraction": 0.5}
+
+
+def _relabel(scheme):
+    def edit(doc):
+        doc["scheme"] = scheme
+
+    edit.__name__ = f"_relabel_{scheme}"
+    return edit
+
+
 def _string_timing_tag(doc):
     doc["branches"][0]["timing_tag"] = "1"
 
@@ -658,6 +684,15 @@ def _note(name, value):  # a note that is not a string
         ("mems:0.4", _overflow_length, "out-of-range", 2),
         ("mems:0.4", _nan_recipe_delta_n, "not-finite", 2),
         ("collins-gisin:1.0,0.6", _nan_chain_transmission, "not-finite", 2),
+        ("collins-gisin:1.0,0.6", _split_value("psi_upper", [[0.0, 0.0]] * 2),
+         "inconsistent-recipe", 2),
+        ("collins-gisin:1.0,0.6", _split_value("chain_transmission", 0.123),
+         "inconsistent-recipe", 2),
+        ("collins-gisin:1.0,0.6", _split_value("upper_fraction", 7.5), "inconsistent-recipe", 2),
+        ("collins-gisin:1.0,0.6", _drop_split, "inconsistent-recipe", 2),
+        ("werner:0.5", _add_split, "inconsistent-recipe", 2),
+        ("mems:0.4", _relabel("II"), "inconsistent-recipe", 2),
+        ("collins-gisin:1.0,0.6", _relabel("I"), "inconsistent-recipe", 2),
         ("mems:0.4", _string_timing_tag, "recipe-parse", 2),
         ("werner:0.5", _note("nan", float("nan")), "recipe-parse", 2),
         ("werner:0.5", _note("number", 3.5), "recipe-parse", 2),
@@ -685,7 +720,7 @@ def test_cli_cost_and_simulate_reject_the_same_recipes(
     assert not (tmp_path / "x.txt").exists()
 
 
-MUTANTS = (float("nan"), float("inf"), float("-inf"), HUGE, "x", None)
+MUTANTS = (float("nan"), float("inf"), float("-inf"), HUGE, "x", None, True, False)
 
 
 def _leaves(node):

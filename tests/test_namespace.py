@@ -29,7 +29,7 @@ EXPORTS = {
     "collins_gisin", "family_d1", "mems", "mems_boundary_tangle", "werner",
     "CanonicalDecomposition", "canonical_decompose", "concurrence", "fidelity",
     "linear_entropy", "ppt_separable", "purity", "tangle", "validate_density", "Recipe",
-    "RecipeBranch", "SchemeIIPumpSplit", "FrequencyGrid", "make_grid", "simulate_chain",
+    "RecipeBranch", "pump_splits", "FrequencyGrid", "make_grid", "simulate_chain",
     "PureRecipe", "solve_pure", "verify_pure",
 }
 LAYERS = ("cli", "compilers", "elements", "errors", "families", "matrix_io", "qmath",
