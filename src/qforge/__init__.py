@@ -3,7 +3,7 @@
 The namespace is lazy: `import qforge` loads no layer, and a name below
 loads its layer on first use (`qforge.fidelity` loads qmath, and
 `qforge.compilers` the compiler stack).  `recipe_cost` and `ResourceCount`
-live in recipe_io, next to the Recipe they count; compilers re-exports them.
+live in recipe_io, next to the Recipe they count, and only there.
 """
 
 from importlib import import_module

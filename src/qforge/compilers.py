@@ -20,24 +20,18 @@ import numpy as np
 from . import qmath
 from .elements import (
     DEFAULT_DELTA_N,
-    F_FLOOR,
-    TAU_CAP,
     DecohererStage,
     LocalRotationStage,
     SpdcSourceSpec,
     SpectralModel,
     analytic_f,
-    dephasing_length_um,
     default_spectral_model,
-    full_dephasing_floor_um,
     invert_f,
     spdc_pair_state,
 )
 from .errors import BadF, OutOfRange, UnsupportedTarget
 from .families import FAMILIES, bell_weights, family_params
 from .recipe_io import RANK_EPS, Recipe, RecipeBranch
-# the resource tally lives with the Recipe it counts; re-exported for old imports
-from .recipe_io import CONTROLLABLE_PARAMS, ResourceCount, _is_identity, recipe_cost  # noqa: F401
 from .spectral import analytic_single_stage, make_grid, simulate_chain
 from .synth_pure import solve_pure
 
@@ -67,6 +61,15 @@ def branch_seed_state(branch: RecipeBranch) -> np.ndarray:
     return np.asarray(branch.seed, dtype=complex).reshape(4)
 
 
+def _solved_branch(psi, weight: float, tag: int, after: tuple = (),
+                   note: str = INCOHERENCE_NOTE) -> RecipeBranch:
+    """Branch seeded by solve_pure's source for psi: its local rotation
+    first, then the stages in after."""
+    pure = solve_pure(psi)
+    stages = (LocalRotationStage(u_a=pure.u_a, u_b=pure.u_b), *after)
+    return RecipeBranch(weight, tag, pure.source, stages, note=note)
+
+
 # ---------------------------------------------------------------------------
 # Schemes I and II: eigenstate mixing
 
@@ -89,12 +92,9 @@ def compile_scheme1(
     descending order; eigenvalues below 1e-12 are dropped.
     """
     sm = sm or default_spectral_model()
-    branches = []
-    for tag, (lam, psi) in enumerate(_eigenstates(rho), start=1):
-        pure = solve_pure(psi)
-        stages = (LocalRotationStage(u_a=pure.u_a, u_b=pure.u_b),)
-        branches.append(RecipeBranch(lam, tag, pure.source, stages, note=INCOHERENCE_NOTE))
-    return Recipe(scheme="I", branches=tuple(branches), spectral_model=sm, delta_n=delta_n)
+    branches = tuple(_solved_branch(psi, lam, tag)
+                     for tag, (lam, psi) in enumerate(_eigenstates(rho), start=1))
+    return Recipe(scheme="I", branches=branches, spectral_model=sm, delta_n=delta_n)
 
 
 def compile_scheme2(
@@ -120,22 +120,6 @@ def compile_scheme2(
 # Scheme III: one crystal set + one decoherer per arm
 
 
-def _decoherer_pair(
-    abs_f: float, sm: SpectralModel, delta_n: float
-) -> tuple[DecohererStage, DecohererStage]:
-    """Decoherers for arms A and B realizing |f| = abs_f, both at least at
-    the full-dephasing floor; targets below F_FLOOR get the tau = 8 cap."""
-    if not abs_f <= 1.0 + 1e-12:
-        raise BadF(f"|f| target {abs_f} exceeds 1")
-    abs_f = min(abs_f, 1.0)
-    if abs_f < F_FLOOR:
-        floor = full_dephasing_floor_um(sm, delta_n)
-        l1, l2 = floor + TAU_CAP * dephasing_length_um(sm, delta_n), floor
-    else:
-        l1, l2 = invert_f(abs_f, sm, delta_n)
-    return DecohererStage("A", l1, delta_n=delta_n), DecohererStage("B", l2, delta_n=delta_n)
-
-
 def _d1_branch(
     amps: np.ndarray,
     f_target: complex,
@@ -151,17 +135,19 @@ def _d1_branch(
 
     The seed's HH amplitude is pre-rotated by the target phase and by the
     conjugate of the physical decoherence phase, so the traced corner
-    lands on f_target * a * conj(d)."""
-    d_a, d_b = _decoherer_pair(abs(f_target), sm, delta_n)
-    f_phys = analytic_f(d_a, d_b, sm)
-    comp = np.exp(-1j * np.angle(f_phys))
-    if abs(f_target) > 0.0:
-        comp *= f_target / abs(f_target)
+    lands on f_target * a * conj(d).  The decoherers realize |f_target|
+    by invert_f, which caps targets below F_FLOOR, zero included."""
+    abs_f = abs(f_target)
+    if not abs_f <= 1.0 + 1e-12:
+        raise BadF(f"|f| target {abs_f} exceeds 1")
+    l1, l2 = invert_f(min(abs_f, 1.0), sm, delta_n)
+    d_a, d_b = DecohererStage("A", l1, delta_n=delta_n), DecohererStage("B", l2, delta_n=delta_n)
+    comp = np.exp(-1j * np.angle(analytic_f(d_a, d_b, sm)))
+    if abs_f > 0.0:
+        comp *= f_target / abs_f
     seed = np.array(amps, dtype=complex)
     seed[0] *= comp
-    pure = solve_pure(seed)
-    stages = (LocalRotationStage(u_a=pure.u_a, u_b=pure.u_b), d_a, d_b) + tuple(post_stages)
-    return RecipeBranch(weight=weight, timing_tag=tag, seed=pure.source, stages=stages, note=note)
+    return _solved_branch(seed, weight, tag, (d_a, d_b, *post_stages), note)
 
 
 def compile_scheme3(
@@ -252,75 +238,15 @@ def compile_scheme4_bell_diagonal(
     sm = sm or default_spectral_model()
     split = bell_diagonal_split(l1, l2, l3, l4)
     post = (LocalRotationStage(u_a=np.eye(2, dtype=complex), u_b=_SWAP_B),) if split.swapped else ()
-    branches = [
-        _d1_branch(
-            split.d1_amps,
-            split.d1_f,
-            sm,
-            delta_n,
-            weight=split.mixed_weight,
-            tag=1,
-            post_stages=post,
-            note=INCOHERENCE_NOTE,
-        )
-    ]
+    branches = [_d1_branch(split.d1_amps, split.d1_f, sm, delta_n, weight=split.mixed_weight,
+                           tag=1, post_stages=post, note=INCOHERENCE_NOTE)]
     if split.pure_weight >= RANK_EPS:
-        pure = solve_pure(split.pure_state)
-        branches.append(
-            RecipeBranch(
-                weight=split.pure_weight,
-                timing_tag=2,
-                seed=pure.source,
-                stages=(LocalRotationStage(u_a=pure.u_a, u_b=pure.u_b),),
-                note=INCOHERENCE_NOTE,
-            )
-        )
+        branches.append(_solved_branch(split.pure_state, split.pure_weight, 2))
     return Recipe(scheme="IV", branches=tuple(branches), spectral_model=sm, delta_n=delta_n)
 
 
 # ---------------------------------------------------------------------------
 # Simulation and verification
-
-
-def _branch_rho_analytic(
-    branch: RecipeBranch, sm: SpectralModel
-) -> Optional[np.ndarray]:
-    """Closed-form branch simulation, or None when the chain does not fit
-    the single-stage pattern (a rotation strictly between decoherers, or
-    decoherers with different effective birefringence)."""
-    psi = branch_seed_state(branch)
-    length_a = length_b = 0.0
-    delta_n = None
-    suffix: list[LocalRotationStage] = []
-    seen_dec = False
-    for stage in branch.stages:
-        if isinstance(stage, LocalRotationStage):
-            if seen_dec:
-                suffix.append(stage)
-            else:
-                psi = stage.u4 @ psi
-        elif isinstance(stage, DecohererStage):
-            if suffix:
-                return None
-            if delta_n is None:
-                delta_n = stage.effective_delta_n
-            elif delta_n != stage.effective_delta_n:
-                return None
-            if stage.arm == "A":
-                length_a += stage.length_um
-            else:
-                length_b += stage.length_um
-            seen_dec = True
-        else:
-            return None
-    if not seen_dec:
-        rho = qmath.projector(psi)
-    else:
-        rho = analytic_single_stage(psi, length_a, length_b, delta_n, sm)
-    for stage in suffix:
-        u4 = stage.u4
-        rho = u4 @ rho @ u4.conj().T
-    return rho
 
 
 def simulate_recipe(
@@ -330,15 +256,17 @@ def simulate_recipe(
 
     Every branch is simulated exactly (simulate_chain without a grid)
     unless grid_n asks for a grid; then the grid quadrature serves as an
-    independent check.  analytic=True evaluates single-decoherence-stage
-    branches by analytic_single_stage first.
+    independent check.  analytic=True evaluates each branch by the closed
+    form spectral.analytic_single_stage first, and sends a branch it does
+    not fit to simulate_chain.
     """
     sm = recipe.spectral_model
     grid = None if grid_n is None else make_grid(sm, grid_n)
     rho = np.zeros((4, 4), dtype=complex)
     for branch in recipe.branches:
-        part = _branch_rho_analytic(branch, sm) if analytic else None
+        psi = branch_seed_state(branch)
+        part = analytic_single_stage(psi, branch.stages, sm) if analytic else None
         if part is None:
-            part = simulate_chain(branch_seed_state(branch), branch.stages, sm, grid)
+            part = simulate_chain(psi, branch.stages, sm, grid)
         rho += branch.weight * part
     return qmath.validate_density(rho)

@@ -280,15 +280,11 @@ def invert_f(target_abs_f: float, sm: SpectralModel, delta_n: float) -> tuple[fl
     """Thicknesses (L1, L2) with |analytic_f(L1, L2)| = target_abs_f.
 
     L2 sits at the full-dephasing floor and L1 >= L2.  Targets in
-    (0, F_FLOOR) are treated as zero: the length difference is capped at
-    tau = 8, where the Gaussian is ~1.3e-14.  A target of exactly zero is
-    unreachable and raises TargetOutOfRange.
+    [0, F_FLOOR), zero included, are treated as zero: the length difference
+    is capped at tau = 8, where the Gaussian is ~1.3e-14.
     """
-    if not 0.0 < target_abs_f <= 1.0:
-        raise TargetOutOfRange(
-            f"|f| target {target_abs_f} outside (0, 1]; use lengths at the "
-            f"dephasing floor for |f| ~ 0"
-        )
+    if not 0.0 <= target_abs_f <= 1.0:
+        raise TargetOutOfRange(f"|f| target {target_abs_f} outside [0, 1]")
     tau = TAU_CAP if target_abs_f < F_FLOOR else math.sqrt(2.0 * math.log(1.0 / target_abs_f))
     floor = full_dephasing_floor_um(sm, delta_n)
     diff = tau * dephasing_length_um(sm, delta_n)

@@ -137,14 +137,16 @@ def _cmat(m: np.ndarray) -> list:
     return [_cvec(row) for row in np.asarray(m, dtype=complex)]
 
 
-def _complex(re, im) -> complex:
-    if isinstance(re, bool) or isinstance(im, bool):  # complex() would read them as 0 or 1
-        raise TypeError(f"a complex entry must hold two numbers, got [{re}, {im}]")
-    return complex(re, im)
+def _complex(z) -> complex:
+    """One [re, im] entry; any other shape, or a bool that complex() would
+    read as 0 or 1, is a TypeError."""
+    if type(z) is not list or len(z) != 2 or isinstance(z[0], bool) or isinstance(z[1], bool):
+        raise TypeError(f"a complex entry must be a list of two numbers, got {z!r:.60}")
+    return complex(z[0], z[1])
 
 
 def _vec_from(data) -> np.ndarray:
-    return np.array([_complex(re, im) for re, im in data], dtype=complex)
+    return np.array([_complex(z) for z in data], dtype=complex)
 
 
 def _stage_to_dict(stage) -> dict:
@@ -164,7 +166,7 @@ def _stage_to_dict(stage) -> dict:
 def _unitary_from(data, stage: int, arm: str) -> np.ndarray:
     """A local rotation's 2x2 matrix, checked unitary in scalar arithmetic
     (cheaper than numpy on 2x2); a NaN in any entry fails the check too."""
-    rows = [[_complex(re, im) for re, im in row] for row in data]
+    rows = [[_complex(z) for z in row] for row in data]
     try:
         (a, b), (c, d) = rows
     except ValueError:

@@ -8,13 +8,17 @@ density matrix.
 This module holds only the frequency grid and the simulators; the stage
 records they apply live in elements.
 
-simulate_chain is the one entry point.  It is exact by default: the state
+simulate_chain simulates any chain.  It is exact by default: the state
 stays a short list of delay-tagged polarization 4-vectors, and the
 Gaussian spectrum traces out in closed form.  Given a FrequencyGrid (from
 make_grid) it instead runs one private loop, _simulate_on_grid, that
 keeps one amplitude per polarization basis state and grid point, applies
 the stages slice by slice and traces frequency out by the trapezoid rule;
 that loop is the independent oracle for the exact path.
+
+analytic_single_stage is the one closed form: it gives the chain that
+schemes III and IV build (rotations, then decoherers of one birefringence,
+then rotations) in a single formula, and None for any other chain.
 
 Branch results are returned as the Hermitian part of the traced matrix,
 not validated; compilers.simulate_recipe validates their weighted sum.
@@ -158,25 +162,47 @@ def simulate_chain(
 
 
 def analytic_single_stage(
-    psi: np.ndarray,
-    length_a_um: float,
-    length_b_um: float,
-    delta_n: float,
-    sm: SpectralModel,
-) -> np.ndarray:
-    """Closed form for one decoherer per arm acting on a pure state;
-    delta_n is the effective birefringence n_V - n_H.
+    psi: np.ndarray, stages: StageList, sm: SpectralModel
+) -> np.ndarray | None:
+    """Closed form of a chain of rotations, then decoherers of one effective
+    birefringence n_V - n_H, then rotations, acting on the pure state psi;
+    None for any other chain, which simulate_chain takes instead.
 
-    Each coherence (j, k) picks up exp(i phi) exp(-(delta_eps t)^2 / 2)
-    where phi and t are the constant and eps-linear parts of the optical
-    phase difference; exact for the Gaussian spectrum.  The HH<->VV entry
-    reproduces analytic_f.
+    This is the single-stage construction of schemes III and IV: each
+    coherence (j, k) picks up exp(i phi) exp(-(delta_eps t)^2 / 2) where phi
+    and t are the constant and eps-linear parts of the optical phase
+    difference, exact for the Gaussian spectrum.  The HH<->VV entry
+    reproduces analytic_f.  A chain with no decoherer gives the projector.
     """
     psi = np.asarray(psi, dtype=complex).reshape(4)
-    da = delta_n * (_POL_A[:, None] - _POL_A[None, :]) * length_a_um
-    db = delta_n * (_POL_B[:, None] - _POL_B[None, :]) * length_b_um
+    length_a = length_b = 0.0
+    delta_n = None
+    suffix = []
+    for stage in stages:
+        if isinstance(stage, LocalRotationStage):
+            if delta_n is None:
+                psi = stage.u4 @ psi
+            else:
+                suffix.append(stage.u4)
+        elif isinstance(stage, DecohererStage) and not suffix and (
+            delta_n is None or delta_n == stage.effective_delta_n
+        ):
+            delta_n = stage.effective_delta_n
+            if stage.arm == "A":
+                length_a += stage.length_um
+            else:
+                length_b += stage.length_um
+        else:
+            return None
+    if delta_n is None:
+        return psi[:, None] * psi.conj()
+    da = delta_n * (_POL_A[:, None] - _POL_A[None, :]) * length_a
+    db = delta_n * (_POL_B[:, None] - _POL_B[None, :]) * length_b
     const = (da + db) * sm.omega / (2.0 * C_UM_PER_S)
     lin = (da - db) / C_UM_PER_S
     factors = np.exp(1j * const) * np.exp(-0.5 * (sm.delta_eps * lin) ** 2)
     rho = np.outer(psi, psi.conj()) * factors
-    return 0.5 * (rho + rho.conj().T)
+    rho = 0.5 * (rho + rho.conj().T)
+    for u4 in suffix:
+        rho = u4 @ rho @ u4.conj().T
+    return rho

@@ -13,7 +13,6 @@ from qforge.compilers import (
     compile_scheme2,
     compile_scheme3,
     compile_scheme4_bell_diagonal,
-    recipe_cost,
     simulate_recipe,
 )
 from qforge.elements import (
@@ -36,6 +35,7 @@ from qforge.qmath import (
     random_su2,
     tangle,
 )
+from qforge.recipe_io import recipe_cost
 from qforge.spectral import make_grid, simulate_chain
 from qforge.synth_pure import solve_pure, verify_pure
 

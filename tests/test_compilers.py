@@ -13,7 +13,6 @@ from qforge.compilers import (
     compile_scheme2,
     compile_scheme3,
     compile_scheme4_bell_diagonal,
-    recipe_cost,
     simulate_recipe,
 )
 from qforge.elements import (
@@ -35,7 +34,7 @@ from qforge.qmath import (
     random_density_matrix,
     tangle,
 )
-from qforge.recipe_io import pump_splits
+from qforge.recipe_io import pump_splits, recipe_cost
 
 SM = default_spectral_model()
 DN = 0.009

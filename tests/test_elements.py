@@ -177,9 +177,10 @@ def test_invert_f_round_trip_grid():
 
 
 def test_invert_f_rejects_zero_and_out_of_range():
-    for bad in (0.0, -0.1, 1.5):
+    for bad in (-0.1, 1.5):
         with pytest.raises(TargetOutOfRange):
             invert_f(bad, SM, 0.009)
+    assert invert_f(0.0, SM, 0.009) == invert_f(1e-20, SM, 0.009)  # zero takes the cap
 
 
 def test_invert_f_below_floor_capped():

@@ -15,6 +15,7 @@ from qforge.cli import cli
 from qforge.compilers import (
     FamilyParams,
     compile_scheme1,
+    compile_scheme2,
     compile_scheme3,
     compile_scheme4_bell_diagonal,
 )
@@ -664,6 +665,31 @@ def _note(name, value):  # a note that is not a string
     return edit
 
 
+def _put(name, *path, value):  # the entry at path replaced by value
+    def edit(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    edit.__name__ = f"_{name}"
+    return edit
+
+
+AMP_0 = ("branches", 0, "seed", "amps", 0)
+U_A_00 = ("branches", 0, "stages", 0, "u_a", 0, 0)
+PSI_UPPER_0 = ("branches", 0, "pump_split", "psi_upper", 0)
+
+
+def _three_row_u_a(doc):
+    u_a = doc["branches"][0]["stages"][0]["u_a"]
+    u_a.append([[0.0, 0.0], [0.0, 0.0]])
+
+
+def _three_amps(doc):
+    del doc["branches"][0]["seed"]["amps"][3]
+
+
 @pytest.mark.parametrize("command", ["cost", "simulate"])
 @pytest.mark.parametrize(
     "target, edit, kind, code",
@@ -698,6 +724,25 @@ def _note(name, value):  # a note that is not a string
         ("werner:0.5", _note("number", 3.5), "recipe-parse", 2),
         ("werner:0.5", _note("null", None), "recipe-parse", 2),
         ("werner:0.5", _note("list", ["a", "b"]), "recipe-parse", 2),
+        # a complex entry is a list of exactly two numbers
+        ("collins-gisin:1.0,0.6", _put("short_amp", *AMP_0, value=[0.6]), "recipe-parse", 2),
+        ("collins-gisin:1.0,0.6", _put("bare_amp", *AMP_0, value=0.6), "recipe-parse", 2),
+        ("mems:0.4", _put("long_u_a_entry", *U_A_00, value=[1, 0, 0]), "recipe-parse", 2),
+        ("mems:0.4", _put("bare_u_a_entry", *U_A_00, value=1), "recipe-parse", 2),
+        ("collins-gisin:1.0,0.6", _put("long_psi_upper", *PSI_UPPER_0, value=[0.6, 0, 0]),
+         "recipe-parse", 2),
+        ("collins-gisin:1.0,0.6", _put("bare_psi_upper", *PSI_UPPER_0, value=0.6),
+         "recipe-parse", 2),
+        ("mems:0.4", _put("zero_delta_eps", "spectral_model", "delta_eps", value=0),
+         "out-of-range", 2),
+        ("mems:0.4", _put("negative_omega", "spectral_model", "omega", value=-1),
+         "out-of-range", 2),
+        ("mems:0.4", _put("negative_length", "branches", 0, "stages", 1, "length_um", value=-1),
+         "out-of-range", 2),
+        ("mems:0.4", _put("negative_weight", "branches", 0, "weight", value=-1.0),
+         "bad-weights", 2),
+        ("mems:0.4", _three_row_u_a, "not-unitary", 2),
+        ("collins-gisin:1.0,0.6", _three_amps, "not-normalized", 2),
     ],
 )
 def test_cli_cost_and_simulate_reject_the_same_recipes(
@@ -718,6 +763,17 @@ def test_cli_cost_and_simulate_reject_the_same_recipes(
     _single_error_line(res, kind)
     assert res.stdout == ""
     assert not (tmp_path / "x.txt").exists()
+
+
+@pytest.mark.parametrize("entry", [[0.6], [1, 0, 0], 0.6, "ab", [True, 0], {"re": 1}])
+@pytest.mark.parametrize("compile_fn, path", [(compile_scheme2, AMP_0), (compile_scheme1, U_A_00),
+                                              (compile_scheme2, PSI_UPPER_0)],
+                         ids=["amps", "u_a", "psi_upper"])
+def test_recipe_complex_entry_is_a_list_of_two_numbers(compile_fn, path, entry):
+    doc = json.loads(recipe_to_json(compile_fn(werner(0.5))))
+    _put("bad_entry", *path, value=entry)(doc)
+    with pytest.raises(TypeError, match="^a complex entry must be a list of two numbers, got "):
+        recipe_from_json(json.dumps(doc))
 
 
 MUTANTS = (float("nan"), float("inf"), float("-inf"), HUGE, "x", None, True, False)
@@ -812,12 +868,17 @@ CLI_CONTRACT = [
      "not-finite", ""),
     pytest.param(["metrics", "{tmp}/hh.txt"], '{"l_si_um": 1%s}' % ("0" * 400), 2,
                  "not-finite", "", id="huge-int-default"),
+    (["compile", "V", "mems:0.4", "--out", "{tmp}/x.json"], None, 2, "value-error", ""),
+    (["--l-si", "0", "families", "werner", "0.5"], None, 2, "out-of-range", ""),
+    (["--pump-wavelength", "-1", "families", "werner", "0.5"], None, 2, "out-of-range", ""),
+    # a matrix path holding ':' that names no family
+    (["compile", "I", "{tmp}/h:h.txt", "--out", "{tmp}/y.json"], None, 0, None, "branches: 1"),
 ]
 
 
 @pytest.mark.parametrize("args, defaults, code, kind, stdout", CLI_CONTRACT)
 def test_cli_exit_code_contract(runner, tmp_path, args, defaults, code, kind, stdout):
-    for name, k in (("hh.txt", 0), ("vv.txt", 3)):
+    for name, k in (("hh.txt", 0), ("vv.txt", 3), ("h:h.txt", 0)):
         m = np.zeros((4, 4), dtype=complex)
         m[k, k] = 1.0
         save_matrix(tmp_path / name, m)

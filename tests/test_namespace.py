@@ -1,10 +1,13 @@
-"""The lazy package namespace, and the layers each CLI command loads.
+"""The lazy package namespace, the layers each CLI command loads, and the
+layer functions the benchmark measures by name.
 
 What a command loads is checked in a fresh interpreter per command: this
 test process has long since imported every layer.
 """
 
+import ast
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -78,12 +81,10 @@ def test_namespace_names_are_the_layer_objects():
 
 
 def test_resource_tally_lives_in_recipe_io():
-    from qforge import compilers, recipe_io
+    from qforge import recipe_io
 
-    assert qforge.recipe_cost is compilers.recipe_cost is recipe_io.recipe_cost
-    assert qforge.ResourceCount is compilers.ResourceCount is recipe_io.ResourceCount
-    assert compilers.CONTROLLABLE_PARAMS is recipe_io.CONTROLLABLE_PARAMS
-    assert compilers._is_identity is recipe_io._is_identity
+    assert qforge.recipe_cost is recipe_io.recipe_cost
+    assert qforge.ResourceCount is recipe_io.ResourceCount
     assert recipe_io.recipe_cost.__module__ == "qforge.recipe_io"
 
 
@@ -128,3 +129,20 @@ def test_cli_command_loads_only_its_layers(tmp_path, args, unloaded):
     assert "qforge.cli" in loaded
     assert not unloaded & loaded, sorted(unloaded & loaded)
     assert ("qforge.recipe_io" in loaded) == (args[0] == "cost")
+
+
+def test_benchmark_measures_public_layer_functions():
+    """perfbench/run.py times and counts qforge functions by their
+    "<layer>.<function>" names, and its traced run stops with "not measured"
+    for a name the tracer cannot wrap: each must name a public function that
+    its layer defines.  The tuples are read from the source, not imported."""
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "run.py").read_text())
+    tables = {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.Assign) and len(node.targets) == 1
+              and getattr(node.targets[0], "id", None) in ("TIMED", "COUNTED")}
+    assert set(tables) == {"TIMED", "COUNTED"}
+    for name in tables["TIMED"] + tables["COUNTED"]:
+        layer, func = name.split(".")
+        fn = getattr(importlib.import_module(f"qforge.{layer}"), func, None)
+        assert not func.startswith("_") and inspect.isfunction(fn), name
+        assert fn.__module__ == f"qforge.{layer}", name

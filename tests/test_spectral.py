@@ -151,7 +151,7 @@ def test_analytic_single_stage_matches_grid():
         l2 = FLOOR + float(rng.uniform(0, 2000.0))
         stages = [DecohererStage("A", l1, DN), DecohererStage("B", l2, DN)]
         grid_rho = simulate_chain(psi, stages, SM, GRID)
-        closed = analytic_single_stage(psi, l1, l2, DN, SM)
+        closed = analytic_single_stage(psi, stages, SM)
         assert np.abs(grid_rho - closed).max() < 1e-6
 
 
@@ -235,7 +235,7 @@ def test_exact_matches_analytic_single_stage():
         l2 = float(rng.uniform(0.0, 3.0 * FLOOR))
         stages = [DecohererStage("A", l1, DN), DecohererStage("B", l2, DN)]
         exact = simulate_chain(psi, stages, SM)
-        closed = analytic_single_stage(psi, l1, l2, DN, SM)
+        closed = analytic_single_stage(psi, stages, SM)
         assert np.abs(exact - closed).max() <= 1e-12
 
 

@@ -3,9 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
+from qforge.compilers import compile_scheme1, simulate_recipe
 from qforge.errors import NotNormalized
-from qforge.qmath import bell_state, random_pure_state, random_su2
-from qforge.synth_pure import solve_pure, verify_pure
+from qforge.qmath import bell_state, fidelity, projector, random_pure_state, random_su2
+from qforge.synth_pure import PRODUCT_THRESHOLD, SEAM_BAND, solve_pure, verify_pure
 
 
 def det2(psi):
@@ -162,3 +163,27 @@ def test_exact_across_the_seam():
             assert 1.0 - abs(overlap) <= 1e-14, f"k={k}"
             phase = overlap / abs(overlap)
             assert np.abs(produced * phase - psi).max() <= 1e-11, f"k={k}"
+
+
+def _inner_or_outer_block_targets():
+    """Pure states with only HV/VH (or only HH/VV) amplitudes."""
+    rng = np.random.default_rng(31)
+    fixed = [(0, 0.6, 0.8, 0), (0, 0.8, -0.6j, 0), (0, 0.6j, 0.8, 0), (0.8, 0, 0, 0.6)]
+    targets = [np.array(v, dtype=complex) for v in fixed]
+    for _ in range(8):
+        v = np.zeros(4, dtype=complex)
+        v[1:3] = rng.normal(size=2) + 1j * rng.normal(size=2)
+        targets.append(v / np.linalg.norm(v))
+    return targets
+
+
+@pytest.mark.parametrize("psi", _inner_or_outer_block_targets())
+def test_generic_branch_anti_diagonal_rotations(psi):
+    """These targets need an anti-diagonal U_A or U_B: the sub-branches of
+    the generic solver that fix that rotation's phase by convention."""
+    assert abs(det2(psi)) >= PRODUCT_THRESHOLD and 1.0 - 2.0 * abs(det2(psi)) >= SEAM_BAND
+    recipe = solve_pure(psi)
+    assert min(abs(recipe.u_a[0, 0]), abs(recipe.u_b[0, 0])) <= 1e-12
+    assert 1.0 - verify_pure(recipe, psi) <= 1e-12
+    rho = projector(psi)
+    assert 1.0 - fidelity(simulate_recipe(compile_scheme1(rho)), rho) <= 1e-12
