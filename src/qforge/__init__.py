@@ -9,12 +9,13 @@ live in recipe_io, next to the Recipe they count, and only there.
 from importlib import import_module
 
 _EXPORTS = {
-    "compilers": "FamilyParams bell_diagonal_split compile_scheme1 compile_scheme2 "
-                 "compile_scheme3 compile_scheme4_bell_diagonal simulate_recipe",
+    "compilers": "bell_diagonal_split compile_scheme1 compile_scheme2 compile_scheme3 "
+                 "compile_scheme4_bell_diagonal simulate_recipe",
     "elements": "DecohererStage LocalRotationStage SpdcSourceSpec SpectralModel WaveplateSpec "
                 "analytic_f default_spectral_model invert_f spdc_pair_state su2_to_waveplates "
                 "waveplate_unitary",
-    "families": "bell_diagonal collins_gisin family_d1 mems mems_boundary_tangle werner",
+    "families": "FamilyParams bell_diagonal collins_gisin family_d1 mems mems_boundary_tangle "
+                "werner",
     "qmath": "CanonicalDecomposition canonical_decompose concurrence fidelity linear_entropy "
              "ppt_separable purity tangle validate_density",
     "recipe_io": "Recipe RecipeBranch ResourceCount pump_splits recipe_cost",

@@ -5,6 +5,7 @@ Examples:
     qforge families werner 0.5 --out werner.txt
     qforge compile I werner.txt --out recipe.json
     qforge compile III mems:0.4 --out mems.json
+    qforge compile III mems:0.4 --out - > mems.json
     qforge simulate mems.json --out produced.txt
     qforge simulate mems.json --out oracle.txt --grid-n 2049
     qforge verify werner.txt produced.txt --min-fidelity 0.999
@@ -28,7 +29,12 @@ and recipe_io.
 
 The env var QFORGE_DEFAULTS may point to a JSON file overriding the
 physical constants, e.g. {"delta_n": 0.009, "l_si_um": 100.0,
-"pump_wavelength_nm": 351.0}; explicit flags win over the file.
+"pump_wavelength_nm": 351.0}; explicit flags win over the file.  The group
+turns them into one SpectralModel, delta_n included, and passes it to the
+commands; a family target is parsed into one families.FamilyParams.
+
+Every --out takes '-' for stdout; compile then writes the recipe alone,
+without its summary.
 """
 
 from __future__ import annotations
@@ -37,7 +43,6 @@ import os
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 
 import click
@@ -45,14 +50,7 @@ import numpy as np
 
 from . import families as fam
 from . import matrix_io, qmath
-from .elements import (
-    DEFAULT_DELTA_N,
-    DEFAULT_L_SI_UM,
-    DEFAULT_PUMP_WAVELENGTH_NM,
-    SpectralModel,
-    check_finite,
-    default_spectral_model,
-)
+from .elements import check_finite, default_spectral_model
 from .errors import DefaultsFile, QforgeError, RecipeParse, TimingCollision
 from .errors import UnsupportedTarget, VerificationFailed
 
@@ -113,12 +111,6 @@ class _ErrorBoundary(click.Group):
             return super().invoke(ctx)
 
 
-@dataclass
-class Settings:
-    spectral_model: SpectralModel
-    delta_n: float
-
-
 def _load_defaults_file() -> dict:
     path = os.environ.get("QFORGE_DEFAULTS")
     if not path:
@@ -142,16 +134,12 @@ def _load_defaults_file() -> dict:
 @click.pass_context
 def cli(ctx, delta_n, l_si, pump_wavelength):
     """Compile and simulate two-photon polarization mixed-state recipes."""
+    # a flag beats the file, which beats default_spectral_model's own default
+    flags = {"delta_n": delta_n, "l_si_um": l_si, "pump_wavelength_nm": pump_wavelength}
     file_defaults = _load_defaults_file()
-    dn = delta_n if delta_n is not None else file_defaults.get("delta_n", DEFAULT_DELTA_N)
-    lsi = l_si if l_si is not None else file_defaults.get("l_si_um", DEFAULT_L_SI_UM)
-    wl = (
-        pump_wavelength
-        if pump_wavelength is not None
-        else file_defaults.get("pump_wavelength_nm", DEFAULT_PUMP_WAVELENGTH_NM)
-    )
-    check_finite(delta_n=dn)
-    ctx.obj = Settings(default_spectral_model(l_si_um=lsi, pump_wavelength_nm=wl), dn)
+    chosen = {key: file_defaults[key] for key in flags if key in file_defaults}
+    chosen.update((key, flag) for key, flag in flags.items() if flag is not None)
+    ctx.obj = default_spectral_model(**chosen)
 
 
 def _write_text(out: str, text: str):
@@ -189,9 +177,9 @@ _FAMILY_USAGE = " | ".join(
 @click.argument("params", nargs=-1)
 @click.option("--out", "-o", default="-", help="Output path ('-' for stdout).")
 def families(family, params, out):
-    key, params = fam.family_params(family, params)
-    m = fam.FAMILIES[key].matrix(*params)
-    label = f"{key}({', '.join(f'{p:.6g}' for p in params)})"
+    t = fam.FamilyParams(family, params)
+    m = fam.FAMILIES[t.kind].matrix(*t.params)
+    label = f"{t.kind}({', '.join(f'{p:.6g}' for p in t.params)})"
     _write_text(out, matrix_io.format_matrix(m, comments=(label,)))
 
 
@@ -205,14 +193,14 @@ def _parse_scheme(s: str) -> str:
 
 
 def _parse_target(target: str):
-    """Return ('family', kind, params) or ('matrix', path)."""
+    """Return a FamilyParams, or the matrix file path."""
     if ":" in target:
         name, _, rest = target.partition(":")
         try:
-            return ("family", *fam.family_params(name, [x for x in rest.split(",") if x.strip()]))
+            return fam.FamilyParams(name, [x for x in rest.split(",") if x.strip()])
         except UnsupportedTarget:
             pass  # not a family name: a path holding ':'
-    return ("matrix", target)
+    return target
 
 
 def _print_cost_table(recipe):
@@ -228,38 +216,39 @@ def _print_cost_table(recipe):
 @cli.command(name="compile")
 @click.argument("scheme")
 @click.argument("target")
-@click.option("--out", "-o", required=True, help="Recipe output path.")
+@click.option("--out", "-o", required=True,
+              help="Recipe output path ('-' for stdout, which then holds the recipe alone).")
 @click.pass_obj
-def compile_cmd(settings, scheme, target, out):
+def compile_cmd(sm, scheme, target, out):
     """Compile a target into a synthesis recipe.
 
     TARGET is a matrix file (schemes I, II) or a family spec like
     'mems:0.4', 'werner:0.5', 'collins-gisin:0.5,0.5236',
     'd1:0.5,0.5,0.5,0.5,0.8' (scheme III) or
-    'bell-diagonal:0.4,0.3,0.2,0.1' (scheme IV).
+    'bell-diagonal:0.4,0.3,0.2,0.1' (scheme IV).  The summary and the
+    cost table follow unless the recipe goes to stdout.
     """
-    from . import recipe_io
-    from .compilers import FamilyParams, compile_scheme1, compile_scheme2, compile_scheme3
+    from .compilers import compile_scheme1, compile_scheme2, compile_scheme3
     from .compilers import compile_scheme4_bell_diagonal
+    from .recipe_io import recipe_to_json
 
     scheme = _parse_scheme(scheme)
-    kind = _parse_target(target)
-    sm, dn = settings.spectral_model, settings.delta_n
+    t = _parse_target(target)
+    family = isinstance(t, fam.FamilyParams)
     if scheme in ("I", "II"):
-        if kind[0] == "family":
-            rho = fam.FAMILIES[kind[1]].matrix(*kind[2])
-        else:
-            rho = _load_validated(kind[1])
-        recipe = compile_scheme1(rho, sm, dn) if scheme == "I" else compile_scheme2(rho, sm, dn)
+        rho = fam.FAMILIES[t.kind].matrix(*t.params) if family else _load_validated(t)
+        recipe = compile_scheme1(rho, sm) if scheme == "I" else compile_scheme2(rho, sm)
     elif scheme == "III":
-        if kind[0] != "family":
+        if not family:
             raise UnsupportedTarget("scheme III takes a family spec, not a raw matrix")
-        recipe = compile_scheme3(FamilyParams(kind[1], kind[2]), sm, dn)
+        recipe = compile_scheme3(t, sm)
     else:  # IV takes the family that has no scheme-III seed
-        if kind[0] != "family" or fam.FAMILIES[kind[1]].seed is not None:
+        if not family or fam.FAMILIES[t.kind].seed is not None:
             raise UnsupportedTarget("scheme IV takes a bell-diagonal:l1,l2,l3,l4 target")
-        recipe = compile_scheme4_bell_diagonal(*kind[2], sm=sm, delta_n=dn)
-    recipe_io.save_recipe(out, recipe)
+        recipe = compile_scheme4_bell_diagonal(*t.params, sm=sm)
+    _write_text(out, recipe_to_json(recipe))
+    if out == "-":
+        return
     weights = " ".join(f"{b.weight:.6g}" for b in recipe.branches)
     click.echo(f"branches: {len(recipe.branches)}  weights: {weights}")
     _print_cost_table(recipe)

@@ -7,6 +7,10 @@ Four schemes:
   III one crystal set plus one decoherer per arm, for the named families;
   IV  hybrid: a scheme-III mixed part incoherently combined with one
       extra pure state, enough for any Bell-diagonal target.
+
+Each compiler takes its target and a SpectralModel; the model's delta_n
+is the birefringence of every decoherer emitted.  A family target is a
+families.FamilyParams, imported here under the same name.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import numpy as np
 
 from . import qmath
 from .elements import (
-    DEFAULT_DELTA_N,
     DecohererStage,
     LocalRotationStage,
     SpdcSourceSpec,
@@ -29,29 +32,13 @@ from .elements import (
     invert_f,
     spdc_pair_state,
 )
-from .errors import BadF, OutOfRange, UnsupportedTarget
-from .families import FAMILIES, bell_weights, family_params
+from .errors import UnsupportedTarget
+from .families import FAMILIES, FamilyParams, bell_weights
 from .recipe_io import RANK_EPS, Recipe, RecipeBranch
 from .spectral import analytic_single_stage, make_grid, simulate_chain
 from .synth_pure import solve_pure
 
 INCOHERENCE_NOTE = "path delay exceeds the pump coherence length"
-
-
-@dataclass(frozen=True)
-class FamilyParams:
-    """A named family target: kind plus its real parameters."""
-
-    kind: str
-    params: tuple
-
-    def __post_init__(self):
-        try:
-            kind, params = family_params(self.kind, self.params)
-        except UnsupportedTarget:
-            raise OutOfRange(f"unknown family {self.kind!r}; known: {tuple(FAMILIES)}") from None
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "params", params)
 
 
 def branch_seed_state(branch: RecipeBranch) -> np.ndarray:
@@ -81,11 +68,7 @@ def _eigenstates(rho: np.ndarray) -> list:
             if lam >= RANK_EPS]
 
 
-def compile_scheme1(
-    rho: np.ndarray,
-    sm: Optional[SpectralModel] = None,
-    delta_n: float = DEFAULT_DELTA_N,
-) -> Recipe:
+def compile_scheme1(rho: np.ndarray, sm: Optional[SpectralModel] = None) -> Recipe:
     """One crystal set per eigenstate, pump attenuated to the eigenvalue.
 
     Branch weights are exactly the eigenvalues of the target, in
@@ -94,14 +77,10 @@ def compile_scheme1(
     sm = sm or default_spectral_model()
     branches = tuple(_solved_branch(psi, lam, tag)
                      for tag, (lam, psi) in enumerate(_eigenstates(rho), start=1))
-    return Recipe(scheme="I", branches=branches, spectral_model=sm, delta_n=delta_n)
+    return Recipe(scheme="I", branches=branches, spectral_model=sm)
 
 
-def compile_scheme2(
-    rho: np.ndarray,
-    sm: Optional[SpectralModel] = None,
-    delta_n: float = DEFAULT_DELTA_N,
-) -> Recipe:
+def compile_scheme2(rho: np.ndarray, sm: Optional[SpectralModel] = None) -> Recipe:
     """Single crystal set; each eigenstate comes from one pump split.
 
     Branches as in scheme I, each seeded with its eigenstate's amplitudes
@@ -113,35 +92,28 @@ def compile_scheme2(
     sm = sm or default_spectral_model()
     branches = tuple(RecipeBranch(lam, tag, np.array(psi, dtype=complex), note=INCOHERENCE_NOTE)
                      for tag, (lam, psi) in enumerate(_eigenstates(rho), start=1))
-    return Recipe(scheme="II", branches=branches, spectral_model=sm, delta_n=delta_n)
+    return Recipe(scheme="II", branches=branches, spectral_model=sm)
 
 
 # ---------------------------------------------------------------------------
 # Scheme III: one crystal set + one decoherer per arm
 
 
-def _d1_branch(
-    amps: np.ndarray,
-    f_target: complex,
-    sm: SpectralModel,
-    delta_n: float,
-    weight: float,
-    tag: int,
-    post_stages: tuple = (),
-    note: str = "",
-) -> RecipeBranch:
+def _d1_branch(amps: np.ndarray, f_target: complex, sm: SpectralModel, weight: float, tag: int,
+               post_stages: tuple = (), note: str = "") -> RecipeBranch:
     """Branch producing the single-stage family state of the given
     amplitudes and decoherence factor.
 
     The seed's HH amplitude is pre-rotated by the target phase and by the
     conjugate of the physical decoherence phase, so the traced corner
-    lands on f_target * a * conj(d).  The decoherers realize |f_target|
-    by invert_f, which caps targets below F_FLOOR, zero included."""
+    lands on f_target * a * conj(d).  The decoherers, of birefringence
+    sm.delta_n, realize |f_target| by invert_f, which caps targets below
+    F_FLOOR, zero included.  Callers bound |f_target| by 1 + 1e-12 (the d1
+    family checks it, the MEMS, Werner and Bell-diagonal splits give at
+    most 1); the excess is clamped."""
     abs_f = abs(f_target)
-    if not abs_f <= 1.0 + 1e-12:
-        raise BadF(f"|f| target {abs_f} exceeds 1")
-    l1, l2 = invert_f(min(abs_f, 1.0), sm, delta_n)
-    d_a, d_b = DecohererStage("A", l1, delta_n=delta_n), DecohererStage("B", l2, delta_n=delta_n)
+    l1, l2 = invert_f(min(abs_f, 1.0), sm, sm.delta_n)
+    d_a, d_b = DecohererStage("A", l1, sm.delta_n), DecohererStage("B", l2, sm.delta_n)
     comp = np.exp(-1j * np.angle(analytic_f(d_a, d_b, sm)))
     if abs_f > 0.0:
         comp *= f_target / abs_f
@@ -150,11 +122,7 @@ def _d1_branch(
     return _solved_branch(seed, weight, tag, (d_a, d_b, *post_stages), note)
 
 
-def compile_scheme3(
-    target: FamilyParams,
-    sm: Optional[SpectralModel] = None,
-    delta_n: float = DEFAULT_DELTA_N,
-) -> Recipe:
+def compile_scheme3(target: FamilyParams, sm: Optional[SpectralModel] = None) -> Recipe:
     """Single branch: family seed state, one decoherer per arm.
 
     MEMS branch II uses |f| = 3r/2 (r <= 2/3 keeps it within [0, 1]),
@@ -166,8 +134,8 @@ def compile_scheme3(
         raise UnsupportedTarget(f"{target.kind} targets need scheme IV")
     sm = sm or default_spectral_model()
     amps, f_target = seed(*target.params)
-    branch = _d1_branch(amps, f_target, sm, delta_n, weight=1.0, tag=1)
-    return Recipe(scheme="III", branches=(branch,), spectral_model=sm, delta_n=delta_n)
+    branch = _d1_branch(amps, f_target, sm, weight=1.0, tag=1)
+    return Recipe(scheme="III", branches=(branch,), spectral_model=sm)
 
 
 # ---------------------------------------------------------------------------
@@ -223,14 +191,8 @@ def bell_diagonal_split(l1: float, l2: float, l3: float, l4: float) -> BellDiago
 _SWAP_B = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
-def compile_scheme4_bell_diagonal(
-    l1: float,
-    l2: float,
-    l3: float,
-    l4: float,
-    sm: Optional[SpectralModel] = None,
-    delta_n: float = DEFAULT_DELTA_N,
-) -> Recipe:
+def compile_scheme4_bell_diagonal(l1: float, l2: float, l3: float, l4: float,
+                                  sm: Optional[SpectralModel] = None) -> Recipe:
     """Two branches: a single-stage mixed part of weight 1 - |l3 - l4| and
     the Bell state (|HV> + sgn(l3 - l4)|VH>)/sqrt(2) of weight |l3 - l4|
     (pairs swapped when |l3 - l4| > 1/2).  The pure part never outweighs
@@ -238,11 +200,11 @@ def compile_scheme4_bell_diagonal(
     sm = sm or default_spectral_model()
     split = bell_diagonal_split(l1, l2, l3, l4)
     post = (LocalRotationStage(u_a=np.eye(2, dtype=complex), u_b=_SWAP_B),) if split.swapped else ()
-    branches = [_d1_branch(split.d1_amps, split.d1_f, sm, delta_n, weight=split.mixed_weight,
-                           tag=1, post_stages=post, note=INCOHERENCE_NOTE)]
+    branches = [_d1_branch(split.d1_amps, split.d1_f, sm, weight=split.mixed_weight, tag=1,
+                           post_stages=post, note=INCOHERENCE_NOTE)]
     if split.pure_weight >= RANK_EPS:
         branches.append(_solved_branch(split.pure_state, split.pure_weight, 2))
-    return Recipe(scheme="IV", branches=tuple(branches), spectral_model=sm, delta_n=delta_n)
+    return Recipe(scheme="IV", branches=tuple(branches), spectral_model=sm)
 
 
 # ---------------------------------------------------------------------------

@@ -54,14 +54,18 @@ def check_finite(**values: float) -> None:
 
 @dataclass(frozen=True)
 class SpectralModel:
-    """Gaussian downconversion spectrum parameters.
+    """Gaussian downconversion spectrum parameters and the decoherers'
+    birefringence.
 
     delta_eps is the half-width of |A(eps)|^2 and omega the pump central
-    frequency, both in rad/s.
+    frequency, both in rad/s.  delta_n = n_V - n_H is the birefringence the
+    compilers give every decoherer they emit; it is checked finite, and
+    zero is allowed (schemes I and II emit no decoherer).
     """
 
     delta_eps: float
     omega: float
+    delta_n: float = DEFAULT_DELTA_N
 
     def __post_init__(self):
         check_finite(delta_eps=self.delta_eps, omega=self.omega)
@@ -69,6 +73,7 @@ class SpectralModel:
             raise OutOfRange(f"delta_eps must be positive, got {self.delta_eps}")
         if self.omega <= 0.0:
             raise OutOfRange(f"omega must be positive, got {self.omega}")
+        check_finite(delta_n=self.delta_n)  # last: a bad delta_eps or omega is named first
 
     @property
     def l_si_um(self) -> float:
@@ -79,16 +84,18 @@ class SpectralModel:
 def default_spectral_model(
     l_si_um: float = DEFAULT_L_SI_UM,
     pump_wavelength_nm: float = DEFAULT_PUMP_WAVELENGTH_NM,
+    delta_n: float = DEFAULT_DELTA_N,
 ) -> SpectralModel:
-    """Spectral model from photon coherence length and pump wavelength."""
-    check_finite(l_si=l_si_um, pump_wavelength=pump_wavelength_nm)
+    """Spectral model from photon coherence length, pump wavelength and
+    decoherer birefringence."""
+    check_finite(delta_n=delta_n, l_si=l_si_um, pump_wavelength=pump_wavelength_nm)
     if l_si_um <= 0.0:
         raise OutOfRange(f"l_si must be positive, got {l_si_um}")
     if pump_wavelength_nm <= 0.0:
         raise OutOfRange(f"pump wavelength must be positive, got {pump_wavelength_nm}")
     delta_eps = C_UM_PER_S / l_si_um
     omega = 2.0 * math.pi * C_UM_PER_S / (pump_wavelength_nm * 1e-3)
-    return SpectralModel(delta_eps=delta_eps, omega=omega)
+    return SpectralModel(delta_eps=delta_eps, omega=omega, delta_n=delta_n)
 
 
 def spectral_amplitude(sm: SpectralModel, eps: np.ndarray) -> np.ndarray:

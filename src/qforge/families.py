@@ -4,6 +4,7 @@ All constructors return validated density matrices with real nonnegative
 off-diagonal elements (the free phase of those entries is set to zero).
 FAMILIES is the one table of families: the CLI and the compilers read
 names, parameter counts, constructors and scheme-III seeds from it.
+FamilyParams is a family target, checked once where it is built.
 """
 
 from __future__ import annotations
@@ -171,17 +172,26 @@ FAMILIES = {
 }
 
 
-def family_params(name: str, params) -> tuple[str, tuple[float, ...]]:
-    """Registry key of a family name ('Collins-Gisin' -> 'collins_gisin')
-    and the parameters as floats, checked against the family's arity."""
-    key = name.replace("-", "_").lower()
-    if key not in FAMILIES:
-        raise UnsupportedTarget(f"unknown family {name!r}; known: {', '.join(FAMILIES)}")
-    params = tuple(float(p) for p in params)
-    arity = FAMILIES[key].arity
-    if len(params) != arity:
-        raise ValueError(f"family {key} takes {arity} parameter(s), got {len(params)}")
-    return key, params
+@dataclass(frozen=True)
+class FamilyParams:
+    """A named family target, checked when built: kind is the registry key
+    of the name ('Collins-Gisin' -> 'collins_gisin'; an unknown name is
+    UnsupportedTarget) and params its parameters as floats, as many as the
+    family's arity."""
+
+    kind: str
+    params: tuple
+
+    def __post_init__(self):
+        key = self.kind.replace("-", "_").lower()
+        if key not in FAMILIES:
+            raise UnsupportedTarget(f"unknown family {self.kind!r}; known: {', '.join(FAMILIES)}")
+        params = tuple(float(p) for p in self.params)
+        arity = FAMILIES[key].arity
+        if len(params) != arity:
+            raise ValueError(f"family {key} takes {arity} parameter(s), got {len(params)}")
+        object.__setattr__(self, "kind", key)
+        object.__setattr__(self, "params", params)
 
 
 def mems_boundary_tangle(linear_entropy: float) -> float:

@@ -31,7 +31,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .elements import C_UM_PER_S, DEFAULT_DELTA_N, SpdcSourceSpec, SpectralModel, check_finite
+from .elements import C_UM_PER_S, SpdcSourceSpec, SpectralModel, check_finite
 from .elements import DecohererStage, LocalRotationStage
 from .errors import BadWeights, InconsistentRecipe, NotFinite, NotNormalized, NotUnitary, OutOfRange
 from .errors import TimingCollision
@@ -66,20 +66,20 @@ class RecipeBranch:
 @dataclass(frozen=True)
 class Recipe:
     """Incoherent mixture of branches, checked when built: a known scheme,
-    a finite delta_n, weights finite, non-negative, summing to 1; scheme-II
-    branches of amplitudes alone, weighing more than 0; branches sharing a
-    timing tag are equal; no decoherer path phase beyond MAX_PATH_PHASE."""
+    weights finite, non-negative, summing to 1; scheme-II branches of
+    amplitudes alone, weighing more than 0; branches sharing a timing tag
+    are equal; no decoherer path phase beyond MAX_PATH_PHASE.  The spectral
+    model, which carries delta_n, checks itself."""
 
     scheme: str  # "I" | "II" | "III" | "IV"
     branches: tuple
     spectral_model: SpectralModel
-    delta_n: float = DEFAULT_DELTA_N
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown recipe scheme {self.scheme!r}; use I, II, III or IV")
         weights = [b.weight for b in self.branches]
-        check_finite(delta_n=self.delta_n, **{f"weight[{k}]": w for k, w in enumerate(weights)})
+        check_finite(**{f"weight[{k}]": w for k, w in enumerate(weights)})
         if any(w < 0.0 for w in weights):
             raise BadWeights(f"negative branch weight in {weights}")
         if abs(sum(weights) - 1.0) > WEIGHT_SUM_TOL:
@@ -251,7 +251,7 @@ def recipe_to_json(recipe: Recipe) -> str:
         "spectral_model": {
             "delta_eps": recipe.spectral_model.delta_eps,
             "omega": recipe.spectral_model.omega,
-            "delta_n": recipe.delta_n,
+            "delta_n": recipe.spectral_model.delta_n,
         },
         "branches": [_branch_to_dict(b, s) for b, s in zip(recipe.branches, pump_splits(recipe))],
     }
@@ -269,14 +269,10 @@ def recipe_from_json(text: str) -> Recipe:
     if not isinstance(branches, list):
         raise TypeError(f"recipe branches must be a list, got {type(branches).__name__}")
     sm_doc = doc["spectral_model"]
-    sm = SpectralModel(delta_eps=sm_doc["delta_eps"], omega=sm_doc["omega"])
+    sm = SpectralModel(delta_eps=sm_doc["delta_eps"], omega=sm_doc["omega"],
+                       delta_n=sm_doc["delta_n"])
     parsed = [_branch_from_dict(b) for b in branches]
-    recipe = Recipe(
-        scheme=doc["scheme"],
-        branches=tuple(b for b, _ in parsed),
-        spectral_model=sm,
-        delta_n=sm_doc["delta_n"],
-    )
+    recipe = Recipe(scheme=doc["scheme"], branches=tuple(b for b, _ in parsed), spectral_model=sm)
     for k, ((_, have), want) in enumerate(zip(parsed, pump_splits(recipe))):
         if (have is None) != (want is None):
             raise InconsistentRecipe(f"branch {k} of a scheme-{recipe.scheme} recipe "

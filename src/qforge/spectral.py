@@ -33,9 +33,12 @@ import numpy as np
 
 from .elements import C_UM_PER_S, SpectralModel, spectral_amplitude
 from .elements import DecohererStage, LocalRotationStage
+from .errors import OutOfRange
 
 DEFAULT_GRID_N = 2049
 GRID_HALF_SPAN = 6.0  # grid covers +/- 6 delta_eps
+# the exact path's pair tables hold 4**K entries: K = 11 took ~0.6 GB
+MAX_EXACT_DECOHERERS = 10
 
 # polarization of each photon in the basis order HH, HV, VH, VV (0 = H, 1 = V)
 _POL_A = np.array([0, 0, 1, 1])
@@ -117,6 +120,7 @@ def simulate_chain(
 
     The term count doubles per decoherer: the compilers emit at most two
     per branch (four terms), and a chain of four decoherers holds sixteen.
+    More than MAX_EXACT_DECOHERERS raise OutOfRange; the grid takes any chain.
 
     Each factor is evaluated from the integer differences c_p - c_q, so
     pairs with the same difference get bitwise the same factor.  The
@@ -137,6 +141,10 @@ def simulate_chain(
         if isinstance(stage, LocalRotationStage):
             terms = terms @ stage.u4.T
         elif isinstance(stage, DecohererStage):
+            if len(paths) == MAX_EXACT_DECOHERERS:
+                count = sum(isinstance(s, DecohererStage) for s in stages)
+                raise OutOfRange(f"a chain of {count} decoherers exceeds the exact simulator's "
+                                 f"{MAX_EXACT_DECOHERERS}; simulate it on a grid (--grid-n)")
             path = stage.effective_delta_n * stage.length_um
             if stage.arm == "A":
                 pol, signed = _POL_A, path

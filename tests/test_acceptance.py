@@ -50,7 +50,7 @@ def report(num, text):
 
 def test_criterion_1_mems_reproduction():
     target = mems(2.0 / 3.0)  # the 1/3-entry matrix
-    recipe = compile_scheme3(FamilyParams("mems", (2.0 / 3.0,)), SM, DN)
+    recipe = compile_scheme3(FamilyParams("mems", (2.0 / 3.0,)), SM)
     f_grid = fidelity(simulate_recipe(recipe, grid_n=2049), target)
     f_analytic = fidelity(simulate_recipe(recipe, analytic=True), target)
     assert f_grid >= 0.9999
@@ -61,7 +61,7 @@ def test_criterion_1_mems_reproduction():
 def test_criterion_2_werner_reproduction():
     r = 1.0 / 3.0
     target = werner(r)  # the (1/3, 1/6) matrix
-    recipe = compile_scheme3(FamilyParams("werner", (r,)), SM, DN)
+    recipe = compile_scheme3(FamilyParams("werner", (r,)), SM)
     f_grid = fidelity(simulate_recipe(recipe, grid_n=2049), target)
     assert f_grid >= 0.9999
     # |f| target 2r/(1+r) must equal 1/2 exactly
@@ -130,8 +130,8 @@ def test_criterion_5_scheme1_scheme2_universality():
     worst1 = worst2 = 1.0
     for _ in range(1000):
         rho = random_density_matrix(rng)
-        r1 = compile_scheme1(rho, SM, DN)
-        r2 = compile_scheme2(rho, SM, DN)
+        r1 = compile_scheme1(rho, SM)
+        r2 = compile_scheme2(rho, SM)
         worst1 = min(worst1, fidelity(simulate_recipe(r1, analytic=True), rho))
         worst2 = min(worst2, fidelity(simulate_recipe(r2, analytic=True), rho))
     assert worst1 >= 1.0 - 1e-9
@@ -148,7 +148,7 @@ def test_criterion_6_scheme4_bell_diagonal():
     worst = 1.0
     for _ in range(1000):
         lam = rng.dirichlet(np.ones(4))
-        recipe = compile_scheme4_bell_diagonal(*lam, SM, DN)
+        recipe = compile_scheme4_bell_diagonal(*lam, SM)
         worst = min(worst, fidelity(simulate_recipe(recipe, analytic=True), bell_diagonal(*lam)))
         split = bell_diagonal_split(*lam)
         gap34 = abs(lam[2] - lam[3])
@@ -208,10 +208,10 @@ def test_criterion_8_tangle_entropy_plane():
 
 def test_criterion_9_resource_accounting():
     recipes = [
-        compile_scheme1(werner(0.5), SM, DN),
-        compile_scheme2(werner(0.5), SM, DN),
-        compile_scheme3(FamilyParams("mems", (2.0 / 3.0,)), SM, DN),
-        compile_scheme4_bell_diagonal(0.4, 0.3, 0.2, 0.1, SM, DN),
+        compile_scheme1(werner(0.5), SM),
+        compile_scheme2(werner(0.5), SM),
+        compile_scheme3(FamilyParams("mems", (2.0 / 3.0,)), SM),
+        compile_scheme4_bell_diagonal(0.4, 0.3, 0.2, 0.1, SM),
     ]
     nlc = [recipe_cost(r).nlc for r in recipes]
     assert nlc == [8, 2, 2, 4]

@@ -49,13 +49,13 @@ def decoherer_lengths(recipe):
 
 
 def test_scheme1_pure_target_single_branch():
-    recipe = compile_scheme1(projector(bell_state("phi+")), SM, DN)
+    recipe = compile_scheme1(projector(bell_state("phi+")), SM)
     assert len(recipe.branches) == 1
     assert recipe.branches[0].weight == pytest.approx(1.0)
 
 
 def test_scheme1_werner_half_weights():
-    recipe = compile_scheme1(werner(0.5), SM, DN)
+    recipe = compile_scheme1(werner(0.5), SM)
     assert [b.weight for b in recipe.branches] == pytest.approx([5 / 8, 1 / 8, 1 / 8, 1 / 8])
 
 
@@ -64,12 +64,12 @@ def test_scheme1_weights_equal_eigenvalues_exactly():
     for _ in range(20):
         rho = random_density_matrix(rng)
         dec = canonical_decompose(rho)
-        recipe = compile_scheme1(rho, SM, DN)
+        recipe = compile_scheme1(rho, SM)
         assert [b.weight for b in recipe.branches] == list(dec.eigenvalues)
 
 
 def test_scheme1_mems_two_thirds_two_branches():
-    recipe = compile_scheme1(mems(2.0 / 3.0), SM, DN)
+    recipe = compile_scheme1(mems(2.0 / 3.0), SM)
     assert len(recipe.branches) == 2
     assert [b.weight for b in recipe.branches] == pytest.approx([2 / 3, 1 / 3])
 
@@ -78,7 +78,7 @@ def test_scheme1_round_trip_random():
     rng = np.random.default_rng(101)
     for _ in range(100):
         rho = random_density_matrix(rng)
-        recipe = compile_scheme1(rho, SM, DN)
+        recipe = compile_scheme1(rho, SM)
         assert fidelity(simulate_recipe(recipe, analytic=True), rho) >= 1.0 - 1e-9
 
 
@@ -86,7 +86,7 @@ def test_scheme1_round_trip_random():
 
 
 def test_scheme2_hv_target_all_lower():
-    recipe = compile_scheme2(projector(np.array([0, 1, 0, 0], dtype=complex)), SM, DN)
+    recipe = compile_scheme2(projector(np.array([0, 1, 0, 0], dtype=complex)), SM)
     assert len(recipe.branches) == 1
     (split,) = pump_splits(recipe)
     assert np.abs(split["psi_upper"]).max() < 1e-12
@@ -96,7 +96,7 @@ def test_scheme2_hv_target_all_lower():
 
 def test_scheme2_pump_parts_for_pure_target():
     a, b, c, d = 0.5, 0.5, 0.5, 0.5
-    recipe = compile_scheme2(projector(np.array([a, b, c, d])), SM, DN)
+    recipe = compile_scheme2(projector(np.array([a, b, c, d])), SM)
     (split,) = pump_splits(recipe)
     assert np.allclose(split["psi_upper"], [d, a])  # (|H>, |V>) components
     assert np.allclose(split["psi_lower"], [c, b])
@@ -106,7 +106,7 @@ def test_scheme2_split_reconstructs_eigenstate():
     rng = np.random.default_rng(71)
     for _ in range(50):
         rho = random_density_matrix(rng)
-        recipe = compile_scheme2(rho, SM, DN)
+        recipe = compile_scheme2(rho, SM)
         for branch, split in zip(recipe.branches, pump_splits(recipe)):
             # the V pump gives |HH>, the H pump |VV>; the lower path's HWP on B
             # turns b|HH> + c|VV> into b|HV> + c|VH>
@@ -116,7 +116,7 @@ def test_scheme2_split_reconstructs_eigenstate():
 
 
 def test_scheme2_chain_transmissions():
-    recipe = compile_scheme2(werner(0.5), SM, DN)
+    recipe = compile_scheme2(werner(0.5), SM)
     t = [split["chain_transmission"] for split in pump_splits(recipe)]
     assert t[0] == pytest.approx(5 / 8)
     assert t[-1] == pytest.approx(1.0)
@@ -127,7 +127,7 @@ def test_scheme2_round_trip_random():
     rng = np.random.default_rng(103)
     for _ in range(100):
         rho = random_density_matrix(rng)
-        recipe = compile_scheme2(rho, SM, DN)
+        recipe = compile_scheme2(rho, SM)
         assert fidelity(simulate_recipe(recipe, analytic=True), rho) >= 1.0 - 1e-9
 
 
@@ -135,7 +135,7 @@ def test_scheme2_round_trip_random():
 
 
 def test_scheme3_mems_branch_ii_construction():
-    recipe = compile_scheme3(FamilyParams("mems", (0.4,)), SM, DN)
+    recipe = compile_scheme3(FamilyParams("mems", (0.4,)), SM)
     lengths = decoherer_lengths(recipe)
     f = analytic_f(*[s for s in recipe.branches[0].stages if isinstance(s, DecohererStage)], SM)
     assert abs(abs(f) - 0.6) < 1e-12  # |f| = 3r/2
@@ -144,13 +144,13 @@ def test_scheme3_mems_branch_ii_construction():
 
 
 def test_scheme3_werner_f_target():
-    recipe = compile_scheme3(FamilyParams("werner", (0.5,)), SM, DN)
+    recipe = compile_scheme3(FamilyParams("werner", (0.5,)), SM)
     decoherers = [s for s in recipe.branches[0].stages if isinstance(s, DecohererStage)]
     assert abs(abs(analytic_f(*decoherers, SM)) - 2.0 / 3.0) < 1e-12
 
 
 def test_scheme3_collins_gisin_equal_lengths():
-    recipe = compile_scheme3(FamilyParams("collins_gisin", (0.5, np.pi / 6)), SM, DN)
+    recipe = compile_scheme3(FamilyParams("collins_gisin", (0.5, np.pi / 6)), SM)
     lengths = decoherer_lengths(recipe)
     floor = full_dephasing_floor_um(SM, DN)
     assert lengths["A"] == lengths["B"] == floor
@@ -163,7 +163,7 @@ def test_scheme3_family_sweeps_analytic():
             FamilyParams("werner", (float(r),)),
             FamilyParams("collins_gisin", (float(r), 0.9)),
         ):
-            recipe = compile_scheme3(params, SM, DN)
+            recipe = compile_scheme3(params, SM)
             target = {
                 "mems": lambda: mems(float(r)),
                 "werner": lambda: werner(float(r)),
@@ -181,7 +181,7 @@ def test_scheme3_family_sweeps_grid():
             ("collins_gisin", collins_gisin(float(r), 0.9)),
         ):
             params = (float(r), 0.9) if kind == "collins_gisin" else (float(r),)
-            recipe = compile_scheme3(FamilyParams(kind, params), SM, DN)
+            recipe = compile_scheme3(FamilyParams(kind, params), SM)
             produced = simulate_recipe(recipe, grid_n=2049)
             assert fidelity(produced, target) >= 1.0 - 1e-6, (kind, r)
 
@@ -192,14 +192,14 @@ def test_scheme3_d1_target_complexish():
     from qforge.families import family_d1
 
     target = family_d1(*amps, -0.4)  # signed f
-    recipe = compile_scheme3(FamilyParams("d1", (*amps, -0.4)), SM, DN)
+    recipe = compile_scheme3(FamilyParams("d1", (*amps, -0.4)), SM)
     assert fidelity(simulate_recipe(recipe, analytic=True), target) >= 1.0 - 1e-9
     assert fidelity(simulate_recipe(recipe, grid_n=2049), target) >= 1.0 - 1e-6
 
 
 def test_scheme3_mems_sweep_on_boundary():
     for r in np.linspace(0.0, 1.0, 11):
-        recipe = compile_scheme3(FamilyParams("mems", (float(r),)), SM, DN)
+        recipe = compile_scheme3(FamilyParams("mems", (float(r),)), SM)
         produced = simulate_recipe(recipe, analytic=True)
         ref = mems(float(r))
         assert abs(tangle(produced) - tangle(ref)) < 1e-8
@@ -208,14 +208,14 @@ def test_scheme3_mems_sweep_on_boundary():
 
 def test_scheme3_rejects_bell_diagonal():
     with pytest.raises(UnsupportedTarget):
-        compile_scheme3(FamilyParams("bell_diagonal", (0.4, 0.3, 0.2, 0.1)), SM, DN)
+        compile_scheme3(FamilyParams("bell_diagonal", (0.4, 0.3, 0.2, 0.1)), SM)
 
 
 # ---------------------------------------------------------------- scheme IV
 
 
 def test_scheme4_example_weights():
-    recipe = compile_scheme4_bell_diagonal(0.4, 0.3, 0.2, 0.1, SM, DN)
+    recipe = compile_scheme4_bell_diagonal(0.4, 0.3, 0.2, 0.1, SM)
     assert len(recipe.branches) == 2
     assert recipe.branches[1].weight == abs(0.2 - 0.1)
     pure = branch_seed_state(recipe.branches[1])
@@ -224,7 +224,7 @@ def test_scheme4_example_weights():
 
 
 def test_scheme4_maximally_mixed_single_branch():
-    recipe = compile_scheme4_bell_diagonal(0.25, 0.25, 0.25, 0.25, SM, DN)
+    recipe = compile_scheme4_bell_diagonal(0.25, 0.25, 0.25, 0.25, SM)
     assert len(recipe.branches) == 1
     produced = simulate_recipe(recipe, analytic=True)
     assert fidelity(produced, np.eye(4) / 4.0) >= 1.0 - 1e-9
@@ -235,7 +235,7 @@ def test_scheme4_swapped_case():
     split = bell_diagonal_split(*lam)
     assert split.swapped
     assert split.pure_weight == abs(lam[0] - lam[1])
-    recipe = compile_scheme4_bell_diagonal(*lam, SM, DN)
+    recipe = compile_scheme4_bell_diagonal(*lam, SM)
     target = bell_diagonal(*lam)
     assert fidelity(simulate_recipe(recipe, analytic=True), target) >= 1.0 - 1e-9
     assert fidelity(simulate_recipe(recipe, grid_n=2049), target) >= 1.0 - 1e-6
@@ -245,7 +245,7 @@ def test_scheme4_random_simplex():
     rng = np.random.default_rng(107)
     for _ in range(100):
         lam = rng.dirichlet(np.ones(4))
-        recipe = compile_scheme4_bell_diagonal(*lam, SM, DN)
+        recipe = compile_scheme4_bell_diagonal(*lam, SM)
         target = bell_diagonal(*lam)
         assert fidelity(simulate_recipe(recipe, analytic=True), target) >= 1.0 - 1e-9
         split = bell_diagonal_split(*lam)
@@ -257,21 +257,21 @@ def test_scheme4_random_simplex():
 
 def test_scheme4_rejects_bad_weights():
     with pytest.raises(BadWeights):
-        compile_scheme4_bell_diagonal(0.5, 0.5, 0.5, -0.5, SM, DN)
+        compile_scheme4_bell_diagonal(0.5, 0.5, 0.5, -0.5, SM)
 
 
 # ------------------------------------------------------- simulate_recipe
 
 
 def test_simulate_single_pure_branch_projector():
-    recipe = compile_scheme1(projector(bell_state("psi-")), SM, DN)
+    recipe = compile_scheme1(projector(bell_state("psi-")), SM)
     rho = simulate_recipe(recipe, analytic=True)
     assert np.abs(rho - projector(bell_state("psi-"))).max() < 1e-10
 
 
 def test_simulate_grid_matches_analytic_for_scheme1():
     rho_t = random_density_matrix(5)
-    recipe = compile_scheme1(rho_t, SM, DN)
+    recipe = compile_scheme1(rho_t, SM)
     a = simulate_recipe(recipe, analytic=True)
     g = simulate_recipe(recipe, grid_n=2049)
     assert np.abs(a - g).max() < 1e-8
@@ -282,16 +282,16 @@ def test_grid_path_round_trips_all_schemes():
     for _ in range(10):
         rho = random_density_matrix(rng)
         for compiler in (compile_scheme1, compile_scheme2):
-            recipe = compiler(rho, SM, DN)
+            recipe = compiler(rho, SM)
             assert fidelity(simulate_recipe(recipe, grid_n=2049), rho) >= 1.0 - 1e-6
     for _ in range(10):
         lam = rng.dirichlet(np.ones(4))
-        recipe = compile_scheme4_bell_diagonal(*lam, SM, DN)
+        recipe = compile_scheme4_bell_diagonal(*lam, SM)
         assert fidelity(simulate_recipe(recipe, grid_n=2049), bell_diagonal(*lam)) >= 1.0 - 1e-6
 
 
 def test_timing_collision_detected():
-    base = compile_scheme1(werner(0.5), SM, DN)
+    base = compile_scheme1(werner(0.5), SM)
     b0, b1 = base.branches[0], base.branches[1]
     clash = RecipeBranch(
         weight=b1.weight,
@@ -304,25 +304,24 @@ def test_timing_collision_detected():
             scheme="I",
             branches=(b0, clash) + base.branches[2:],
             spectral_model=SM,
-            delta_n=DN,
         )
 
 
 def test_weights_must_sum_to_one():
-    base = compile_scheme1(werner(0.5), SM, DN)
+    base = compile_scheme1(werner(0.5), SM)
     b0 = base.branches[0]
     nan_weight = RecipeBranch(weight=float("nan"), timing_tag=1, seed=b0.seed, stages=b0.stages)
     for branch, error in ((b0, BadWeights), (nan_weight, NotFinite)):
         with pytest.raises(error):
-            Recipe(scheme="I", branches=(branch,), spectral_model=SM, delta_n=DN)
+            Recipe(scheme="I", branches=(branch,), spectral_model=SM)
 
 
 def test_recipe_checks_scheme_delta_n_and_path_phase():
-    base = compile_scheme3(FamilyParams("mems", (0.4,)), SM, DN)
+    base = compile_scheme3(FamilyParams("mems", (0.4,)), SM)
     with pytest.raises(ValueError, match="scheme 'V'"):
         dataclasses.replace(base, scheme="V")
     with pytest.raises(NotFinite):
-        dataclasses.replace(base, delta_n=float("nan"))
+        dataclasses.replace(SM, delta_n=float("nan"))
     # the path phase w |dn| L / 2c reaches 2**53 rad near L = 1.1e17 um at the defaults
     (branch,) = base.branches
     for length, ok in ((1.0e17, True), (1.2e17, False), (1e300, False)):
@@ -337,9 +336,9 @@ def test_recipe_checks_scheme_delta_n_and_path_phase():
 
 
 def test_scheme2_branches_are_amplitudes_alone():
-    base = compile_scheme2(werner(0.5), SM, DN)
+    base = compile_scheme2(werner(0.5), SM)
     b0, b1, *rest = base.branches
-    spdc = compile_scheme1(werner(0.5), SM, DN).branches[0]
+    spdc = compile_scheme1(werner(0.5), SM).branches[0]
     merged = b0.weight + b1.weight
     for edited in (
         (dataclasses.replace(b0, seed=spdc.seed), b1),
@@ -354,20 +353,20 @@ def test_scheme2_branches_are_amplitudes_alone():
 
 
 def test_canonical_nlc_counts():
-    r1 = compile_scheme1(werner(0.5), SM, DN)
-    r2 = compile_scheme2(werner(0.5), SM, DN)
-    r3 = compile_scheme3(FamilyParams("mems", (2.0 / 3.0,)), SM, DN)
-    r4 = compile_scheme4_bell_diagonal(0.4, 0.3, 0.2, 0.1, SM, DN)
+    r1 = compile_scheme1(werner(0.5), SM)
+    r2 = compile_scheme2(werner(0.5), SM)
+    r3 = compile_scheme3(FamilyParams("mems", (2.0 / 3.0,)), SM)
+    r4 = compile_scheme4_bell_diagonal(0.4, 0.3, 0.2, 0.1, SM)
     assert [recipe_cost(r).nlc for r in (r1, r2, r3, r4)] == [8, 2, 2, 4]
 
 
 def test_costs_within_scheme_budgets():
     budgets = {"I": 38, "II": 48, "III": 10, "IV": 26}
     recipes = [
-        compile_scheme1(werner(0.5), SM, DN),
-        compile_scheme2(werner(0.5), SM, DN),
-        compile_scheme3(FamilyParams("mems", (0.4,)), SM, DN),
-        compile_scheme4_bell_diagonal(0.4, 0.3, 0.2, 0.1, SM, DN),
+        compile_scheme1(werner(0.5), SM),
+        compile_scheme2(werner(0.5), SM),
+        compile_scheme3(FamilyParams("mems", (0.4,)), SM),
+        compile_scheme4_bell_diagonal(0.4, 0.3, 0.2, 0.1, SM),
     ]
     for recipe in recipes:
         cost = recipe_cost(recipe)
@@ -375,14 +374,14 @@ def test_costs_within_scheme_budgets():
 
 
 def test_controllable_params_column():
-    r3 = compile_scheme3(FamilyParams("werner", (0.3,)), SM, DN)
+    r3 = compile_scheme3(FamilyParams("werner", (0.3,)), SM)
     assert recipe_cost(r3).controllable_params == 10
-    r4 = compile_scheme4_bell_diagonal(0.4, 0.3, 0.2, 0.1, SM, DN)
+    r4 = compile_scheme4_bell_diagonal(0.4, 0.3, 0.2, 0.1, SM)
     assert recipe_cost(r4).controllable_params == 12
 
 
 def test_rank_deficient_targets_shrink():
     rho = 0.5 * projector(bell_state("phi+")) + 0.5 * projector(bell_state("psi+"))
-    r1 = compile_scheme1(rho, SM, DN)
+    r1 = compile_scheme1(rho, SM)
     assert len(r1.branches) == 2
     assert recipe_cost(r1).nlc == 4

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from qforge.errors import BadF, BadNorm, BadWeights, OutOfRange
+from qforge.errors import BadF, BadNorm, BadWeights, OutOfRange, UnsupportedTarget
 from qforge.families import (
+    FamilyParams,
     bell_diagonal,
     collins_gisin,
     family_d1,
@@ -140,6 +141,17 @@ def test_constructor_errors():
         family_d1(1.0, 1.0, 0.0, 0.0, 0.5)
     with pytest.raises(BadF):
         family_d1(0.5, 0.5, 0.5, 0.5, 1.5)
+
+
+def test_family_params_is_the_checked_family_target():
+    t = FamilyParams("Collins-Gisin", ("0.5", 1))
+    assert (t.kind, t.params) == ("collins_gisin", (0.5, 1.0))
+    with pytest.raises(UnsupportedTarget, match="unknown family 'ghz'"):
+        FamilyParams("ghz", (0.5,))
+    with pytest.raises(ValueError, match="family werner takes 1 parameter"):
+        FamilyParams("werner", (0.5, 0.1))
+    with pytest.raises(ValueError):
+        FamilyParams("werner", ("x",))
 
 
 def test_nan_parameters_are_rejected():

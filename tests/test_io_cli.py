@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -75,8 +76,8 @@ def test_matrix_comments_ignored():
 def test_recipe_json_round_trip_byte_identical():
     sm = default_spectral_model()
     for recipe in (
-        compile_scheme1(werner(0.5), sm, 0.009),
-        compile_scheme3(FamilyParams("mems", (0.4,)), sm, 0.009),
+        compile_scheme1(werner(0.5), sm),
+        compile_scheme3(FamilyParams("mems", (0.4,)), sm),
     ):
         text = recipe_to_json(recipe)
         again = recipe_to_json(recipe_from_json(text))
@@ -96,13 +97,21 @@ def test_recipe_file_round_trip_simulates_identically(tmp_path):
     from qforge.compilers import simulate_recipe
 
     sm = default_spectral_model()
-    recipe = compile_scheme3(FamilyParams("werner", (0.5,)), sm, 0.009)
+    recipe = compile_scheme3(FamilyParams("werner", (0.5,)), sm)
     path = tmp_path / "r.json"
     save_recipe(path, recipe)
     loaded = load_recipe(path)
     a = simulate_recipe(recipe, analytic=True)
     b = simulate_recipe(loaded, analytic=True)
     assert np.array_equal(a, b)
+
+
+def test_recipe_to_json_rejects_a_non_stage():
+    recipe = compile_scheme3(FamilyParams("werner", (0.5,)))
+    (branch,) = recipe.branches
+    odd = dataclasses.replace(branch, stages=(*branch.stages, "waveplate"))
+    with pytest.raises(TypeError, match="cannot serialize stage str"):
+        recipe_to_json(dataclasses.replace(recipe, branches=(odd,)))
 
 
 def test_recipe_rejects_unknown_version():
@@ -214,6 +223,19 @@ def test_cli_compile_scheme1_werner(runner, tmp_path):
     assert res.exit_code == 0
     assert "0.625 0.125 0.125 0.125" in res.output
     assert "8" in res.output  # NLC count
+
+
+def test_cli_compile_out_dash_writes_the_recipe_alone(runner, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for scheme, target in (("I", "werner:0.5"), ("III", "mems:0.4"),
+                           ("IV", "bell-diagonal:0.4,0.3,0.2,0.1")):
+        res = invoke(runner, "compile", scheme, target, "--out", "-")
+        assert res.exit_code == 0
+        assert res.stderr == ""
+        assert not (tmp_path / "-").exists()
+        recipe_from_json(res.stdout)
+        assert invoke(runner, "compile", scheme, target, "--out", "r.json").exit_code == 0
+        assert res.stdout_bytes == (tmp_path / "r.json").read_bytes()
 
 
 def test_cli_compile_scheme4_bell_diagonal(runner, tmp_path):
@@ -340,6 +362,21 @@ def test_cli_metrics_rejects_non_finite_matrix(runner, tmp_path):
     _single_error_line(res, "not-finite")
 
 
+def test_cli_simulate_refuses_an_exact_chain_beyond_ten_decoherers(runner, tmp_path):
+    r, bad, out = tmp_path / "r.json", tmp_path / "bad.json", tmp_path / "x.txt"
+    assert invoke(runner, "compile", "III", "mems:0.4", "--out", str(r)).exit_code == 0
+    doc = json.loads(r.read_text())
+    stages = doc["branches"][0]["stages"]  # a rotation, then the two decoherers
+    stages[1:] = stages[1:3] * 5 + stages[1:2]
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    res = invoke(runner, "simulate", str(bad), "--out", str(out))
+    assert res.exit_code == 2
+    _single_error_line(res, "out-of-range")
+    assert "a chain of 11 decoherers" in res.stderr and "--grid-n" in res.stderr
+    assert not out.exists()
+    assert invoke(runner, "simulate", str(bad), "--out", str(out), "--grid-n", "2049").exit_code == 0
+
+
 def test_cli_simulate_rejects_garbage_recipe(runner, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
@@ -422,7 +459,7 @@ def test_cli_defaults_env_file(runner, tmp_path):
     )
     assert res.exit_code == 0
     loaded = load_recipe(recipe)
-    assert loaded.delta_n == pytest.approx(0.018)
+    assert loaded.spectral_model.delta_n == pytest.approx(0.018)
     assert loaded.spectral_model.l_si_um == pytest.approx(50.0)
     # flags beat the file
     res = invoke(
@@ -432,7 +469,7 @@ def test_cli_defaults_env_file(runner, tmp_path):
         env={"QFORGE_DEFAULTS": str(defaults)},
     )
     assert res.exit_code == 0
-    assert load_recipe(recipe).delta_n == pytest.approx(0.010)
+    assert load_recipe(recipe).spectral_model.delta_n == pytest.approx(0.010)
 
 
 def test_cli_defaults_env_file_bad(runner, tmp_path):

@@ -112,6 +112,21 @@ def test_bare_import_loads_no_layer():
     assert not COMPILER_STACK.intersection(after)
 
 
+def test_family_target_loads_no_compiler_layer():
+    code = (
+        "import json, sys\n"
+        "import qforge\n"
+        "t = qforge.FamilyParams('Collins-Gisin', ['0.5', 1])\n"
+        "assert (t.kind, t.params) == ('collins_gisin', (0.5, 1.0))\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('qforge'))))\n"
+    )
+    loaded = set(json.loads(_child(code)[-1]))
+    assert "qforge.families" in loaded
+    assert not COMPILER_STACK & loaded, sorted(COMPILER_STACK & loaded)
+    # the benchmark reaches it as compilers.FamilyParams
+    assert qforge.compilers.FamilyParams is qforge.FamilyParams
+
+
 @pytest.mark.parametrize(
     "args, unloaded",
     [

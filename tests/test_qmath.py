@@ -30,10 +30,18 @@ def test_validate_rejects_bad_trace():
         validate_density(0.9 * np.eye(4) / 4.0)
 
 
-def test_validate_rejects_non_hermitian():
+def _skewed_eye():
     m = np.eye(4, dtype=complex) / 4.0
     m[0, 1] = 0.1
-    with pytest.raises(NotHermitian):
+    return m
+
+
+@pytest.mark.parametrize("m, match", [
+    (_skewed_eye(), "exceeds"),
+    (np.eye(3) / 3.0, "expected a 4x4 matrix"),
+])
+def test_validate_rejects_non_hermitian(m, match):
+    with pytest.raises(NotHermitian, match=match):
         validate_density(m)
 
 
@@ -71,6 +79,11 @@ def test_validate_accepts_one_third_mems_matrix():
     m[0, 3] = m[3, 0] = 1.0 / 3.0
     rho = validate_density(m)
     assert np.allclose(rho, m)
+
+
+def test_bell_state_rejects_unknown_name():
+    with pytest.raises(ValueError, match="unknown Bell state 'phi'"):
+        bell_state("phi")
 
 
 def test_canonical_bell_state():

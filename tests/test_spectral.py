@@ -19,6 +19,7 @@ from qforge.qmath import (
     random_su2,
     validate_density,
 )
+from qforge.errors import OutOfRange
 from qforge.spectral import analytic_single_stage, make_grid, simulate_chain
 
 SM = default_spectral_model()
@@ -239,6 +240,34 @@ def test_exact_matches_analytic_single_stage():
         assert np.abs(exact - closed).max() <= 1e-12
 
 
+def test_analytic_falls_back_to_exact_on_other_chains():
+    from qforge.compilers import Recipe, RecipeBranch, simulate_recipe
+
+    rot = rotation(np.pi / 4.0).astype(complex)
+    stages = (DecohererStage("A", FLOOR + 300.0, DN), LocalRotationStage(u_a=rot, u_b=rot),
+              DecohererStage("B", FLOOR, DN))
+    psi = random_pure_state(31)
+    assert analytic_single_stage(psi, stages, SM) is None
+    branch = RecipeBranch(weight=1.0, timing_tag=1, seed=psi, stages=stages)
+    recipe = Recipe(scheme="III", branches=(branch,), spectral_model=SM)
+    assert np.array_equal(simulate_recipe(recipe, analytic=True), simulate_recipe(recipe))
+
+
+def test_exact_path_refuses_more_than_ten_decoherers(monkeypatch):
+    from qforge import spectral
+
+    chain = [DecohererStage("AB"[k % 2], FLOOR, DN) for k in range(11)]
+    psi = bell_state("phi+")
+    with pytest.raises(OutOfRange, match="a chain of 11 decoherers exceeds the exact simulator's 10"):
+        simulate_chain(psi, chain, SM)
+    validate_density(simulate_chain(psi, chain, SM, GRID))  # the grid takes any chain
+    # the limit itself is allowed
+    monkeypatch.setattr(spectral, "MAX_EXACT_DECOHERERS", 2)
+    validate_density(simulate_chain(psi, chain[:2], SM))
+    with pytest.raises(OutOfRange, match="a chain of 3 decoherers"):
+        simulate_chain(psi, chain[:3], SM)
+
+
 def test_default_simulate_recipe_builds_no_grid(request):
     from qforge.compilers import (
         FamilyParams,
@@ -248,8 +277,8 @@ def test_default_simulate_recipe_builds_no_grid(request):
     )
 
     recipes = [
-        compile_scheme3(FamilyParams("mems", (0.4,)), SM, DN),
-        compile_scheme4_bell_diagonal(0.1, 0.2, 0.3, 0.4, sm=SM, delta_n=DN),
+        compile_scheme3(FamilyParams("mems", (0.4,)), SM),
+        compile_scheme4_bell_diagonal(0.1, 0.2, 0.3, 0.4, sm=SM),
     ]
     oracle = [simulate_recipe(r, grid_n=2049) for r in recipes]
     request.getfixturevalue("forbid_make_grid")
@@ -270,7 +299,7 @@ def test_axis_h_equals_v_with_negated_delta_n():
         )
         branch = RecipeBranch(weight=1.0, timing_tag=1, seed=random_pure_state(53),
                               stages=stages)
-        return Recipe(scheme="III", branches=(branch,), spectral_model=SM, delta_n=DN)
+        return Recipe(scheme="III", branches=(branch,), spectral_model=SM)
 
     assert DecohererStage("A", FLOOR, DN, axis="H").effective_delta_n == -DN
     h, v_minus, v_plus = recipe(DN, "H"), recipe(-DN, "V"), recipe(DN, "V")

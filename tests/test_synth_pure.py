@@ -125,9 +125,13 @@ def test_near_product_stability():
         assert verify_pure(recipe2, psi2) > 1.0 - 1e-10
 
 
-def test_rejects_unnormalized():
-    with pytest.raises(NotNormalized):
-        solve_pure(np.array([1.0, 1.0, 0.0, 0.0], dtype=complex))
+@pytest.mark.parametrize("psi, match", [
+    (np.array([1.0, 1.0, 0.0, 0.0], dtype=complex), "state norm"),
+    (np.array([0.6, 0.0, 0.8], dtype=complex), "expected 4 amplitudes"),
+])
+def test_rejects_unnormalized(psi, match):
+    with pytest.raises(NotNormalized, match=match):
+        solve_pure(psi)
 
 
 def test_rejects_nan_without_warning():
