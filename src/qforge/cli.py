@@ -6,7 +6,7 @@ Examples:
     qforge compile I werner.txt --out recipe.json
     qforge compile III mems:0.4 --out mems.json
     qforge compile III mems:0.4 --out - > mems.json
-    qforge simulate mems.json --out produced.txt
+    qforge simulate recipe.json --out produced.txt
     qforge simulate mems.json --out oracle.txt --grid-n 2049
     qforge verify werner.txt produced.txt --min-fidelity 0.999
     qforge metrics produced.txt

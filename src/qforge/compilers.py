@@ -112,8 +112,8 @@ def _d1_branch(amps: np.ndarray, f_target: complex, sm: SpectralModel, weight: f
     family checks it, the MEMS, Werner and Bell-diagonal splits give at
     most 1); the excess is clamped."""
     abs_f = abs(f_target)
-    l1, l2 = invert_f(min(abs_f, 1.0), sm, sm.delta_n)
-    d_a, d_b = DecohererStage("A", l1, sm.delta_n), DecohererStage("B", l2, sm.delta_n)
+    l1, l2 = invert_f(min(abs_f, 1.0), sm)
+    d_a, d_b = DecohererStage("A", l1), DecohererStage("B", l2)
     comp = np.exp(-1j * np.angle(analytic_f(d_a, d_b, sm)))
     if abs_f > 0.0:
         comp *= f_target / abs_f

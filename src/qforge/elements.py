@@ -58,9 +58,9 @@ class SpectralModel:
     birefringence.
 
     delta_eps is the half-width of |A(eps)|^2 and omega the pump central
-    frequency, both in rad/s.  delta_n = n_V - n_H is the birefringence the
-    compilers give every decoherer they emit; it is checked finite, and
-    zero is allowed (schemes I and II emit no decoherer).
+    frequency, both in rad/s.  delta_n = n_V - n_H is the birefringence of
+    every decoherer in a recipe; it is checked finite, and zero is allowed
+    (schemes I and II emit no decoherer).
     """
 
     delta_eps: float
@@ -231,15 +231,15 @@ class LocalRotationStage:
 @dataclass(frozen=True)
 class DecohererStage:
     """Thick birefringent crystal in one arm ('A' or 'B'): the polarization
-    named by axis sees an index delta_n above the other one."""
+    named by axis sees an index sm.delta_n, shared by every decoherer, above
+    the other one; the stage keeps no birefringence of its own."""
 
     arm: str
     length_um: float
-    delta_n: float = DEFAULT_DELTA_N
     axis: str = "V"
 
     def __post_init__(self):
-        check_finite(length_um=self.length_um, delta_n=self.delta_n)
+        check_finite(length_um=self.length_um)
         if self.length_um < 0.0:
             raise OutOfRange(f"decoherer length {self.length_um} must be >= 0")
         if self.axis not in ("H", "V"):
@@ -247,22 +247,21 @@ class DecohererStage:
         if self.arm not in ("A", "B"):
             raise ValueError(f"arm must be 'A' or 'B', got {self.arm!r}")
 
-    @property
-    def effective_delta_n(self) -> float:
-        """n_V - n_H: +delta_n for axis 'V', -delta_n for axis 'H'."""
-        return self.delta_n if self.axis == "V" else -self.delta_n
+    def effective_delta_n(self, sm: SpectralModel) -> float:
+        """n_V - n_H: +sm.delta_n for axis 'V', -sm.delta_n for axis 'H'."""
+        return sm.delta_n if self.axis == "V" else -sm.delta_n
 
 
-def dephasing_length_um(sm: SpectralModel, delta_n: float) -> float:
+def dephasing_length_um(sm: SpectralModel) -> float:
     """Length scale c / (delta_eps |delta_n|) over which coherence dies."""
-    if delta_n == 0.0:
+    if sm.delta_n == 0.0:
         raise OutOfRange("delta_n must be nonzero for a decoherer")
-    return C_UM_PER_S / (sm.delta_eps * abs(delta_n))
+    return C_UM_PER_S / (sm.delta_eps * abs(sm.delta_n))
 
 
-def full_dephasing_floor_um(sm: SpectralModel, delta_n: float) -> float:
+def full_dephasing_floor_um(sm: SpectralModel) -> float:
     """Minimum thickness used for 'fully dephasing' decoherers."""
-    return DEPHASING_FLOOR_FACTOR * dephasing_length_um(sm, delta_n)
+    return DEPHASING_FLOOR_FACTOR * dephasing_length_um(sm)
 
 
 def analytic_f(d_a: DecohererStage, d_b: DecohererStage, sm: SpectralModel) -> complex:
@@ -272,19 +271,16 @@ def analytic_f(d_a: DecohererStage, d_b: DecohererStage, sm: SpectralModel) -> c
     f = exp(-tau^2/2) exp(-i dn (L1+L2) w / 2c), tau = dn (L1-L2) delta_eps / c.
     |f| = 1 exactly when L1 = L2.
     """
-    if d_a.delta_n != d_b.delta_n or d_a.axis != d_b.axis:
-        raise MismatchedDecoherers(
-            f"decoherers differ: delta_n {d_a.delta_n} vs {d_b.delta_n}, "
-            f"axis {d_a.axis} vs {d_b.axis}"
-        )
-    dn = d_a.effective_delta_n
+    if d_a.axis != d_b.axis:
+        raise MismatchedDecoherers(f"decoherers differ: axis {d_a.axis} vs {d_b.axis}")
+    dn = d_a.effective_delta_n(sm)
     tau = dn * (d_a.length_um - d_b.length_um) * sm.delta_eps / C_UM_PER_S
     phase = -dn * (d_a.length_um + d_b.length_um) * sm.omega / (2.0 * C_UM_PER_S)
     return complex(np.exp(-0.5 * tau * tau) * np.exp(1j * phase))
 
 
-def invert_f(target_abs_f: float, sm: SpectralModel, delta_n: float) -> tuple[float, float]:
-    """Thicknesses (L1, L2) with |analytic_f(L1, L2)| = target_abs_f.
+def invert_f(target_abs_f: float, sm: SpectralModel) -> tuple[float, float]:
+    """Thicknesses (L1, L2) with |analytic_f(L1, L2)| = target_abs_f at sm.delta_n.
 
     L2 sits at the full-dephasing floor and L1 >= L2.  Targets in
     [0, F_FLOOR), zero included, are treated as zero: the length difference
@@ -293,6 +289,6 @@ def invert_f(target_abs_f: float, sm: SpectralModel, delta_n: float) -> tuple[fl
     if not 0.0 <= target_abs_f <= 1.0:
         raise TargetOutOfRange(f"|f| target {target_abs_f} outside [0, 1]")
     tau = TAU_CAP if target_abs_f < F_FLOOR else math.sqrt(2.0 * math.log(1.0 / target_abs_f))
-    floor = full_dephasing_floor_um(sm, delta_n)
-    diff = tau * dephasing_length_um(sm, delta_n)
+    floor = full_dephasing_floor_um(sm)
+    diff = tau * dephasing_length_um(sm)
     return floor + diff, floor

@@ -50,7 +50,7 @@ class BadF(ValidationError):
 
 
 class MismatchedDecoherers(QforgeError):
-    """Two decoherers that must share birefringence/axis do not."""
+    """Two decoherers that must share an axis do not."""
 
 
 class TargetOutOfRange(QforgeError, ValueError):
@@ -70,7 +70,7 @@ class VerificationFailed(QforgeError):
 
 
 class InconsistentRecipe(ValidationError):
-    """A recipe's scheme label or scheme-II pump split disagrees with its branches."""
+    """A recipe's scheme label, pump split or decoherer delta_n disagrees with the rest."""
 
 
 class RecipeParse(QforgeError):

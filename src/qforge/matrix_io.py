@@ -42,9 +42,5 @@ def parse_matrix(text: str) -> np.ndarray:
     return np.array(values, dtype=complex).reshape(4, 4)
 
 
-def save_matrix(path, m: np.ndarray, comments: tuple[str, ...] = ()) -> None:
-    Path(path).write_text(format_matrix(m, comments), encoding="utf-8")
-
-
 def load_matrix(path) -> np.ndarray:
     return parse_matrix(Path(path).read_text(encoding="utf-8"))

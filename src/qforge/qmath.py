@@ -18,6 +18,8 @@ from .errors import NotFinite, NotHermitian, NotNormalized, NotPositive, TraceNo
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_CLAMP = 1e-10  # eigenvalues in [-1e-10, 0) are treated as round-off
+NORM_TOL = 1e-9  # check_pure accepts a norm this close to 1
+PPT_TOL = 1e-10  # ppt_separable: partial-transpose eigenvalues down to -1e-10 count as >= 0
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
@@ -48,14 +50,14 @@ def projector(psi: np.ndarray) -> np.ndarray:
     return v[:, None] * v.conj()
 
 
-def check_pure(psi: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def check_pure(psi: np.ndarray) -> np.ndarray:
     """Return psi as a unit-norm complex 4-vector or raise NotNormalized."""
     v = np.asarray(psi, dtype=complex).reshape(-1)
     if v.shape != (4,):
         raise NotNormalized(f"expected 4 amplitudes, got shape {v.shape}")
     n = np.linalg.norm(v)
-    if not abs(n - 1.0) <= tol:  # NaN fails too
-        raise NotNormalized(f"state norm {n} differs from 1 by more than {tol}")
+    if not abs(n - 1.0) <= NORM_TOL:  # NaN fails too
+        raise NotNormalized(f"state norm {n} differs from 1 by more than {NORM_TOL}")
     return v / n
 
 
@@ -175,10 +177,10 @@ def partial_transpose(rho: np.ndarray) -> np.ndarray:
     return rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
 
 
-def ppt_separable(rho: np.ndarray, tol: float = 1e-10) -> bool:
+def ppt_separable(rho: np.ndarray) -> bool:
     """True iff the partial transpose is positive (two-qubit PPT <=> separable)."""
     evals = np.linalg.eigvalsh(partial_transpose(rho))
-    return bool(evals.min() >= -tol)
+    return bool(evals.min() >= -PPT_TOL)
 
 
 def random_pure_state(rng) -> np.ndarray:

@@ -18,7 +18,9 @@ round-trip repr, so serialize -> parse -> serialize is byte-identical.
 A scheme-II branch seeds from amplitudes, holds no stages and weighs more
 than 0.  Its pump split is derived in branch order (pump_splits), written
 for the lab, checked to 1e-10 when parsed and never kept; other schemes
-carry none.  A recipe that breaks these rules raises InconsistentRecipe.
+carry none.  A decoherer's delta_n is the spectral model's: written for the
+lab, checked equal when parsed, never kept.  Breaking a rule raises
+InconsistentRecipe.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ WEIGHT_SUM_TOL = 1e-10
 SEED_NORM_TOL = 1e-9
 UNITARY_TOL = 1e-10
 SPLIT_TOL = 1e-10
+IDENTITY_TOL = 1e-10  # a local unitary this close to the identity (up to phase) costs no optics
 RANK_EPS = 1e-12  # eigenvalues below this produce no branch; pump power below it is spent
 # a path phase w |dn| L / 2c beyond 2**53 rad keeps no digit mod 2 pi in a double
 MAX_PATH_PHASE = 2.0**53
@@ -69,7 +72,7 @@ class Recipe:
     weights finite, non-negative, summing to 1; scheme-II branches of
     amplitudes alone, weighing more than 0; branches sharing a timing tag
     are equal; no decoherer path phase beyond MAX_PATH_PHASE.  The spectral
-    model, which carries delta_n, checks itself."""
+    model, which carries every decoherer's delta_n, checks itself."""
 
     scheme: str  # "I" | "II" | "III" | "IV"
     branches: tuple
@@ -89,13 +92,14 @@ class Recipe:
                 raise InconsistentRecipe(f"scheme-II branch {k} must seed from amplitudes, "
                                          f"hold no stages and weigh more than 0")
         by_tag: dict = {}
+        dn = self.spectral_model.delta_n
         for b in self.branches:
-            other = by_tag.setdefault(b.timing_tag, b)
-            if other is not b and not same_branch(b, other):
+            other = by_tag.setdefault(b.timing_tag, b)  # must have the same recipe-v1 form
+            if other is not b and _branch_to_dict(b, dn) != _branch_to_dict(other, dn):
                 raise TimingCollision(f"distinct branches share timing tag {b.timing_tag}")
             for stage in b.stages:
                 if isinstance(stage, DecohererStage):
-                    path = abs(stage.delta_n) * stage.length_um
+                    path = abs(dn) * stage.length_um
                     phase = self.spectral_model.omega * path / (2.0 * C_UM_PER_S)
                     if phase > MAX_PATH_PHASE:
                         raise OutOfRange(
@@ -149,7 +153,7 @@ def _vec_from(data) -> np.ndarray:
     return np.array([_complex(z) for z in data], dtype=complex)
 
 
-def _stage_to_dict(stage) -> dict:
+def _stage_to_dict(stage, delta_n: float) -> dict:
     if isinstance(stage, LocalRotationStage):
         return {"kind": "local_unitary", "u_a": _cmat(stage.u_a), "u_b": _cmat(stage.u_b)}
     if isinstance(stage, DecohererStage):
@@ -157,7 +161,7 @@ def _stage_to_dict(stage) -> dict:
             "kind": "decoherer",
             "arm": stage.arm,
             "length_um": stage.length_um,
-            "delta_n": stage.delta_n,
+            "delta_n": delta_n,
             "axis": stage.axis,
         }
     raise TypeError(f"cannot serialize stage {type(stage).__name__}")
@@ -179,25 +183,29 @@ def _unitary_from(data, stage: int, arm: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def _stage_from_dict(data: dict, index: int):
+def _stage_from_dict(data: dict, index: int, delta_n: float):
     kind = data["kind"]
     if kind == "local_unitary":
         return LocalRotationStage(u_a=_unitary_from(data["u_a"], index, "a"),
                                   u_b=_unitary_from(data["u_b"], index, "b"))
     if kind == "decoherer":
-        return DecohererStage(
-            arm=data["arm"], length_um=data["length_um"], delta_n=data["delta_n"], axis=data["axis"]
-        )
+        arm, length, written, axis = (data[k] for k in ("arm", "length_um", "delta_n", "axis"))
+        check_finite(length_um=length, delta_n=written)
+        stage = DecohererStage(arm=arm, length_um=length, axis=axis)
+        if written != delta_n:
+            raise InconsistentRecipe(f"stage {index} delta_n {written} differs from the "
+                                     f"spectral model's {delta_n}")
+        return stage
     raise ValueError(f"unknown stage kind {kind!r}")
 
 
-def _branch_to_dict(branch: RecipeBranch, split: Optional[dict] = None) -> dict:
+def _branch_to_dict(branch: RecipeBranch, delta_n: float, split: Optional[dict] = None) -> dict:
     out: dict = {"weight": branch.weight, "timing_tag": branch.timing_tag}
     if isinstance(branch.seed, SpdcSourceSpec):
         out["seed"] = {"theta": branch.seed.theta, "phi": branch.seed.phi}
     else:
         out["seed"] = {"amps": _cvec(branch.seed)}
-    out["stages"] = [_stage_to_dict(s) for s in branch.stages]
+    out["stages"] = [_stage_to_dict(s, delta_n) for s in branch.stages]
     if split is not None:
         psi = {key: _cvec(split[key]) for key in ("psi_upper", "psi_lower")}
         out["pump_split"] = {**split, **psi}
@@ -206,7 +214,7 @@ def _branch_to_dict(branch: RecipeBranch, split: Optional[dict] = None) -> dict:
     return out
 
 
-def _branch_from_dict(data: dict) -> tuple:
+def _branch_from_dict(data: dict, delta_n: float) -> tuple:
     """The branch, and its pump split as written (checked finite) or None."""
     seed = data["seed"]
     if "theta" in seed:
@@ -234,26 +242,19 @@ def _branch_from_dict(data: dict) -> tuple:
         raise TypeError(f"timing_tag must be an integer, got {tag!r}")
     if type(note) is not str:
         raise TypeError(f"note must be a string, got {type(note).__name__}")
-    stages = tuple(_stage_from_dict(s, k) for k, s in enumerate(data["stages"]))
+    stages = tuple(_stage_from_dict(s, k, delta_n) for k, s in enumerate(data["stages"]))
     return RecipeBranch(weight=data["weight"], timing_tag=tag, seed=seed, stages=stages,
                         note=note), split
 
 
-def same_branch(b1: RecipeBranch, b2: RecipeBranch) -> bool:
-    """True when the two branches have the same recipe-v1 form."""
-    return _branch_to_dict(b1) == _branch_to_dict(b2)
-
-
 def recipe_to_json(recipe: Recipe) -> str:
+    sm = recipe.spectral_model
     doc = {
         "version": FORMAT_VERSION,
         "scheme": recipe.scheme,
-        "spectral_model": {
-            "delta_eps": recipe.spectral_model.delta_eps,
-            "omega": recipe.spectral_model.omega,
-            "delta_n": recipe.spectral_model.delta_n,
-        },
-        "branches": [_branch_to_dict(b, s) for b, s in zip(recipe.branches, pump_splits(recipe))],
+        "spectral_model": {"delta_eps": sm.delta_eps, "omega": sm.omega, "delta_n": sm.delta_n},
+        "branches": [_branch_to_dict(b, sm.delta_n, s)
+                     for b, s in zip(recipe.branches, pump_splits(recipe))],
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -271,7 +272,7 @@ def recipe_from_json(text: str) -> Recipe:
     sm_doc = doc["spectral_model"]
     sm = SpectralModel(delta_eps=sm_doc["delta_eps"], omega=sm_doc["omega"],
                        delta_n=sm_doc["delta_n"])
-    parsed = [_branch_from_dict(b) for b in branches]
+    parsed = [_branch_from_dict(b, sm.delta_n) for b in branches]
     recipe = Recipe(scheme=doc["scheme"], branches=tuple(b for b, _ in parsed), spectral_model=sm)
     for k, ((_, have), want) in enumerate(zip(parsed, pump_splits(recipe))):
         if (have is None) != (want is None):
@@ -283,10 +284,6 @@ def recipe_from_json(text: str) -> Recipe:
                 raise InconsistentRecipe(f"branch {k} pump_split {key} is off by more than "
                                          f"{SPLIT_TOL:g} from the split its seed and weight give")
     return recipe
-
-
-def save_recipe(path, recipe: Recipe) -> None:
-    Path(path).write_text(recipe_to_json(recipe), encoding="utf-8")
 
 
 def load_recipe(path) -> Recipe:
@@ -308,8 +305,8 @@ class ResourceCount:
     controllable_params: int
 
 
-def _is_identity(u: np.ndarray, tol: float = 1e-10) -> bool:
-    return abs(abs(np.trace(u)) / 2.0 - 1.0) < tol
+def _is_identity(u: np.ndarray) -> bool:
+    return abs(abs(np.trace(u)) / 2.0 - 1.0) < IDENTITY_TOL
 
 
 _PUMP_WAVEPLATES_PER_SOURCE = 2

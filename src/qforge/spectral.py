@@ -17,8 +17,8 @@ the stages slice by slice and traces frequency out by the trapezoid rule;
 that loop is the independent oracle for the exact path.
 
 analytic_single_stage is the one closed form: it gives the chain that
-schemes III and IV build (rotations, then decoherers of one birefringence,
-then rotations) in a single formula, and None for any other chain.
+schemes III and IV build (rotations, then decoherers of one axis, then
+rotations) in a single formula, and None for any other chain.
 
 Branch results are returned as the Hermitian part of the traced matrix,
 not validated; compilers.simulate_recipe validates their weighted sum.
@@ -37,6 +37,8 @@ from .errors import OutOfRange
 
 DEFAULT_GRID_N = 2049
 GRID_HALF_SPAN = 6.0  # grid covers +/- 6 delta_eps
+# a grid point costs ~210 B of peak memory: 2**20 + 1 points took ~250 MB
+MAX_GRID_N = 2**20 + 1
 # the exact path's pair tables hold 4**K entries: K = 11 took ~0.6 GB
 MAX_EXACT_DECOHERERS = 10
 
@@ -55,9 +57,12 @@ class FrequencyGrid:
 
 
 def make_grid(sm: SpectralModel, n: int = DEFAULT_GRID_N) -> FrequencyGrid:
-    """Trapezoid-rule grid over [-6 delta_eps, +6 delta_eps] with n odd points."""
+    """Trapezoid-rule grid over [-6 delta_eps, +6 delta_eps] with n odd points,
+    at most MAX_GRID_N of them (else OutOfRange, before anything is allocated)."""
     if n < 3 or n % 2 == 0:
         raise ValueError(f"grid size must be an odd integer >= 3, got {n}")
+    if n > MAX_GRID_N:
+        raise OutOfRange(f"grid size {n} is above the cap of {MAX_GRID_N} points (~210 B each)")
     pts = np.linspace(-GRID_HALF_SPAN * sm.delta_eps, GRID_HALF_SPAN * sm.delta_eps, n)
     w = np.full(n, pts[1] - pts[0])
     w[0] *= 0.5
@@ -76,7 +81,7 @@ def _simulate_on_grid(
 
     A decoherer multiplies by e^{i n_j L w_arm / c}, where arm A sees
     w/2 + eps and arm B w/2 - eps; n_j counts from n_H (n_H = 0, n_V =
-    stage.effective_delta_n), since an index common to both polarizations
+    stage.effective_delta_n(sm)), since an index common to both polarizations
     adds only a global phase per slice.  Frequency is traced out by the
     trapezoid rule, rho_jk = sum_m w_m amps[j, m] conj(amps[k, m]).
     """
@@ -91,7 +96,7 @@ def _simulate_on_grid(
                 pol, w_arm = _POL_A, 0.5 * sm.omega + grid.points
             else:
                 pol, w_arm = _POL_B, 0.5 * sm.omega - grid.points
-            n_j = stage.effective_delta_n * pol
+            n_j = stage.effective_delta_n(sm) * pol
             amps = amps * np.exp(1j * np.outer(n_j, w_arm) * (stage.length_um / C_UM_PER_S))
         else:
             raise TypeError(f"unknown stage type {type(stage).__name__}")
@@ -111,7 +116,7 @@ def simulate_chain(
     state is a set of terms v_p: a local unitary acts on every term, and
     decoherer k splits each term into its H part, unchanged, and its V
     part, whose optical path grows by P_k = dn L (dn =
-    stage.effective_delta_n).  Term p took the V part at the decoherers
+    stage.effective_delta_n(sm)).  Term p took the V part at the decoherers
     with c_pk = 1; its amplitude at eps is v_p e^{i w s_p / 2c} e^{i eps
     t_p} with s_p = sum_k c_pk P_k and t_p = sum_k c_pk (+-P_k) / c, + on
     arm A and - on arm B.  Tracing out the Gaussian spectrum gives
@@ -145,7 +150,7 @@ def simulate_chain(
                 count = sum(isinstance(s, DecohererStage) for s in stages)
                 raise OutOfRange(f"a chain of {count} decoherers exceeds the exact simulator's "
                                  f"{MAX_EXACT_DECOHERERS}; simulate it on a grid (--grid-n)")
-            path = stage.effective_delta_n * stage.length_um
+            path = stage.effective_delta_n(sm) * stage.length_um
             if stage.arm == "A":
                 pol, signed = _POL_A, path
             else:
@@ -172,9 +177,9 @@ def simulate_chain(
 def analytic_single_stage(
     psi: np.ndarray, stages: StageList, sm: SpectralModel
 ) -> np.ndarray | None:
-    """Closed form of a chain of rotations, then decoherers of one effective
-    birefringence n_V - n_H, then rotations, acting on the pure state psi;
-    None for any other chain, which simulate_chain takes instead.
+    """Closed form of a chain of rotations, then decoherers of one axis, then
+    rotations, acting on the pure state psi; None for any other chain, which
+    simulate_chain takes instead.
 
     This is the single-stage construction of schemes III and IV: each
     coherence (j, k) picks up exp(i phi) exp(-(delta_eps t)^2 / 2) where phi
@@ -193,9 +198,9 @@ def analytic_single_stage(
             else:
                 suffix.append(stage.u4)
         elif isinstance(stage, DecohererStage) and not suffix and (
-            delta_n is None or delta_n == stage.effective_delta_n
+            delta_n is None or delta_n == stage.effective_delta_n(sm)
         ):
-            delta_n = stage.effective_delta_n
+            delta_n = stage.effective_delta_n(sm)
             if stage.arm == "A":
                 length_a += stage.length_um
             else:

@@ -40,7 +40,6 @@ from qforge.spectral import make_grid, simulate_chain
 from qforge.synth_pure import solve_pure, verify_pure
 
 SM = default_spectral_model()
-DN = 0.009
 GRID = make_grid(SM, 2049)
 
 
@@ -73,8 +72,8 @@ def test_criterion_2_werner_reproduction():
 
 
 def test_criterion_3_double_decoherence():
-    floor = full_dephasing_floor_um(SM, DN)
-    d_a, d_b = DecohererStage("A", floor, DN), DecohererStage("B", floor, DN)
+    floor = full_dephasing_floor_um(SM)
+    d_a, d_b = DecohererStage("A", floor), DecohererStage("B", floor)
     rot = rotation(np.pi / 4.0).astype(complex)
     stages = [d_a, d_b, LocalRotationStage(u_a=rot, u_b=rot), d_a, d_b]
     rho = simulate_chain(bell_state("psi+"), stages, SM, GRID)
@@ -163,18 +162,18 @@ def test_criterion_6_scheme4_bell_diagonal():
 def test_criterion_7_decoherence_factor():
     psi = np.array([0.6, 0.3, 0.2, 0.6], dtype=complex)
     psi /= np.linalg.norm(psi)
-    floor = full_dephasing_floor_um(SM, DN)
-    scale = dephasing_length_um(SM, DN)
+    floor = full_dephasing_floor_um(SM)
+    scale = dephasing_length_um(SM)
     worst = 0.0
     for k in range(20):
         l1 = floor + 0.25 * k * scale
         l2 = floor + 0.1 * (k % 5) * scale
-        d1, d2 = DecohererStage("A", l1, DN), DecohererStage("B", l2, DN)
+        d1, d2 = DecohererStage("A", l1), DecohererStage("B", l2)
         rho = simulate_chain(psi, [d1, d2], SM, GRID)
         f = analytic_f(d1, d2, SM)
         worst = max(worst, abs(abs(rho[0, 3]) - abs(f) * abs(psi[0]) * abs(psi[3])))
     assert worst < 1e-6
-    d_a, d_b = DecohererStage("A", floor, DN), DecohererStage("B", floor, DN)
+    d_a, d_b = DecohererStage("A", floor), DecohererStage("B", floor)
     assert abs(abs(analytic_f(d_a, d_b, SM)) - 1.0) < 1e-12
     report(7, f"20-point (L1, L2) sweep, worst numeric-vs-analytic gap {worst:.2e}")
 

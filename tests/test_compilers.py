@@ -37,7 +37,6 @@ from qforge.qmath import (
 from qforge.recipe_io import pump_splits, recipe_cost
 
 SM = default_spectral_model()
-DN = 0.009
 
 
 def decoherer_lengths(recipe):
@@ -139,7 +138,7 @@ def test_scheme3_mems_branch_ii_construction():
     lengths = decoherer_lengths(recipe)
     f = analytic_f(*[s for s in recipe.branches[0].stages if isinstance(s, DecohererStage)], SM)
     assert abs(abs(f) - 0.6) < 1e-12  # |f| = 3r/2
-    diff = (lengths["A"] - lengths["B"]) / dephasing_length_um(SM, DN)
+    diff = (lengths["A"] - lengths["B"]) / dephasing_length_um(SM)
     assert abs(diff - 1.0108) < 1e-4
 
 
@@ -152,7 +151,7 @@ def test_scheme3_werner_f_target():
 def test_scheme3_collins_gisin_equal_lengths():
     recipe = compile_scheme3(FamilyParams("collins_gisin", (0.5, np.pi / 6)), SM)
     lengths = decoherer_lengths(recipe)
-    floor = full_dephasing_floor_um(SM, DN)
+    floor = full_dephasing_floor_um(SM)
     assert lengths["A"] == lengths["B"] == floor
 
 

@@ -130,23 +130,19 @@ def test_analytic_f_zero_lengths():
 
 def test_analytic_f_tau_one():
     # tau = 1 -> |f| = e^{-1/2}
-    diff = dephasing_length_um(SM, 0.009)
+    diff = dephasing_length_um(SM)
     f = analytic_f(DecohererStage("A", diff), DecohererStage("B", 0.0), SM)
     assert abs(abs(f) - math.exp(-0.5)) < 1e-12
 
 
 def test_analytic_f_mismatch():
     with pytest.raises(MismatchedDecoherers):
-        analytic_f(
-            DecohererStage("A", 10.0, delta_n=0.009), DecohererStage("B", 10.0, delta_n=0.01), SM
-        )
-    with pytest.raises(MismatchedDecoherers):
         analytic_f(DecohererStage("A", 10.0, axis="V"), DecohererStage("B", 10.0, axis="H"), SM)
 
 
 def test_analytic_f_monotone_and_symmetric():
     base = 2000.0
-    diffs = np.linspace(0.0, 5.0 * dephasing_length_um(SM, 0.009), 40)
+    diffs = np.linspace(0.0, 5.0 * dephasing_length_um(SM), 40)
     mags = []
     for d in diffs:
         f = analytic_f(DecohererStage("A", base + d), DecohererStage("B", base), SM)
@@ -157,34 +153,34 @@ def test_analytic_f_monotone_and_symmetric():
 
 
 def test_invert_f_unit_target():
-    l1, l2 = invert_f(1.0, SM, 0.009)
-    assert l1 == l2 == full_dephasing_floor_um(SM, 0.009)
+    l1, l2 = invert_f(1.0, SM)
+    assert l1 == l2 == full_dephasing_floor_um(SM)
 
 
 def test_invert_f_example_target_0p6():
-    l1, l2 = invert_f(0.6, SM, 0.009)
+    l1, l2 = invert_f(0.6, SM)
     want = math.sqrt(2.0 * math.log(1.0 / 0.6))
-    assert abs((l1 - l2) / dephasing_length_um(SM, 0.009) - want) < 1e-12
+    assert abs((l1 - l2) / dephasing_length_um(SM) - want) < 1e-12
     assert abs(want - 1.0108) < 1e-4
 
 
 def test_invert_f_round_trip_grid():
     for target in np.arange(0.01, 1.0 + 1e-9, 0.01):
-        l1, l2 = invert_f(float(target), SM, 0.009)
+        l1, l2 = invert_f(float(target), SM)
         f = analytic_f(DecohererStage("A", l1), DecohererStage("B", l2), SM)
         assert abs(abs(f) - target) < 1e-10
-        assert l1 >= l2 >= full_dephasing_floor_um(SM, 0.009)
+        assert l1 >= l2 >= full_dephasing_floor_um(SM)
 
 
 def test_invert_f_rejects_zero_and_out_of_range():
     for bad in (-0.1, 1.5):
         with pytest.raises(TargetOutOfRange):
-            invert_f(bad, SM, 0.009)
-    assert invert_f(0.0, SM, 0.009) == invert_f(1e-20, SM, 0.009)  # zero takes the cap
+            invert_f(bad, SM)
+    assert invert_f(0.0, SM) == invert_f(1e-20, SM)  # zero takes the cap
 
 
 def test_invert_f_below_floor_capped():
-    l1, l2 = invert_f(1e-20, SM, 0.009)
+    l1, l2 = invert_f(1e-20, SM)
     f = analytic_f(DecohererStage("A", l1), DecohererStage("B", l2), SM)
     assert abs(f) < 1.3e-14
     assert abs(abs(f) - 1e-20) < 1e-12  # both effectively zero

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -23,9 +24,9 @@ from qforge.compilers import (
 from qforge.elements import SpectralModel, default_spectral_model
 from qforge.errors import NotFinite
 from qforge.families import FAMILIES, werner
-from qforge.matrix_io import format_matrix, load_matrix, parse_matrix, save_matrix
+from qforge.matrix_io import format_matrix, load_matrix, parse_matrix
 from qforge.qmath import fidelity, random_density_matrix, validate_density
-from qforge.recipe_io import load_recipe, recipe_from_json, recipe_to_json, save_recipe
+from qforge.recipe_io import load_recipe, recipe_from_json, recipe_to_json
 
 
 @pytest.fixture
@@ -51,7 +52,7 @@ def test_matrix_round_trip_exact():
 def test_matrix_file_round_trip(tmp_path):
     m = werner(0.37)
     path = tmp_path / "w.txt"
-    save_matrix(path, m)
+    path.write_text(format_matrix(m), encoding="utf-8")
     assert np.array_equal(load_matrix(path), m)
 
 
@@ -99,7 +100,7 @@ def test_recipe_file_round_trip_simulates_identically(tmp_path):
     sm = default_spectral_model()
     recipe = compile_scheme3(FamilyParams("werner", (0.5,)), sm)
     path = tmp_path / "r.json"
-    save_recipe(path, recipe)
+    path.write_text(recipe_to_json(recipe), encoding="utf-8")
     loaded = load_recipe(path)
     a = simulate_recipe(recipe, analytic=True)
     b = simulate_recipe(loaded, analytic=True)
@@ -238,6 +239,28 @@ def test_cli_compile_out_dash_writes_the_recipe_alone(runner, tmp_path, monkeypa
         assert res.stdout_bytes == (tmp_path / "r.json").read_bytes()
 
 
+def _readme_cli_lines() -> list:
+    """The qforge lines of README's CLI block, in order."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    return [line for line in block.splitlines() if line.startswith("qforge ")]
+
+
+def test_readme_cli_block_runs(runner, tmp_path, monkeypatch):
+    """Each README CLI line, run in order in one directory, exits 0; a
+    '> file' redirect writes the command's stdout to the file."""
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_cli_lines()
+    assert len(lines) >= 10
+    for line in lines:
+        args = shlex.split(line, comments=True)[1:]
+        redirect = args.index(">") if ">" in args else None
+        res = invoke(runner, *args[:redirect])
+        assert res.exit_code == 0, f"{line}: {res.stderr}"
+        if redirect is not None:
+            (tmp_path / args[redirect + 1]).write_bytes(res.stdout_bytes)
+
+
 def test_cli_compile_scheme4_bell_diagonal(runner, tmp_path):
     r = tmp_path / "r.json"
     res = invoke(runner, "compile", "IV", "bell-diagonal:0.4,0.3,0.2,0.1", "--out", str(r))
@@ -280,10 +303,10 @@ def test_cli_verify_failure_exit_code(runner, tmp_path):
     vv = tmp_path / "vv.txt"
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0] = 1.0
-    save_matrix(hh, m)
+    hh.write_text(format_matrix(m), encoding="utf-8")
     m2 = np.zeros((4, 4), dtype=complex)
     m2[3, 3] = 1.0
-    save_matrix(vv, m2)
+    vv.write_text(format_matrix(m2), encoding="utf-8")
     res = invoke(runner, "verify", str(hh), str(vv), "--min-fidelity", "0.5")
     assert res.exit_code == 1
 
@@ -716,6 +739,8 @@ def _put(name, *path, value):  # the entry at path replaced by value
 AMP_0 = ("branches", 0, "seed", "amps", 0)
 U_A_00 = ("branches", 0, "stages", 0, "u_a", 0, 0)
 PSI_UPPER_0 = ("branches", 0, "pump_split", "psi_upper", 0)
+MODEL_DN = ("spectral_model", "delta_n")
+STAGE_1_DN = ("branches", 0, "stages", 1, "delta_n")
 
 
 def _three_row_u_a(doc):
@@ -780,6 +805,14 @@ def _three_amps(doc):
          "bad-weights", 2),
         ("mems:0.4", _three_row_u_a, "not-unitary", 2),
         ("collins-gisin:1.0,0.6", _three_amps, "not-normalized", 2),
+        # every decoherer's delta_n is the spectral model's, exactly
+        ("mems:0.4", _put("zero_model_delta_n", *MODEL_DN, value=0), "inconsistent-recipe", 2),
+        ("mems:0.4", _put("negative_model_delta_n", *MODEL_DN, value=-0.02),
+         "inconsistent-recipe", 2),
+        ("mems:0.4", _put("large_stage_delta_n", *STAGE_1_DN, value=0.5), "inconsistent-recipe", 2),
+        ("mems:0.4", _put("negated_stage_delta_n", *STAGE_1_DN, value=-0.009),
+         "inconsistent-recipe", 2),
+        ("mems:0.4", _put("nan_stage_delta_n", *STAGE_1_DN, value=float("nan")), "not-finite", 2),
     ],
 )
 def test_cli_cost_and_simulate_reject_the_same_recipes(
@@ -891,6 +924,9 @@ CLI_CONTRACT = [
      "verification-failed", "fidelity 0\n"),
     (["--seed", "7", "plane", "mems", "5"], None, 0, None, "param,tangle,linear_entropy\n"),
     (["simulate", "{tmp}/r.json", "--out", "-", "--analytic"], None, 0, None, "# simulated"),
+    # the first odd grid size above spectral.MAX_GRID_N
+    (["simulate", "{tmp}/r.json", "--out", "{tmp}/x.json", "--grid-n", "1048579"], None, 2,
+     "out-of-range", ""),
     # click's usage errors, raised by a command's parser and by the group's
     (["plane", "mems", "x"], None, 2, "usage-error", ""),
     (["--seed", "x", "plane", "mems", "5"], None, 2, "usage-error", ""),
@@ -918,7 +954,7 @@ def test_cli_exit_code_contract(runner, tmp_path, args, defaults, code, kind, st
     for name, k in (("hh.txt", 0), ("vv.txt", 3), ("h:h.txt", 0)):
         m = np.zeros((4, 4), dtype=complex)
         m[k, k] = 1.0
-        save_matrix(tmp_path / name, m)
+        (tmp_path / name).write_text(format_matrix(m), encoding="utf-8")
     assert invoke(runner, "compile", "III", "mems:0.4", "--out", str(tmp_path / "r.json")).exit_code == 0
     env = None
     if defaults is not None:
@@ -939,7 +975,7 @@ def test_cli_unexpected_exception_is_one_internal_error_line(runner, tmp_path, m
         raise ZeroDivisionError("float division by zero")
 
     path = tmp_path / "w.txt"
-    save_matrix(path, werner(0.5))
+    path.write_text(format_matrix(werner(0.5)), encoding="utf-8")
     monkeypatch.setattr(qforge.qmath, "tangle", broken)
     res = invoke(runner, "metrics", str(path))
     assert res.exit_code == 5

@@ -19,8 +19,8 @@ import pytest
 import qforge
 from qforge.compilers import FamilyParams, compile_scheme3
 from qforge.families import werner
-from qforge.matrix_io import save_matrix
-from qforge.recipe_io import save_recipe
+from qforge.matrix_io import format_matrix
+from qforge.recipe_io import recipe_to_json
 
 # the names `from qforge import *` has always given
 EXPORTS = {
@@ -138,8 +138,9 @@ def test_family_target_loads_no_compiler_layer():
     ],
 )
 def test_cli_command_loads_only_its_layers(tmp_path, args, unloaded):
-    save_matrix(tmp_path / "w.txt", werner(0.5))
-    save_recipe(tmp_path / "r.json", compile_scheme3(FamilyParams("mems", (0.4,))))
+    (tmp_path / "w.txt").write_text(format_matrix(werner(0.5)), encoding="utf-8")
+    recipe = compile_scheme3(FamilyParams("mems", (0.4,)))
+    (tmp_path / "r.json").write_text(recipe_to_json(recipe), encoding="utf-8")
     loaded = set(json.loads(_child(CLI_CHILD, *args, cwd=tmp_path)[-1]))
     assert "qforge.cli" in loaded
     assert not unloaded & loaded, sorted(unloaded & loaded)

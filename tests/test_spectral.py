@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,12 +22,12 @@ from qforge.qmath import (
     validate_density,
 )
 from qforge.errors import OutOfRange
-from qforge.spectral import analytic_single_stage, make_grid, simulate_chain
+from qforge.spectral import MAX_GRID_N, analytic_single_stage, make_grid, simulate_chain
 
 SM = default_spectral_model()
 GRID = make_grid(SM)
 DN = 0.009
-FLOOR = full_dephasing_floor_um(SM, DN)
+FLOOR = full_dephasing_floor_um(SM)
 HH = np.array([1, 0, 0, 0], dtype=complex)
 
 
@@ -36,6 +38,12 @@ def _grid_rho(psi, *stages):
 def test_grid_requires_odd_size():
     with pytest.raises(ValueError):
         make_grid(SM, 2048)
+
+
+def test_grid_size_is_capped_before_allocating():
+    for n in (MAX_GRID_N + 2, 10**30 + 1):  # the second would not fit in any memory
+        with pytest.raises(OutOfRange, match="grid size"):
+            make_grid(SM, n)
 
 
 def test_grid_normalization():
@@ -83,17 +91,17 @@ def test_unitary_preserves_norm():
 
 def test_zero_length_decoherer_is_identity():
     psi = random_pure_state(3)
-    out = _grid_rho(psi, DecohererStage("A", 0.0, DN))
+    out = _grid_rho(psi, DecohererStage("A", 0.0))
     assert out.tobytes() == _grid_rho(psi).tobytes()
 
 
 def test_decoherer_preserves_norm():
-    out = _grid_rho(random_pure_state(5), DecohererStage("B", 12345.6, DN))
+    out = _grid_rho(random_pure_state(5), DecohererStage("B", 12345.6))
     assert abs(np.trace(out) - 1.0) < 1e-12
 
 
 def test_equal_decoherers_keep_phi_plus_up_to_known_phase():
-    d_a, d_b = DecohererStage("A", FLOOR, DN), DecohererStage("B", FLOOR, DN)
+    d_a, d_b = DecohererStage("A", FLOOR), DecohererStage("B", FLOOR)
     rho = _grid_rho(bell_state("phi+"), d_a, d_b)
     f = analytic_f(d_a, d_b, SM)
     expected = projector(bell_state("phi+")).astype(complex)
@@ -103,7 +111,7 @@ def test_equal_decoherers_keep_phi_plus_up_to_known_phase():
 
 
 def test_single_long_decoherer_kills_corner():
-    d = DecohererStage("A", 8.0 * dephasing_length_um(SM, DN), DN)
+    d = DecohererStage("A", 8.0 * dephasing_length_um(SM))
     rho = _grid_rho(bell_state("phi+"), d)
     assert np.abs(rho - np.diag([0.5, 0, 0, 0.5])).max() < 1e-6
 
@@ -112,7 +120,7 @@ def test_family_matrix_emerges_from_single_stage():
     rng = np.random.default_rng(11)
     psi = random_pure_state(rng)
     l1, l2 = FLOOR + 700.0, FLOOR
-    d1, d2 = DecohererStage("A", l1, DN), DecohererStage("B", l2, DN)
+    d1, d2 = DecohererStage("A", l1), DecohererStage("B", l2)
     rho = simulate_chain(psi, [d1, d2], SM, GRID)
     f = analytic_f(d1, d2, SM)
     # diagonal |amps|^2, corner f a d*; all other off-diagonal entries dead
@@ -126,10 +134,10 @@ def test_family_matrix_emerges_from_single_stage():
 def test_numeric_vs_analytic_f_sweep():
     psi = np.array([0.6, 0.3, 0.2, 0.6], dtype=complex)
     psi /= np.linalg.norm(psi)
-    scale = dephasing_length_um(SM, DN)
+    scale = dephasing_length_um(SM)
     pairs = [(FLOOR + k * 0.25 * scale, FLOOR + (k % 5) * 0.1 * scale) for k in range(20)]
     for l1, l2 in pairs:
-        d1, d2 = DecohererStage("A", l1, DN), DecohererStage("B", l2, DN)
+        d1, d2 = DecohererStage("A", l1), DecohererStage("B", l2)
         rho = simulate_chain(psi, [d1, d2], SM, GRID)
         f = analytic_f(d1, d2, SM)
         assert abs(abs(rho[0, 3]) - abs(f) * abs(psi[0]) * abs(psi[3])) < 1e-6
@@ -150,7 +158,7 @@ def test_analytic_single_stage_matches_grid():
         psi = random_pure_state(rng)
         l1 = FLOOR + float(rng.uniform(0, 2000.0))
         l2 = FLOOR + float(rng.uniform(0, 2000.0))
-        stages = [DecohererStage("A", l1, DN), DecohererStage("B", l2, DN)]
+        stages = [DecohererStage("A", l1), DecohererStage("B", l2)]
         grid_rho = simulate_chain(psi, stages, SM, GRID)
         closed = analytic_single_stage(psi, stages, SM)
         assert np.abs(grid_rho - closed).max() < 1e-6
@@ -158,7 +166,7 @@ def test_analytic_single_stage_matches_grid():
 
 def test_grid_refinement_convergence():
     psi = random_pure_state(2)
-    stages = [DecohererStage("A", FLOOR + 505.0, DN), DecohererStage("B", FLOOR, DN)]
+    stages = [DecohererStage("A", FLOOR + 505.0), DecohererStage("B", FLOOR)]
     rho_a = simulate_chain(psi, stages, SM, make_grid(SM, 2049))
     rho_b = simulate_chain(psi, stages, SM, make_grid(SM, 4097))
     assert np.abs(rho_a - rho_b).max() < 1e-7
@@ -172,12 +180,12 @@ def test_purity_never_increases_through_decoherers():
         before = purity(_grid_rho(psi, rot))
         arm = "A" if rng.random() < 0.5 else "B"
         length = float(rng.uniform(0.0, 3.0 * FLOOR))
-        after = purity(_grid_rho(psi, rot, DecohererStage(arm, length, DN)))
+        after = purity(_grid_rho(psi, rot, DecohererStage(arm, length)))
         assert after <= before + 1e-9
 
 
 def test_double_decoherence_with_45_degree_rotations():
-    d_a, d_b = DecohererStage("A", FLOOR, DN), DecohererStage("B", FLOOR, DN)
+    d_a, d_b = DecohererStage("A", FLOOR), DecohererStage("B", FLOOR)
     rot = rotation(np.pi / 4.0).astype(complex)
     stages = [d_a, d_b, LocalRotationStage(u_a=rot, u_b=rot), d_a, d_b]
     rho = simulate_chain(bell_state("psi+"), stages, SM, GRID)
@@ -199,12 +207,12 @@ def test_double_decoherence_with_45_degree_rotations():
 def _random_chain(rng, n_dec):
     """Random local unitaries, each followed by a decoherer on a random arm
     and axis, lengths in the range the compilers emit."""
-    top = FLOOR + 8.0 * dephasing_length_um(SM, DN)
+    top = FLOOR + 8.0 * dephasing_length_um(SM)
     stages = []
     for _ in range(n_dec):
         stages.append(LocalRotationStage(u_a=random_su2(rng), u_b=random_su2(rng)))
         length, axis = float(rng.uniform(0.0, top)), str(rng.choice(["H", "V"]))
-        stages.append(DecohererStage(str(rng.choice(["A", "B"])), length, DN, axis=axis))
+        stages.append(DecohererStage(str(rng.choice(["A", "B"])), length, axis=axis))
     stages.append(LocalRotationStage(u_a=random_su2(rng), u_b=random_su2(rng)))
     return stages
 
@@ -234,7 +242,7 @@ def test_exact_matches_analytic_single_stage():
         psi = random_pure_state(rng)
         l1 = float(rng.uniform(0.0, 3.0 * FLOOR))
         l2 = float(rng.uniform(0.0, 3.0 * FLOOR))
-        stages = [DecohererStage("A", l1, DN), DecohererStage("B", l2, DN)]
+        stages = [DecohererStage("A", l1), DecohererStage("B", l2)]
         exact = simulate_chain(psi, stages, SM)
         closed = analytic_single_stage(psi, stages, SM)
         assert np.abs(exact - closed).max() <= 1e-12
@@ -244,8 +252,8 @@ def test_analytic_falls_back_to_exact_on_other_chains():
     from qforge.compilers import Recipe, RecipeBranch, simulate_recipe
 
     rot = rotation(np.pi / 4.0).astype(complex)
-    stages = (DecohererStage("A", FLOOR + 300.0, DN), LocalRotationStage(u_a=rot, u_b=rot),
-              DecohererStage("B", FLOOR, DN))
+    stages = (DecohererStage("A", FLOOR + 300.0), LocalRotationStage(u_a=rot, u_b=rot),
+              DecohererStage("B", FLOOR))
     psi = random_pure_state(31)
     assert analytic_single_stage(psi, stages, SM) is None
     branch = RecipeBranch(weight=1.0, timing_tag=1, seed=psi, stages=stages)
@@ -256,7 +264,7 @@ def test_analytic_falls_back_to_exact_on_other_chains():
 def test_exact_path_refuses_more_than_ten_decoherers(monkeypatch):
     from qforge import spectral
 
-    chain = [DecohererStage("AB"[k % 2], FLOOR, DN) for k in range(11)]
+    chain = [DecohererStage("AB"[k % 2], FLOOR) for k in range(11)]
     psi = bell_state("phi+")
     with pytest.raises(OutOfRange, match="a chain of 11 decoherers exceeds the exact simulator's 10"):
         simulate_chain(psi, chain, SM)
@@ -294,14 +302,15 @@ def test_axis_h_equals_v_with_negated_delta_n():
     def recipe(delta_n, axis):
         stages = (
             LocalRotationStage(u_a=random_su2(8), u_b=random_su2(9)),
-            DecohererStage("A", FLOOR + 300.0, delta_n, axis=axis),
-            DecohererStage("B", FLOOR, delta_n, axis=axis),
+            DecohererStage("A", FLOOR + 300.0, axis=axis),
+            DecohererStage("B", FLOOR, axis=axis),
         )
         branch = RecipeBranch(weight=1.0, timing_tag=1, seed=random_pure_state(53),
                               stages=stages)
-        return Recipe(scheme="III", branches=(branch,), spectral_model=SM)
+        sm = dataclasses.replace(SM, delta_n=delta_n)
+        return Recipe(scheme="III", branches=(branch,), spectral_model=sm)
 
-    assert DecohererStage("A", FLOOR, DN, axis="H").effective_delta_n == -DN
+    assert DecohererStage("A", FLOOR, axis="H").effective_delta_n(SM) == -DN
     h, v_minus, v_plus = recipe(DN, "H"), recipe(-DN, "V"), recipe(DN, "V")
     want = simulate_recipe(v_minus)
     # exact, closed-form and grid paths
@@ -310,7 +319,7 @@ def test_axis_h_equals_v_with_negated_delta_n():
         assert np.abs(got - want).max() < 1e-8
         assert np.abs(got - simulate_recipe(v_plus, **kwargs)).max() > 1e-3
     f_h, f_minus, f_plus = (
-        analytic_f(*r.branches[0].stages[1:], SM) for r in (h, v_minus, v_plus)
+        analytic_f(*r.branches[0].stages[1:], r.spectral_model) for r in (h, v_minus, v_plus)
     )
     assert f_h == f_minus
     assert abs(f_h - f_plus) > 1e-3
