@@ -216,19 +216,19 @@ def simulate_recipe(
 ) -> np.ndarray:
     """Weighted incoherent sum of the branch simulations, validated once.
 
-    Every branch is simulated exactly (simulate_chain without a grid)
-    unless grid_n asks for a grid; then the grid quadrature serves as an
-    independent check.  analytic=True evaluates each branch by the closed
-    form spectral.analytic_single_stage first, and sends a branch it does
-    not fit to simulate_chain.
-    """
+    The chain picks the method: without grid_n a branch takes the closed
+    form analytic_single_stage where it fits, else the exact delay sum
+    simulate_chain; with grid_n every branch is integrated on that grid, an
+    independent check.  Each branch is divided by its trace, so seeds and
+    rotations within the parse tolerances give unit trace.  analytic is
+    accepted and ignored."""
     sm = recipe.spectral_model
     grid = None if grid_n is None else make_grid(sm, grid_n)
     rho = np.zeros((4, 4), dtype=complex)
     for branch in recipe.branches:
         psi = branch_seed_state(branch)
-        part = analytic_single_stage(psi, branch.stages, sm) if analytic else None
+        part = analytic_single_stage(psi, branch.stages, sm) if grid is None else None
         if part is None:
             part = simulate_chain(psi, branch.stages, sm, grid)
-        rho += branch.weight * part
+        rho += branch.weight / part.trace().real * part
     return qmath.validate_density(rho)

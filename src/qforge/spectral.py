@@ -19,6 +19,8 @@ that loop is the independent oracle for the exact path.
 analytic_single_stage is the one closed form: it gives the chain that
 schemes III and IV build (rotations, then decoherers of one axis, then
 rotations) in a single formula, and None for any other chain.
+compilers.simulate_recipe tries it on every branch before simulate_chain,
+so MAX_EXACT_DECOHERERS binds only chains the closed form does not fit.
 
 Branch results are returned as the Hermitian part of the traced matrix,
 not validated; compilers.simulate_recipe validates their weighted sum.
@@ -58,11 +60,9 @@ class FrequencyGrid:
 
 def make_grid(sm: SpectralModel, n: int = DEFAULT_GRID_N) -> FrequencyGrid:
     """Trapezoid-rule grid over [-6 delta_eps, +6 delta_eps] with n odd points,
-    at most MAX_GRID_N of them (else OutOfRange, before anything is allocated)."""
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"grid size must be an odd integer >= 3, got {n}")
-    if n > MAX_GRID_N:
-        raise OutOfRange(f"grid size {n} is above the cap of {MAX_GRID_N} points (~210 B each)")
+    from 3 to MAX_GRID_N of them (else OutOfRange, before anything is allocated)."""
+    if n < 3 or n % 2 == 0 or n > MAX_GRID_N:
+        raise OutOfRange(f"grid size {n} must be odd, from 3 to {MAX_GRID_N} points (~210 B each)")
     pts = np.linspace(-GRID_HALF_SPAN * sm.delta_eps, GRID_HALF_SPAN * sm.delta_eps, n)
     w = np.full(n, pts[1] - pts[0])
     w[0] *= 0.5
@@ -187,16 +187,12 @@ def analytic_single_stage(
     difference, exact for the Gaussian spectrum.  The HH<->VV entry
     reproduces analytic_f.  A chain with no decoherer gives the projector.
     """
-    psi = np.asarray(psi, dtype=complex).reshape(4)
     length_a = length_b = 0.0
     delta_n = None
-    suffix = []
-    for stage in stages:
+    prefix, suffix = [], []  # rotations before and after the decoherers
+    for stage in stages:  # the fit is decided before any u4 is built
         if isinstance(stage, LocalRotationStage):
-            if delta_n is None:
-                psi = stage.u4 @ psi
-            else:
-                suffix.append(stage.u4)
+            (prefix if delta_n is None else suffix).append(stage)
         elif isinstance(stage, DecohererStage) and not suffix and (
             delta_n is None or delta_n == stage.effective_delta_n(sm)
         ):
@@ -207,6 +203,9 @@ def analytic_single_stage(
                 length_b += stage.length_um
         else:
             return None
+    psi = np.asarray(psi, dtype=complex).reshape(4)
+    for stage in prefix:
+        psi = stage.u4 @ psi
     if delta_n is None:
         return psi[:, None] * psi.conj()
     da = delta_n * (_POL_A[:, None] - _POL_A[None, :]) * length_a
@@ -216,6 +215,6 @@ def analytic_single_stage(
     factors = np.exp(1j * const) * np.exp(-0.5 * (sm.delta_eps * lin) ** 2)
     rho = np.outer(psi, psi.conj()) * factors
     rho = 0.5 * (rho + rho.conj().T)
-    for u4 in suffix:
+    for u4 in (stage.u4 for stage in suffix):
         rho = u4 @ rho @ u4.conj().T
     return rho

@@ -17,6 +17,7 @@ from qforge.compilers import (
 )
 from qforge.elements import (
     DecohererStage,
+    LocalRotationStage,
     analytic_f,
     default_spectral_model,
     dephasing_length_um,
@@ -32,9 +33,12 @@ from qforge.qmath import (
     linear_entropy,
     projector,
     random_density_matrix,
+    random_pure_state,
+    random_su2,
     tangle,
 )
 from qforge.recipe_io import pump_splits, recipe_cost
+from qforge.spectral import simulate_chain
 
 SM = default_spectral_model()
 
@@ -287,6 +291,55 @@ def test_grid_path_round_trips_all_schemes():
         lam = rng.dirichlet(np.ones(4))
         recipe = compile_scheme4_bell_diagonal(*lam, SM)
         assert fidelity(simulate_recipe(recipe, grid_n=2049), bell_diagonal(*lam)) >= 1.0 - 1e-6
+
+
+def _method_recipes():
+    """Compiled recipes of every scheme, then chains the closed form does not
+    fit: a rotation between decoherers, and decoherers of both axes."""
+    rng = np.random.default_rng(1515)
+    recipes = []
+    for rho in (random_density_matrix(rng), werner(0.5), projector(bell_state("phi+"))):
+        recipes += [compile_scheme1(rho, SM), compile_scheme2(rho, SM)]
+    recipes += [compile_scheme3(FamilyParams(name, params), SM) for name, params in (
+        ("mems", (0.4,)), ("mems", (0.8,)), ("werner", (0.5,)), ("collins_gisin", (0.5, 0.5236)),
+        ("d1", (0.6, 0.0, 0.0, 0.8, -0.3)))]
+    recipes += [compile_scheme4_bell_diagonal(*lam, sm=SM)
+                for lam in ((0.4, 0.3, 0.2, 0.1), (0.05, 0.05, 0.85, 0.05))]
+    compiled = len(recipes)
+    floor = full_dephasing_floor_um(SM)
+    rot = LocalRotationStage(u_a=random_su2(rng), u_b=random_su2(rng))
+    for chain in ((DecohererStage("A", floor), rot, DecohererStage("B", 0.5 * floor)),
+                  (rot, DecohererStage("A", floor, axis="H"), DecohererStage("B", floor))):
+        branch = RecipeBranch(1.0, 1, random_pure_state(rng), stages=chain)
+        recipes.append(Recipe(scheme="III", branches=(branch,), spectral_model=SM))
+    return recipes, compiled
+
+
+def test_the_chain_picks_the_method_and_analytic_changes_no_bit(monkeypatch):
+    import qforge.compilers as comp
+
+    delay_sums = []
+
+    def counted(*args):
+        delay_sums.append(args)
+        return simulate_chain(*args)
+
+    monkeypatch.setattr(comp, "simulate_chain", counted)
+    recipes, compiled = _method_recipes()
+    for k, recipe in enumerate(recipes):
+        before = len(delay_sums)
+        rho = simulate_recipe(recipe)
+        assert np.array_equal(simulate_recipe(recipe, analytic=True), rho)
+        # the closed form takes every compiled branch; each other chain, simulated
+        # twice, goes to the delay sum both times
+        assert len(delay_sums) - before == (0 if k < compiled else 2)
+
+
+def test_default_matches_the_weighted_delay_sums():
+    for recipe in _method_recipes()[0]:
+        want = sum(b.weight * simulate_chain(branch_seed_state(b), b.stages, SM)
+                   for b in recipe.branches)
+        assert np.abs(simulate_recipe(recipe) - want).max() <= 1e-14
 
 
 def test_timing_collision_detected():

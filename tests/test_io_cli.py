@@ -21,7 +21,8 @@ from qforge.compilers import (
     compile_scheme3,
     compile_scheme4_bell_diagonal,
 )
-from qforge.elements import SpectralModel, default_spectral_model
+from qforge.elements import SpdcSourceSpec, SpectralModel, default_spectral_model
+from qforge.elements import spdc_pair_state
 from qforge.errors import NotFinite
 from qforge.families import FAMILIES, werner
 from qforge.matrix_io import format_matrix, load_matrix, parse_matrix
@@ -122,8 +123,7 @@ def test_recipe_rejects_unknown_version():
 
 # SHA-256 of the default-model recipe JSON of each family at fixed parameters
 # (scheme III, scheme IV for the family scheme III has no seed for).  Family
-# recipes come from closed forms; eigensolver output (schemes I/II) is not
-# pinned because degenerate eigenvectors differ across LAPACK builds.
+# recipes come from closed forms; schemes I/II are pinned below.
 FAMILY_RECIPE_SHA256 = [
     ("mems", (0.4,), "e40cfe1f8f88fd9671d78d8a43fce588bdc1e83650c8e44c1e9f919bc9531e8c"),
     ("mems", (0.8,), "bd9e97a9220c83c481b3c2bb03a91b81a530eef513d3a71c3954f8361eb59a7c"),
@@ -150,6 +150,42 @@ def test_family_recipe_bytes_pinned():
             recipe = compile_scheme3(FamilyParams(name, params))
         got = hashlib.sha256(recipe_to_json(recipe).encode("utf-8")).hexdigest()
         assert got == want, (name, params)
+
+
+def _matrix_targets():
+    """Seeded scheme-I/II targets: ranks 1-4, a product state, a Bell state,
+    states near the |D| = 1/2 seam and each pinned family's matrix."""
+    rng = np.random.default_rng(1515)
+    targets = []
+    for rank in (1, 2, 3, 4):
+        for _ in range(5):
+            g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+            targets.append(g @ g.conj().T / np.sum(np.abs(g) ** 2))
+    bell = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
+    pures = [np.kron([0.6, 0.8j], [1.0, 0.0]), bell]
+    for tilt in (1e-2, 1e-4, 1e-6):  # 1/2 - |D| is of order tilt**2
+        other = rng.normal(size=4) + 1j * rng.normal(size=4)
+        other -= np.vdot(bell, other) * bell
+        pures.append(np.cos(tilt) * bell + np.sin(tilt) * other / np.linalg.norm(other))
+    targets += [np.outer(psi, psi.conj()) for psi in pures]
+    targets += [FAMILIES[name].matrix(*params) for name, params, _ in FAMILY_RECIPE_SHA256]
+    return targets
+
+
+# SHA-256 over the recipe JSON of every _matrix_targets entry, in order.  The
+# eigenvectors, and so the bytes, depend on the LAPACK build numpy ships.
+MATRIX_RECIPE_SHA256 = {
+    "I": "41e759a2e333cc178daa672ff7af33622d3453b3d41bf7633f00bcf78658ebaf",
+    "II": "82713f1ee4010d67a13a737dca9cac732c018591a36a4626b8817640e92ad149",
+}
+
+
+def test_matrix_recipe_bytes_pinned():
+    for scheme, compile_fn in (("I", compile_scheme1), ("II", compile_scheme2)):
+        digest = hashlib.sha256()
+        for rho in _matrix_targets():
+            digest.update(recipe_to_json(compile_fn(rho)).encode("utf-8"))
+        assert digest.hexdigest() == MATRIX_RECIPE_SHA256[scheme], scheme
 
 
 @pytest.mark.parametrize(
@@ -328,10 +364,11 @@ def test_cli_simulate_grid_flag_and_analytic(runner, tmp_path):
     assert np.abs(load_matrix(a) - load_matrix(b)).max() < 1e-6
     res = invoke(runner, "simulate", str(recipe), "--out", str(a), "--grid-n", "1024")
     assert res.exit_code == 2
-    # the closed form needs no grid, but a bad size is still rejected
-    res = invoke(runner, "simulate", str(recipe), "--out", str(a), "--analytic", "--grid-n", "4")
-    assert res.exit_code == 2
-    _single_error_line(res, "value-error")
+    # the closed form needs no grid, but a bad size is still rejected, like one above the cap
+    for n in ("4", "2", "-5"):
+        res = invoke(runner, "simulate", str(recipe), "--out", str(a), "--analytic", "--grid-n", n)
+        assert res.exit_code == 2
+        _single_error_line(res, "out-of-range")
 
 
 def _single_error_line(res, kind):
@@ -390,7 +427,8 @@ def test_cli_simulate_refuses_an_exact_chain_beyond_ten_decoherers(runner, tmp_p
     assert invoke(runner, "compile", "III", "mems:0.4", "--out", str(r)).exit_code == 0
     doc = json.loads(r.read_text())
     stages = doc["branches"][0]["stages"]  # a rotation, then the two decoherers
-    stages[1:] = stages[1:3] * 5 + stages[1:2]
+    # the rotation before the last decoherer keeps the chain off the closed form
+    stages[1:] = stages[1:3] * 5 + stages[0:2]
     bad.write_text(json.dumps(doc), encoding="utf-8")
     res = invoke(runner, "simulate", str(bad), "--out", str(out))
     assert res.exit_code == 2
@@ -398,6 +436,22 @@ def test_cli_simulate_refuses_an_exact_chain_beyond_ten_decoherers(runner, tmp_p
     assert "a chain of 11 decoherers" in res.stderr and "--grid-n" in res.stderr
     assert not out.exists()
     assert invoke(runner, "simulate", str(bad), "--out", str(out), "--grid-n", "2049").exit_code == 0
+
+
+def test_cli_simulate_takes_eleven_decoherers_of_one_axis_exactly(runner, tmp_path, request):
+    r, chain = tmp_path / "r.json", tmp_path / "chain.json"
+    exact, grid = tmp_path / "exact.txt", tmp_path / "grid.txt"
+    assert invoke(runner, "compile", "III", "mems:0.4", "--out", str(r)).exit_code == 0
+    doc = json.loads(r.read_text())
+    stages = doc["branches"][0]["stages"]  # a rotation, then the two decoherers
+    stages[1:] = stages[1:3] * 5 + stages[1:2]
+    chain.write_text(json.dumps(doc), encoding="utf-8")
+    res = invoke(runner, "simulate", str(chain), "--out", str(grid), "--grid-n", "2049")
+    assert res.exit_code == 0
+    request.getfixturevalue("forbid_make_grid")
+    res = invoke(runner, "simulate", str(chain), "--out", str(exact))
+    assert res.exit_code == 0 and res.stderr == ""
+    assert np.abs(load_matrix(exact) - load_matrix(grid)).max() < 1e-8
 
 
 def test_cli_simulate_rejects_garbage_recipe(runner, tmp_path):
@@ -752,6 +806,17 @@ def _three_amps(doc):
     del doc["branches"][0]["seed"]["amps"][3]
 
 
+def _scaled_u_a(doc):  # |det u_a| = 1 + 8e-11, inside the unitarity tolerance
+    for row in doc["branches"][0]["stages"][0]["u_a"]:
+        for entry in row:
+            entry[:] = [x * (1 + 4e-11) for x in entry]
+
+
+def _scaled_amps_seed(doc):  # the source state as amplitudes of norm 1 + 5e-10
+    psi = spdc_pair_state(SpdcSourceSpec(**doc["branches"][0]["seed"])) * (1 + 5e-10)
+    doc["branches"][0]["seed"] = {"amps": [[z.real, z.imag] for z in psi]}
+
+
 @pytest.mark.parametrize("command", ["cost", "simulate"])
 @pytest.mark.parametrize(
     "target, edit, kind, code",
@@ -813,6 +878,9 @@ def _three_amps(doc):
         ("mems:0.4", _put("negated_stage_delta_n", *STAGE_1_DN, value=-0.009),
          "inconsistent-recipe", 2),
         ("mems:0.4", _put("nan_stage_delta_n", *STAGE_1_DN, value=float("nan")), "not-finite", 2),
+        # within the parse tolerances of unit norm: both accept, and simulate writes unit trace
+        ("mems:0.4", _scaled_u_a, None, 0),
+        ("mems:0.4", _scaled_amps_seed, None, 0),
     ],
 )
 def test_cli_cost_and_simulate_reject_the_same_recipes(
@@ -830,6 +898,11 @@ def test_cli_cost_and_simulate_reject_the_same_recipes(
         args += ["--out", str(tmp_path / "x.txt")]
     res = invoke(runner, *args)
     assert res.exit_code == code
+    if kind is None:
+        assert res.stderr == ""
+        if command == "simulate":
+            validate_density(load_matrix(tmp_path / "x.txt"))
+        return
     _single_error_line(res, kind)
     assert res.stdout == ""
     assert not (tmp_path / "x.txt").exists()
@@ -939,6 +1012,13 @@ CLI_CONTRACT = [
      "bad-weights", ""),
     (["verify", "{tmp}/hh.txt", "{tmp}/hh.txt", "--min-fidelity", "nan"], None, 2,
      "not-finite", ""),
+    # a fidelity bound outside [0, 1], and a sweep outside cli.MAX_PLANE_STEPS
+    (["verify", "{tmp}/hh.txt", "{tmp}/hh.txt", "--min-fidelity", "1.5"], None, 2,
+     "out-of-range", ""),
+    (["verify", "{tmp}/hh.txt", "{tmp}/vv.txt", "--min-fidelity", "-0.5"], None, 2,
+     "out-of-range", ""),
+    (["plane", "mems", "1000001"], None, 2, "out-of-range", ""),
+    (["plane", "mems", "1"], None, 2, "out-of-range", ""),
     pytest.param(["metrics", "{tmp}/hh.txt"], '{"l_si_um": 1%s}' % ("0" * 400), 2,
                  "not-finite", "", id="huge-int-default"),
     (["compile", "V", "mems:0.4", "--out", "{tmp}/x.json"], None, 2, "value-error", ""),
