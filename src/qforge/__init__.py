@@ -17,10 +17,10 @@ _EXPORTS = {
     "families": "FamilyParams bell_diagonal collins_gisin family_d1 mems mems_boundary_tangle "
                 "werner",
     "qmath": "CanonicalDecomposition canonical_decompose concurrence fidelity linear_entropy "
-             "ppt_separable purity tangle validate_density",
+             "purity tangle validate_density",
     "recipe_io": "Recipe RecipeBranch ResourceCount pump_splits recipe_cost",
     "spectral": "FrequencyGrid make_grid simulate_chain",
-    "synth_pure": "PureRecipe solve_pure verify_pure",
+    "synth_pure": "PureRecipe solve_pure",
 }
 _HOME = {name: layer for layer, names in _EXPORTS.items() for name in names.split()}
 _LAYERS = (*_EXPORTS, "cli", "errors", "matrix_io")

@@ -220,8 +220,11 @@ def simulate_recipe(
     form analytic_single_stage where it fits, else the exact delay sum
     simulate_chain; with grid_n every branch is integrated on that grid, an
     independent check.  Each branch is divided by its trace, so seeds and
-    rotations within the parse tolerances give unit trace.  analytic is
-    accepted and ignored."""
+    rotations within the parse tolerances give unit trace; the sum is
+    divided by the weight sum where that is off 1 by more than TRACE_TOL,
+    so every weight sum parsing accepts (WEIGHT_SUM_TOL) gives unit trace
+    too, and a compiled recipe (off by about 1e-15) keeps its bits.
+    analytic is accepted and ignored."""
     sm = recipe.spectral_model
     grid = None if grid_n is None else make_grid(sm, grid_n)
     rho = np.zeros((4, 4), dtype=complex)
@@ -231,4 +234,7 @@ def simulate_recipe(
         if part is None:
             part = simulate_chain(psi, branch.stages, sm, grid)
         rho += branch.weight / part.trace().real * part
+    total = sum(b.weight for b in recipe.branches)
+    if abs(total - 1.0) > qmath.TRACE_TOL:
+        rho /= total
     return qmath.validate_density(rho)

@@ -168,12 +168,6 @@ def waveplate_unitary(wp: WaveplateSpec) -> np.ndarray:
     return rotation(t) @ retarder @ rotation(-t)
 
 
-def _strip_phase(u: np.ndarray) -> np.ndarray:
-    """Divide a 2x2 unitary by a square root of its determinant."""
-    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-    return u / np.sqrt(det)
-
-
 def su2_to_waveplates(u: np.ndarray) -> tuple[WaveplateSpec, WaveplateSpec, WaveplateSpec]:
     """Realize a single-qubit unitary as QWP - HWP - QWP.
 
@@ -181,10 +175,11 @@ def su2_to_waveplates(u: np.ndarray) -> tuple[WaveplateSpec, WaveplateSpec, Wave
     first), so the matrices compose as last @ middle @ first = u up to a
     global phase.
     """
-    u = np.asarray(u, dtype=complex)
-    su = _strip_phase(u)
-    a_entry, v_entry = su[0, 0], su[0, 1]
-    # Euler Y-X-Y angles: su = exp(i a sy) exp(i th sx) exp(i c sy)
+    (p, q), (r, s) = np.asarray(u, dtype=complex).tolist()
+    root = (p * s - q * r) ** 0.5
+    # first row of su = u / sqrt(det u), in SU(2); its Euler Y-X-Y angles:
+    # su = exp(i a sy) exp(i th sx) exp(i c sy)
+    a_entry, v_entry = p / root, q / root
     cos_th = math.hypot(a_entry.real, v_entry.real)
     sin_th = math.hypot(a_entry.imag, v_entry.imag)
     theta = math.atan2(sin_th, cos_th)
@@ -197,7 +192,12 @@ def su2_to_waveplates(u: np.ndarray) -> tuple[WaveplateSpec, WaveplateSpec, Wave
     q_last = -a_ang
     q_first = c_ang
     h_mid = 0.5 * (-theta + q_last + q_first)
-    return qwp(q_first % math.pi), hwp(h_mid % math.pi), qwp(q_last % math.pi)
+    return qwp(_axis_angle(q_first)), hwp(_axis_angle(h_mid)), qwp(_axis_angle(q_last))
+
+
+def _axis_angle(t: float) -> float:
+    """t modulo pi, in [0, pi): for t just below 0, t % pi rounds to pi itself."""
+    return t % math.pi % math.pi
 
 
 def compose_waveplates(plates) -> np.ndarray:

@@ -5,13 +5,30 @@ States live in the computational polarization basis {HH, HV, VH, VV}
 4-vectors, density matrices are 4x4 complex ndarrays; the helpers here
 validate the physical invariants and compute the standard two-qubit
 quantities used everywhere else in the package.
+
+Every eigen-decomposition, singular-value and vector-norm call in qforge
+goes through the three private helpers below; only synth_pure's rare
+product and near-seam routes keep np.linalg.svd (with U and V) and
+np.linalg.det.  _eigh calls LAPACK through
+numpy's `_umath_linalg.eigh_lo` gufunc (signature "D->dD"), _svdvals
+through `_umath_linalg.svd` ("D->d"), both inside the errstate numpy's
+own wrappers set, so a failure raises numpy's LinAlgError with numpy's
+message ("Eigenvalues did not converge", "SVD did not converge").  _norm
+is the arithmetic np.linalg.norm does for a complex vector.  They skip
+the wrappers' type and shape checks, about half the time of a 4x4 call:
+each caller passes a complex array, square for _eigh and _svdvals, and
+the same LAPACK call gives the same bits and the same errors.  The
+metrics do not check shapes, so a matrix that is not square reaches the
+gufunc and raises its ValueError rather than numpy's LinAlgError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import NotFinite, NotHermitian, NotNormalized, NotPositive, TraceNotOne
 
@@ -19,35 +36,37 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_CLAMP = 1e-10  # eigenvalues in [-1e-10, 0) are treated as round-off
 NORM_TOL = 1e-9  # check_pure accepts a norm this close to 1
-PPT_TOL = 1e-10  # ppt_separable: partial-transpose eigenvalues down to -1e-10 count as >= 0
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 _ROWS = np.arange(4)
 
 
-def bell_state(name: str) -> np.ndarray:
-    """Return one of the four Bell states as a 4-vector.
-
-    Accepted names: 'phi+', 'phi-', 'psi+', 'psi-'.
-    """
-    s = 1.0 / np.sqrt(2.0)
-    table = {
-        "phi+": np.array([s, 0.0, 0.0, s], dtype=complex),
-        "phi-": np.array([s, 0.0, 0.0, -s], dtype=complex),
-        "psi+": np.array([0.0, s, s, 0.0], dtype=complex),
-        "psi-": np.array([0.0, s, -s, 0.0], dtype=complex),
-    }
-    try:
-        return table[name.lower()]
-    except KeyError:
-        raise ValueError(f"unknown Bell state {name!r}") from None
+def _raise_eigh_error(err, flag):
+    raise LinAlgError("Eigenvalues did not converge")
 
 
-def projector(psi: np.ndarray) -> np.ndarray:
-    """|psi><psi| for a pure-state 4-vector."""
-    v = np.asarray(psi, dtype=complex).reshape(4)
-    return v[:, None] * v.conj()
+def _raise_svd_error(err, flag):
+    raise LinAlgError("SVD did not converge")
+
+
+def _eigh(h: np.ndarray):
+    """np.linalg.eigh(h): ascending eigenvalues and the eigenvectors as columns."""
+    with np.errstate(call=_raise_eigh_error, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        return _umath_linalg.eigh_lo(h, signature="D->dD")
+
+
+def _svdvals(m: np.ndarray) -> np.ndarray:
+    """np.linalg.svd(m, compute_uv=False): singular values, descending."""
+    with np.errstate(call=_raise_svd_error, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        return _umath_linalg.svd(m, signature="D->d")
+
+
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm(v) of a complex vector."""
+    return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
 
 
 def check_pure(psi: np.ndarray) -> np.ndarray:
@@ -55,7 +74,7 @@ def check_pure(psi: np.ndarray) -> np.ndarray:
     v = np.asarray(psi, dtype=complex).reshape(-1)
     if v.shape != (4,):
         raise NotNormalized(f"expected 4 amplitudes, got shape {v.shape}")
-    n = np.linalg.norm(v)
+    n = _norm(v)
     if not abs(n - 1.0) <= NORM_TOL:  # NaN fails too
         raise NotNormalized(f"state norm {n} differs from 1 by more than {NORM_TOL}")
     return v / n
@@ -81,7 +100,7 @@ def validate_density(m: np.ndarray) -> np.ndarray:
     if abs(tr - 1.0) > TRACE_TOL:
         raise TraceNotOne(f"trace {tr} differs from 1 by more than {TRACE_TOL}")
     h = 0.5 * (m + m_dag)
-    evals, evecs = np.linalg.eigh(h)
+    evals, evecs = _eigh(h)
     lowest = evals[0]  # eigh returns them ascending
     if lowest < -EIGENVALUE_CLAMP:
         raise NotPositive(f"minimum eigenvalue {lowest:.3e} below -{EIGENVALUE_CLAMP}")
@@ -110,7 +129,7 @@ class CanonicalDecomposition:
 def canonical_decompose(rho: np.ndarray) -> CanonicalDecomposition:
     """Decompose rho into orthonormal eigenstates weighted by eigenvalues."""
     rho = validate_density(rho)
-    evals, evecs = np.linalg.eigh(rho)
+    evals, evecs = _eigh(rho)
     order = np.argsort(evals)[::-1]
     states = evecs.T[order]
     # rotate each unit row so its first largest-magnitude entry is real, positive
@@ -121,7 +140,7 @@ def canonical_decompose(rho: np.ndarray) -> CanonicalDecomposition:
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    evals, evecs = np.linalg.eigh(m)
+    evals, evecs = _eigh(m)
     return (evecs * np.sqrt(np.maximum(evals, 0.0))) @ evecs.conj().T
 
 
@@ -146,12 +165,12 @@ def concurrence(rho: np.ndarray) -> float:
     machine precision for rank-deficient states.
     """
     rho = np.asarray(rho, dtype=complex)
-    mu, vec = np.linalg.eigh(0.5 * (rho + rho.conj().T))
+    mu, vec = _eigh(0.5 * (rho + rho.conj().T))
     keep = mu > 1e-15 * max(1.0, float(mu[-1]))
     w = vec[:, keep] * np.sqrt(mu[keep])
     tau = w.T @ _YY @ w
     # descending, as LAPACK returns them: one per kept eigenvalue, padded to four
-    lam = np.linalg.svd(tau, compute_uv=False).tolist() + [0.0] * 4
+    lam = _svdvals(tau).tolist() + [0.0] * 4
     return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
 
 
@@ -169,39 +188,3 @@ def purity(rho: np.ndarray) -> float:
 def linear_entropy(rho: np.ndarray) -> float:
     """(4/3)(1 - Tr rho^2), normalized so the maximally mixed state scores 1."""
     return min(max(4.0 / 3.0 * (1.0 - purity(rho)), 0.0), 1.0)
-
-
-def partial_transpose(rho: np.ndarray) -> np.ndarray:
-    """Partial transpose over the second qubit."""
-    rho = np.asarray(rho, dtype=complex)
-    return rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-
-
-def ppt_separable(rho: np.ndarray) -> bool:
-    """True iff the partial transpose is positive (two-qubit PPT <=> separable)."""
-    evals = np.linalg.eigvalsh(partial_transpose(rho))
-    return bool(evals.min() >= -PPT_TOL)
-
-
-def random_pure_state(rng) -> np.ndarray:
-    """Haar-random two-qubit pure state; rng is a seed or a numpy Generator."""
-    rng = np.random.default_rng(rng)
-    v = rng.normal(size=4) + 1j * rng.normal(size=4)
-    return v / np.linalg.norm(v)
-
-
-def random_density_matrix(rng) -> np.ndarray:
-    """Ginibre-random density matrix; rng is a seed or a numpy Generator."""
-    rng = np.random.default_rng(rng)
-    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    m = g @ g.conj().T
-    return m / m.trace().real
-
-
-def random_su2(rng) -> np.ndarray:
-    """Haar-random single-qubit unitary with unit determinant."""
-    rng = np.random.default_rng(rng)
-    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    q, r = np.linalg.qr(z)
-    q = q * (np.diag(r) / np.abs(np.diag(r)))
-    return q / np.sqrt(np.linalg.det(q))

@@ -37,6 +37,7 @@ from .elements import C_UM_PER_S, SpdcSourceSpec, SpectralModel, check_finite
 from .elements import DecohererStage, LocalRotationStage
 from .errors import BadWeights, InconsistentRecipe, NotFinite, NotNormalized, NotUnitary, OutOfRange
 from .errors import TimingCollision
+from .qmath import _norm
 
 FORMAT_VERSION = 1
 SCHEMES = ("I", "II", "III", "IV")
@@ -129,7 +130,7 @@ def pump_splits(recipe: Recipe) -> list:
         remaining -= lam
         splits.append({"psi_upper": psi_upper, "psi_lower": math.sqrt(lam) * seed[[2, 1]],
                        "chain_transmission": chain_t,
-                       "upper_fraction": float(np.linalg.norm(psi_upper) ** 2 / lam)})
+                       "upper_fraction": float(_norm(psi_upper) ** 2 / lam)})
     return splits
 
 

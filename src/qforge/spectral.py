@@ -36,6 +36,7 @@ import numpy as np
 from .elements import C_UM_PER_S, SpectralModel, spectral_amplitude
 from .elements import DecohererStage, LocalRotationStage
 from .errors import OutOfRange
+from .qmath import _norm
 
 DEFAULT_GRID_N = 2049
 GRID_HALF_SPAN = 6.0  # grid covers +/- 6 delta_eps
@@ -140,7 +141,7 @@ def simulate_chain(
         return _simulate_on_grid(psi, stages, sm, grid)
 
     psi = np.asarray(psi, dtype=complex).reshape(4)
-    terms = (psi / np.linalg.norm(psi))[None, :]  # row p holds v_p
+    terms = (psi / _norm(psi))[None, :]  # row p holds v_p
     paths = []  # (P_k, P_k signed by arm) [um]
     for stage in stages:
         if isinstance(stage, LocalRotationStage):

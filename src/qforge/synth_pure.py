@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elements import SpdcSourceSpec, WaveplateSpec, spdc_pair_state, su2_to_waveplates
-from .qmath import check_pure
+from .qmath import _norm, check_pure
 
 PRODUCT_THRESHOLD = 1e-12
 # 1 - 2|D| below this is |D| = 1/2 up to rounding (exact Bell states sit
@@ -55,7 +55,7 @@ class PureRecipe:
 
 def _su2_form(u: complex, v: complex) -> np.ndarray:
     m = np.array([[u, v], [-np.conjugate(v), np.conjugate(u)]])
-    return m / np.linalg.norm(m[:, 0])
+    return m / _norm(m[:, 0])
 
 
 def _column_extension(col: np.ndarray) -> np.ndarray:
@@ -160,7 +160,7 @@ def _solve_maximal(psi: np.ndarray):
         ]
     )
     for k in range(2):
-        u_b[:, k] /= np.linalg.norm(u_b[:, k])
+        u_b[:, k] /= _norm(u_b[:, k])
     # seed (e^{i gamma}, 1)/sqrt(2) == (1, e^{-i gamma})/sqrt(2) up to phase
     source = SpdcSourceSpec(theta=np.pi / 4.0, phi=-gamma)
     return source, u_a, u_b
@@ -186,9 +186,3 @@ def solve_pure(target: np.ndarray) -> PureRecipe:
         wp_a=su2_to_waveplates(u_a),
         wp_b=su2_to_waveplates(u_b),
     )
-
-
-def verify_pure(recipe: PureRecipe, target: np.ndarray) -> float:
-    """Overlap magnitude between the recipe output and the target."""
-    produced = recipe.state()
-    return float(abs(np.vdot(np.asarray(target, dtype=complex), produced)))

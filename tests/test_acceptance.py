@@ -25,19 +25,19 @@ from qforge.elements import (
     rotation,
 )
 from qforge.families import bell_diagonal, mems, mems_boundary_tangle, werner
-from qforge.qmath import (
+from qforge.qmath import fidelity, linear_entropy, tangle
+from qforge.recipe_io import recipe_cost
+from qforge.spectral import make_grid, simulate_chain
+from qforge.synth_pure import solve_pure
+
+from kit import (
     bell_state,
-    fidelity,
-    linear_entropy,
     ppt_separable,
     random_density_matrix,
     random_pure_state,
     random_su2,
-    tangle,
+    verify_pure,
 )
-from qforge.recipe_io import recipe_cost
-from qforge.spectral import make_grid, simulate_chain
-from qforge.synth_pure import solve_pure, verify_pure
 
 SM = default_spectral_model()
 GRID = make_grid(SM, 2049)

@@ -23,8 +23,9 @@ from qforge.compilers import FamilyParams, compile_scheme1, compile_scheme2, com
 from qforge.compilers import compile_scheme4_bell_diagonal
 from qforge.families import werner
 from qforge.matrix_io import format_matrix, load_matrix
-from qforge.qmath import projector, random_density_matrix
 from qforge.recipe_io import recipe_to_json
+
+from kit import projector, random_density_matrix
 
 BASES = (werner(0.5), projector(np.array([1.0, 0.0, 0.0, 0.0])), random_density_matrix(7))
 HUGE = "1" + "0" * 400  # an integer beyond double range

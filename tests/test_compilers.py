@@ -26,19 +26,11 @@ from qforge.elements import (
 from qforge.errors import BadWeights, InconsistentRecipe, NotFinite, OutOfRange, TimingCollision
 from qforge.errors import UnsupportedTarget
 from qforge.families import bell_diagonal, collins_gisin, mems, werner
-from qforge.qmath import (
-    bell_state,
-    canonical_decompose,
-    fidelity,
-    linear_entropy,
-    projector,
-    random_density_matrix,
-    random_pure_state,
-    random_su2,
-    tangle,
-)
+from qforge.qmath import canonical_decompose, fidelity, linear_entropy, tangle
 from qforge.recipe_io import pump_splits, recipe_cost
 from qforge.spectral import simulate_chain
+
+from kit import bell_state, projector, random_density_matrix, random_pure_state, random_su2
 
 SM = default_spectral_model()
 

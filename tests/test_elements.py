@@ -20,7 +20,8 @@ from qforge.elements import (
     waveplate_unitary,
 )
 from qforge.errors import MismatchedDecoherers, OutOfRange, TargetOutOfRange
-from qforge.qmath import random_su2
+
+from kit import random_su2
 
 SM = default_spectral_model()
 
@@ -89,6 +90,34 @@ def test_su2_decomposition_random_round_trip():
     rng = np.random.default_rng(12)
     for _ in range(1000):
         u = random_su2(rng)
+        plates = su2_to_waveplates(u)
+        assert phase_free_distance(compose_waveplates(plates), u) < 1e-10
+        for wp in plates:
+            assert 0.0 <= wp.axis_angle < math.pi
+
+
+def _edge_unitaries():
+    """diag(g, +-g) and antidiag(g, +-g) for assorted global phases g: the
+    first row of u / sqrt(det u) is real or imaginary, so one Euler angle
+    comes from its 1e-15 fallback.  At g = exp(-2.34i) an angle lands
+    just below 0, where t % pi rounds to pi."""
+    for t in (0.0, 0.3, math.pi / 2, math.pi, -2.0, -2.34):
+        g = np.exp(1j * t)
+        for sign in (1.0, -1.0):
+            yield np.array([[g, 0.0], [0.0, sign * g]])
+            yield np.array([[0.0, g], [sign * g, 0.0]])
+
+
+@pytest.mark.parametrize("case", ["u2_global_phase", "diagonal_and_anti_diagonal"])
+def test_su2_decomposition_of_u2_inputs(case):
+    if case == "u2_global_phase":  # as a recipe file's unitaries may carry
+        rng = np.random.default_rng(13)
+        inputs = [random_su2(rng) * np.exp(2j * math.pi * rng.random()) for _ in range(1000)]
+    else:
+        inputs = list(_edge_unitaries())
+        su_rows = [(u / np.sqrt(np.linalg.det(u)))[0] for u in inputs]
+        assert all(min(np.hypot(*row.real), np.hypot(*row.imag)) <= 1e-15 for row in su_rows)
+    for u in inputs:
         plates = su2_to_waveplates(u)
         assert phase_free_distance(compose_waveplates(plates), u) < 1e-10
         for wp in plates:

@@ -11,15 +11,9 @@ from qforge.families import (
     mems_boundary_tangle,
     werner,
 )
-from qforge.qmath import (
-    bell_state,
-    canonical_decompose,
-    linear_entropy,
-    ppt_separable,
-    projector,
-    tangle,
-    validate_density,
-)
+from qforge.qmath import canonical_decompose, linear_entropy, tangle, validate_density
+
+from kit import bell_state, ppt_separable, projector
 
 
 def test_mems_split_point():

@@ -26,8 +26,10 @@ from qforge.elements import spdc_pair_state
 from qforge.errors import NotFinite
 from qforge.families import FAMILIES, werner
 from qforge.matrix_io import format_matrix, load_matrix, parse_matrix
-from qforge.qmath import fidelity, random_density_matrix, validate_density
+from qforge.qmath import fidelity, validate_density
 from qforge.recipe_io import load_recipe, recipe_from_json, recipe_to_json
+
+from kit import random_density_matrix
 
 
 @pytest.fixture
@@ -812,6 +814,10 @@ def _scaled_u_a(doc):  # |det u_a| = 1 + 8e-11, inside the unitarity tolerance
             entry[:] = [x * (1 + 4e-11) for x in entry]
 
 
+def _scaled_weight(doc):  # weights summing to 1 + 2.5e-11, inside the weight-sum tolerance
+    doc["branches"][0]["weight"] *= 1 + 4e-11
+
+
 def _scaled_amps_seed(doc):  # the source state as amplitudes of norm 1 + 5e-10
     psi = spdc_pair_state(SpdcSourceSpec(**doc["branches"][0]["seed"])) * (1 + 5e-10)
     doc["branches"][0]["seed"] = {"amps": [[z.real, z.imag] for z in psi]}
@@ -881,6 +887,7 @@ def _scaled_amps_seed(doc):  # the source state as amplitudes of norm 1 + 5e-10
         # within the parse tolerances of unit norm: both accept, and simulate writes unit trace
         ("mems:0.4", _scaled_u_a, None, 0),
         ("mems:0.4", _scaled_amps_seed, None, 0),
+        ("werner:0.5", _scaled_weight, None, 0),
     ],
 )
 def test_cli_cost_and_simulate_reject_the_same_recipes(
@@ -906,6 +913,24 @@ def test_cli_cost_and_simulate_reject_the_same_recipes(
     _single_error_line(res, kind)
     assert res.stdout == ""
     assert not (tmp_path / "x.txt").exists()
+
+
+@pytest.mark.parametrize("scheme", ["I", "II"])
+def test_cli_simulates_a_target_whose_dropped_eigenvalues_leave_the_weights_short(
+    runner, tmp_path, scheme
+):
+    # three eigenvalues below RANK_EPS give no branch: the one weight is 1 - 2.7e-12
+    q, _ = np.linalg.qr(random_density_matrix(5))
+    rho = (q * [1 - 2.7e-12, 0.9e-12, 0.9e-12, 0.9e-12]) @ q.conj().T
+    target, recipe, out = tmp_path / "t.txt", tmp_path / "r.json", tmp_path / "o.txt"
+    target.write_text(format_matrix(rho), encoding="utf-8")
+    assert invoke(runner, "compile", scheme, str(target), "--out", str(recipe)).exit_code == 0
+    weights = [b["weight"] for b in json.loads(recipe.read_text())["branches"]]
+    assert weights == pytest.approx([1 - 2.7e-12], abs=1e-15)
+    res = invoke(runner, "simulate", str(recipe), "--out", str(out))
+    assert res.exit_code == 0, res.output
+    assert abs(load_matrix(out).trace() - 1.0) <= 1e-15
+    assert fidelity(load_matrix(out), rho) > 1 - 1e-9
 
 
 @pytest.mark.parametrize("entry", [[0.6], [1, 0, 0], 0.6, "ab", [True, 0], {"re": 1}])

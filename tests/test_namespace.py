@@ -22,7 +22,7 @@ from qforge.families import werner
 from qforge.matrix_io import format_matrix
 from qforge.recipe_io import recipe_to_json
 
-# the names `from qforge import *` has always given
+# the names `from qforge import *` gives
 EXPORTS = {
     "FamilyParams", "ResourceCount", "bell_diagonal_split", "compile_scheme1",
     "compile_scheme2", "compile_scheme3", "compile_scheme4_bell_diagonal", "recipe_cost",
@@ -31,9 +31,9 @@ EXPORTS = {
     "spdc_pair_state", "su2_to_waveplates", "waveplate_unitary", "bell_diagonal",
     "collins_gisin", "family_d1", "mems", "mems_boundary_tangle", "werner",
     "CanonicalDecomposition", "canonical_decompose", "concurrence", "fidelity",
-    "linear_entropy", "ppt_separable", "purity", "tangle", "validate_density", "Recipe",
+    "linear_entropy", "purity", "tangle", "validate_density", "Recipe",
     "RecipeBranch", "pump_splits", "FrequencyGrid", "make_grid", "simulate_chain",
-    "PureRecipe", "solve_pure", "verify_pure",
+    "PureRecipe", "solve_pure",
 }
 LAYERS = ("cli", "compilers", "elements", "errors", "families", "matrix_io", "qmath",
           "recipe_io", "spectral", "synth_pure")

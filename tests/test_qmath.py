@@ -4,19 +4,25 @@ import pytest
 from qforge import families
 from qforge.errors import NotFinite, NotHermitian, NotPositive, TraceNotOne
 from qforge.qmath import (
-    bell_state,
+    _eigh,
+    _norm,
+    _svdvals,
     canonical_decompose,
     concurrence,
     fidelity,
     linear_entropy,
+    purity,
+    tangle,
+    validate_density,
+)
+
+from kit import (
+    bell_state,
     partial_transpose,
     ppt_separable,
     projector,
-    purity,
     random_density_matrix,
     random_pure_state,
-    tangle,
-    validate_density,
 )
 
 
@@ -222,3 +228,67 @@ def test_random_pure_state_invariants():
 def test_purity_range():
     assert abs(purity(np.eye(4) / 4.0) - 0.25) < 1e-14
     assert abs(purity(projector(bell_state("phi+"))) - 1.0) < 1e-12
+
+
+def _ginibre(seed, rank):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    m = g @ g.conj().T
+    return m / m.trace().real
+
+
+HELPER_MATRICES = [
+    *(_ginibre(seed, rank) for rank in (1, 2, 3, 4) for seed in range(5)),
+    *(projector(bell_state(name)) for name in ("phi+", "phi-", "psi+", "psi-")),
+    np.eye(4, dtype=complex) / 4.0,
+]
+
+
+def _bits(x):
+    return np.asarray(x).tobytes()
+
+
+@pytest.mark.parametrize("m", HELPER_MATRICES)
+def test_linalg_helpers_match_numpy_bitwise(m):
+    # the helpers skip numpy's wrappers, not its arithmetic: bit for bit the
+    # same results, on the matrix, its transposed (strided) view, the k x k
+    # blocks concurrence passes to _svdvals, and strided rows and columns
+    for a in (m, m.T, *(m[:k, :k] for k in (1, 2, 3))):
+        assert list(map(_bits, _eigh(a))) == list(map(_bits, np.linalg.eigh(a)))
+        assert _bits(_svdvals(a)) == _bits(np.linalg.svd(a, compute_uv=False))
+    for v in (*m, *m.T, *m[:2, :2].T, m[::2, 1], m.ravel()[::3]):
+        assert _bits(_norm(v)) == _bits(np.linalg.norm(v))
+
+
+NON_FINITE = {"nan": np.full((4, 4), np.nan, dtype=complex),
+              "inf": np.full((4, 4), np.inf, dtype=complex)}
+# (matrix, metric) -> exception type and message; None where the metric
+# returns NaN.  RuntimeWarning is an error in this suite, and on the inf
+# matrix 0.5 * (inf + inf) and inf @ inf warn before any LAPACK call.
+NON_FINITE_OUTCOMES = {
+    ("nan", "tangle"): (np.linalg.LinAlgError, "Eigenvalues did not converge"),
+    ("nan", "concurrence"): (np.linalg.LinAlgError, "Eigenvalues did not converge"),
+    ("nan", "fidelity"): (np.linalg.LinAlgError, "Eigenvalues did not converge"),
+    ("nan", "linear_entropy"): None,
+    ("inf", "tangle"): (RuntimeWarning, "invalid value encountered in multiply"),
+    ("inf", "concurrence"): (RuntimeWarning, "invalid value encountered in multiply"),
+    ("inf", "fidelity"): (np.linalg.LinAlgError, "Eigenvalues did not converge"),
+    ("inf", "linear_entropy"): (RuntimeWarning, "invalid value encountered in matmul"),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE_OUTCOMES, ids="-".join)
+def test_metrics_on_non_finite_input_raise_numpys_errors(case):
+    # numpy's own types and messages: a numpy whose private LAPACK entry
+    # points changed fails here rather than in a user's hands
+    m = NON_FINITE[case[0]]
+    metric = {"tangle": tangle, "concurrence": concurrence, "fidelity": fidelity,
+              "linear_entropy": linear_entropy}[case[1]]
+    args = (m, m) if metric is fidelity else (m,)
+    if NON_FINITE_OUTCOMES[case] is None:
+        assert np.isnan(metric(*args))
+        return
+    raises, message = NON_FINITE_OUTCOMES[case]
+    with pytest.raises(raises) as info:
+        metric(*args)
+    assert type(info.value) is raises and str(info.value) == message

@@ -12,17 +12,11 @@ from qforge.elements import (
     full_dephasing_floor_um,
     rotation,
 )
-from qforge.qmath import (
-    bell_state,
-    fidelity,
-    projector,
-    purity,
-    random_pure_state,
-    random_su2,
-    validate_density,
-)
+from qforge.qmath import fidelity, purity, validate_density
 from qforge.errors import OutOfRange
 from qforge.spectral import MAX_GRID_N, analytic_single_stage, make_grid, simulate_chain
+
+from kit import bell_state, projector, random_pure_state, random_su2
 
 SM = default_spectral_model()
 GRID = make_grid(SM)

@@ -5,8 +5,10 @@ import pytest
 
 from qforge.compilers import compile_scheme1, simulate_recipe
 from qforge.errors import NotNormalized
-from qforge.qmath import bell_state, fidelity, projector, random_pure_state, random_su2
-from qforge.synth_pure import PRODUCT_THRESHOLD, SEAM_BAND, solve_pure, verify_pure
+from qforge.qmath import fidelity
+from qforge.synth_pure import PRODUCT_THRESHOLD, SEAM_BAND, solve_pure
+
+from kit import bell_state, projector, random_pure_state, random_su2, verify_pure
 
 
 def det2(psi):
