@@ -233,7 +233,7 @@ def simulate_recipe(
         part = analytic_single_stage(psi, branch.stages, sm) if grid is None else None
         if part is None:
             part = simulate_chain(psi, branch.stages, sm, grid)
-        rho += branch.weight / part.trace().real * part
+        rho += branch.weight / qmath._trace(part).real * part
     total = sum(b.weight for b in recipe.branches)
     if abs(total - 1.0) > qmath.TRACE_TOL:
         rho /= total

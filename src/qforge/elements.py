@@ -16,6 +16,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -81,13 +82,15 @@ class SpectralModel:
         return C_UM_PER_S / self.delta_eps
 
 
+@functools.lru_cache(typed=True)
 def default_spectral_model(
     l_si_um: float = DEFAULT_L_SI_UM,
     pump_wavelength_nm: float = DEFAULT_PUMP_WAVELENGTH_NM,
     delta_n: float = DEFAULT_DELTA_N,
 ) -> SpectralModel:
     """Spectral model from photon coherence length, pump wavelength and
-    decoherer birefringence."""
+    decoherer birefringence.  Memoized: the model is frozen, and each call
+    with the same arguments returns the one instance."""
     check_finite(delta_n=delta_n, l_si=l_si_um, pump_wavelength=pump_wavelength_nm)
     if l_si_um <= 0.0:
         raise OutOfRange(f"l_si must be positive, got {l_si_um}")

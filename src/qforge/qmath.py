@@ -9,17 +9,21 @@ quantities used everywhere else in the package.
 Every eigen-decomposition, singular-value and vector-norm call in qforge
 goes through the three private helpers below; only synth_pure's rare
 product and near-seam routes keep np.linalg.svd (with U and V) and
-np.linalg.det.  _eigh calls LAPACK through
-numpy's `_umath_linalg.eigh_lo` gufunc (signature "D->dD"), _svdvals
-through `_umath_linalg.svd` ("D->d"), both inside the errstate numpy's
-own wrappers set, so a failure raises numpy's LinAlgError with numpy's
-message ("Eigenvalues did not converge", "SVD did not converge").  _norm
-is the arithmetic np.linalg.norm does for a complex vector.  They skip
-the wrappers' type and shape checks, about half the time of a 4x4 call:
-each caller passes a complex array, square for _eigh and _svdvals, and
-the same LAPACK call gives the same bits and the same errors.  The
-metrics do not check shapes, so a matrix that is not square reaches the
-gufunc and raises its ValueError rather than numpy's LinAlgError.
+np.linalg.det.  _eigh calls LAPACK through numpy's `_umath_linalg.eigh_lo`
+gufunc ("D->dD"), _svdvals through `_umath_linalg.svd` ("D->d"), under
+the error state numpy's wrappers set, so a failure raises numpy's
+LinAlgError with numpy's message.  That state is built once, by the
+np.errstate the wrappers enter; each call sets numpy's
+`_ufunc_config._extobj_contextvar` to it and resets the token in a
+finally, as errstate's __enter__ and __exit__ do, so the caller's (per
+thread) state is back on return or raise.  _norm is np.linalg.norm's
+arithmetic for a complex vector.  Skipping the wrappers' type and shape
+checks halves a 4x4 call; callers pass complex arrays, square for _eigh
+and _svdvals.  _trace is ndarray.trace of a complex 4x4 matrix in
+scalars: numpy's add.reduce adds the diagonal pairwise, (a + b) + (c + d),
+onto +0, and so does _trace (left to right, half of all matrices differ
+in the last bit).  Every metric raises validate_density's NotHermitian
+for input that is not 4x4; none checks finiteness.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy._core._ufunc_config import _extobj_contextvar
 from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import NotFinite, NotHermitian, NotNormalized, NotPositive, TraceNotOne
@@ -50,18 +55,47 @@ def _raise_svd_error(err, flag):
     raise LinAlgError("SVD did not converge")
 
 
+def _lapack_extobj(handler):
+    """The error state np.errstate installs around one LAPACK gufunc call."""
+    with np.errstate(call=handler, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        return _extobj_contextvar.get()
+
+
+_EIGH_EXTOBJ = _lapack_extobj(_raise_eigh_error)
+_SVD_EXTOBJ = _lapack_extobj(_raise_svd_error)
+
+
 def _eigh(h: np.ndarray):
     """np.linalg.eigh(h): ascending eigenvalues and the eigenvectors as columns."""
-    with np.errstate(call=_raise_eigh_error, invalid="call", over="ignore", divide="ignore",
-                     under="ignore"):
+    token = _extobj_contextvar.set(_EIGH_EXTOBJ)
+    try:
         return _umath_linalg.eigh_lo(h, signature="D->dD")
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 def _svdvals(m: np.ndarray) -> np.ndarray:
     """np.linalg.svd(m, compute_uv=False): singular values, descending."""
-    with np.errstate(call=_raise_svd_error, invalid="call", over="ignore", divide="ignore",
-                     under="ignore"):
+    token = _extobj_contextvar.set(_SVD_EXTOBJ)
+    try:
         return _umath_linalg.svd(m, signature="D->d")
+    finally:
+        _extobj_contextvar.reset(token)
+
+
+def _trace(m: np.ndarray) -> complex:
+    """m.trace() of a complex 4x4 matrix, as a Python complex."""
+    a, b, c, d = m.diagonal().tolist()
+    return 0j + ((a + b) + (c + d))
+
+
+def _matrix(m) -> np.ndarray:
+    """m as a complex array; NotHermitian unless it is 4x4."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (4, 4):
+        raise NotHermitian(f"expected a 4x4 matrix, got shape {m.shape}")
+    return m
 
 
 def _norm(v: np.ndarray) -> float:
@@ -90,13 +124,12 @@ def validate_density(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if not np.isfinite(m).all():
         raise NotFinite("matrix holds a NaN or infinite entry")
-    if m.shape != (4, 4):
-        raise NotHermitian(f"expected a 4x4 matrix, got shape {m.shape}")
+    m = _matrix(m)
     m_dag = m.conj().T
     skew = np.abs(m - m_dag).max()
     if skew > HERMITICITY_TOL:
         raise NotHermitian(f"max |m - m^dag| = {skew:.3e} exceeds {HERMITICITY_TOL}")
-    tr = m.trace()
+    tr = _trace(m)
     if abs(tr - 1.0) > TRACE_TOL:
         raise TraceNotOne(f"trace {tr} differs from 1 by more than {TRACE_TOL}")
     h = 0.5 * (m + m_dag)
@@ -107,7 +140,7 @@ def validate_density(m: np.ndarray) -> np.ndarray:
     if lowest < 0.0:
         h = (evecs * np.maximum(evals, 0.0)) @ evecs.conj().T
         h = 0.5 * (h + h.conj().T)
-    return h / h.trace().real
+    return h / _trace(h).real
 
 
 @dataclass(frozen=True)
@@ -146,13 +179,13 @@ def _psd_sqrt(m: np.ndarray) -> np.ndarray:
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Uhlmann fidelity F = (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2."""
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
+    rho = _matrix(rho)
+    sigma = _matrix(sigma)
     sq = _psd_sqrt(rho)
     inner = sq @ sigma @ sq
     inner = 0.5 * (inner + inner.conj().T)
-    f = _psd_sqrt(inner).trace().real ** 2
-    return float(min(max(f, 0.0), 1.0))
+    f = _trace(_psd_sqrt(inner)).real ** 2
+    return min(max(f, 0.0), 1.0)
 
 
 def concurrence(rho: np.ndarray) -> float:
@@ -164,7 +197,7 @@ def concurrence(rho: np.ndarray) -> float:
     the non-normal product rho rho~, singular values stay accurate at
     machine precision for rank-deficient states.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = _matrix(rho)
     mu, vec = _eigh(0.5 * (rho + rho.conj().T))
     keep = mu > 1e-15 * max(1.0, float(mu[-1]))
     w = vec[:, keep] * np.sqrt(mu[keep])
@@ -181,8 +214,8 @@ def tangle(rho: np.ndarray) -> float:
 
 
 def purity(rho: np.ndarray) -> float:
-    rho = np.asarray(rho, dtype=complex)
-    return float((rho @ rho).trace().real)
+    rho = _matrix(rho)
+    return _trace(rho @ rho).real
 
 
 def linear_entropy(rho: np.ndarray) -> float:

@@ -66,7 +66,7 @@ def _column_extension(col: np.ndarray) -> np.ndarray:
 
 def _source_from_coeffs(alpha: float, beta: complex) -> SpdcSourceSpec:
     theta = np.arctan2(abs(beta), alpha)
-    phi = float(np.angle(beta)) if abs(beta) > 0.0 else 0.0
+    phi = float(np.arctan2(beta.imag, beta.real)) if abs(beta) > 0.0 else 0.0
     return SpdcSourceSpec(theta=float(theta), phi=phi)
 
 
@@ -147,10 +147,8 @@ def _solve_maximal(psi: np.ndarray):
     and only need normalizing.
     """
     a, b, c, d = psi
-    if abs(a * d) >= abs(b * c):
-        gamma = np.angle(a * d)
-    else:
-        gamma = np.angle(-b * c)
+    z = a * d if abs(a * d) >= abs(b * c) else -b * c
+    gamma = np.arctan2(z.imag, z.real)
     eig = np.exp(1j * gamma)
     u_a = np.array([[1.0, eig], [-np.conjugate(eig), 1.0]]) / np.sqrt(2.0)
     u_b = np.array(

@@ -20,13 +20,14 @@ from qforge.compilers import (
     compile_scheme2,
     compile_scheme3,
     compile_scheme4_bell_diagonal,
+    simulate_recipe,
 )
 from qforge.elements import SpdcSourceSpec, SpectralModel, default_spectral_model
 from qforge.elements import spdc_pair_state
 from qforge.errors import NotFinite
 from qforge.families import FAMILIES, werner
 from qforge.matrix_io import format_matrix, load_matrix, parse_matrix
-from qforge.qmath import fidelity, validate_density
+from qforge.qmath import fidelity, linear_entropy, tangle, validate_density
 from qforge.recipe_io import load_recipe, recipe_from_json, recipe_to_json
 
 from kit import random_density_matrix
@@ -188,6 +189,40 @@ def test_matrix_recipe_bytes_pinned():
         for rho in _matrix_targets():
             digest.update(recipe_to_json(compile_fn(rho)).encode("utf-8"))
         assert digest.hexdigest() == MATRIX_RECIPE_SHA256[scheme], scheme
+
+
+def _simulated_bits(digest, target, recipe):
+    sim = simulate_recipe(recipe)
+    digest.update(sim.tobytes())
+    for x in (fidelity(target, sim), tangle(sim), linear_entropy(sim)):
+        digest.update(repr(x).encode("ascii"))
+
+
+# SHA-256 over the simulate_recipe matrix bytes and the repr of fidelity to
+# the target, tangle and linear entropy: schemes I and II on every
+# _matrix_targets entry, and each pinned family recipe against its family's
+# matrix.  Like the recipe pins they depend on the LAPACK build numpy ships.
+SIMULATED_SHA256 = {
+    "I": "983c54888c6d6e103e614ea00403b18c578b2d7b7d1f98d527f7dd2c890b174e",
+    "II": "19a20c4000554ca3dd1bd808ea4780febe76938bf3b0ec53ce85d09f2a4e55cd",
+    "families": "17549f2d0bec478ea24596fc67e2156372d4f7a318fc4b6977ac6799422fc0ce",
+}
+
+
+def test_simulated_bits_pinned():
+    for scheme, compile_fn in (("I", compile_scheme1), ("II", compile_scheme2)):
+        digest = hashlib.sha256()
+        for rho in _matrix_targets():
+            _simulated_bits(digest, rho, compile_fn(rho))
+        assert digest.hexdigest() == SIMULATED_SHA256[scheme], scheme
+    digest = hashlib.sha256()
+    for name, params, _ in FAMILY_RECIPE_SHA256:
+        if FAMILIES[name].seed is None:
+            recipe = compile_scheme4_bell_diagonal(*params)
+        else:
+            recipe = compile_scheme3(FamilyParams(name, params))
+        _simulated_bits(digest, FAMILIES[name].matrix(*params), recipe)
+    assert digest.hexdigest() == SIMULATED_SHA256["families"]
 
 
 @pytest.mark.parametrize(

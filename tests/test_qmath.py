@@ -1,3 +1,6 @@
+import itertools
+import threading
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from qforge.qmath import (
     _eigh,
     _norm,
     _svdvals,
+    _trace,
     canonical_decompose,
     concurrence,
     fidelity,
@@ -258,6 +262,93 @@ def test_linalg_helpers_match_numpy_bitwise(m):
         assert _bits(_svdvals(a)) == _bits(np.linalg.svd(a, compute_uv=False))
     for v in (*m, *m.T, *m[:2, :2].T, m[::2, 1], m.ravel()[::3]):
         assert _bits(_norm(v)) == _bits(np.linalg.norm(v))
+
+
+def _signed_zero_diagonals():
+    # every sign pattern of zero on the real and imaginary parts of the
+    # diagonal, alone and on top of a state's off-diagonal entries
+    for signs in itertools.product((0.0, -0.0), repeat=8):
+        diag = [complex(re, im) for re, im in zip(signs[::2], signs[1::2])]
+        bare = np.zeros((4, 4), dtype=complex)
+        bare[np.diag_indices(4)] = diag
+        dressed = HELPER_MATRICES[0].copy()
+        dressed[np.diag_indices(4)] = diag
+        yield bare
+        yield dressed
+
+
+@pytest.mark.parametrize("m", HELPER_MATRICES)
+def test_trace_matches_numpy_bitwise(m):
+    # the matrix, its transposed view and its real part cast to complex
+    for a in (m, m.T, m.real.astype(complex), m.real.T.astype(complex)):
+        assert _bits(np.complex128(_trace(a))) == _bits(a.trace())
+
+
+def test_trace_keeps_numpys_signed_zeros():
+    for a in _signed_zero_diagonals():
+        assert _bits(np.complex128(_trace(a))) == _bits(a.trace())
+
+
+def _caller_handler(err, flag):
+    raise AssertionError("the caller's error handler ran")
+
+
+def _helpers_keep_the_error_state():
+    good = HELPER_MATRICES[0]
+    bad = np.full((4, 4), np.nan, dtype=complex)
+    for helper, message in ((_eigh, "Eigenvalues did not converge"),
+                            (_svdvals, "SVD did not converge")):
+        before = (np.geterr(), np.geterrcall())
+        helper(good)
+        assert (np.geterr(), np.geterrcall()) == before
+        with pytest.raises(np.linalg.LinAlgError) as info:
+            helper(bad)
+        assert str(info.value) == message
+        assert (np.geterr(), np.geterrcall()) == before
+
+
+def test_linalg_helpers_restore_the_callers_error_state():
+    _helpers_keep_the_error_state()
+    with np.errstate(all="raise"):
+        _helpers_keep_the_error_state()
+        assert np.geterr() == dict.fromkeys(("divide", "over", "under", "invalid"), "raise")
+    with np.errstate(all="call", call=_caller_handler):
+        _helpers_keep_the_error_state()
+        assert np.geterrcall() is _caller_handler
+    errors = []
+
+    def in_thread():
+        try:
+            with np.errstate(divide="raise"):
+                _helpers_keep_the_error_state()
+            _helpers_keep_the_error_state()
+        except Exception as exc:  # reported by the main thread below
+            errors.append(exc)
+
+    outside = (np.geterr(), np.geterrcall())
+    worker = threading.Thread(target=in_thread)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive()
+    assert errors == []
+    assert (np.geterr(), np.geterrcall()) == outside
+
+
+NOT_4X4 = {"2x2": np.eye(2) / 2.0, "3x3": np.eye(3) / 3.0, "3x4": np.full((3, 4), 0.25),
+           "0x0": np.zeros((0, 0)), "4-vector": np.full(4, 0.25)}
+
+
+@pytest.mark.parametrize("shape", NOT_4X4)
+@pytest.mark.parametrize(
+    "metric", [validate_density, fidelity, concurrence, tangle, purity, linear_entropy],
+    ids=lambda f: f.__name__)
+def test_metrics_reject_a_matrix_that_is_not_4x4(metric, shape):
+    m = NOT_4X4[shape]
+    rho = np.eye(4) / 4.0
+    for args in ([(m, rho), (rho, m), (m, m)] if metric is fidelity else [(m,)]):
+        with pytest.raises(NotHermitian) as info:
+            metric(*args)
+        assert str(info.value) == f"expected a 4x4 matrix, got shape {m.shape}"
 
 
 NON_FINITE = {"nan": np.full((4, 4), np.nan, dtype=complex),
