@@ -64,7 +64,7 @@ def _solved_branch(psi, weight: float, tag: int, after: tuple = (),
 def _eigenstates(rho: np.ndarray) -> list:
     """(eigenvalue, eigenstate) pairs of rho, descending, eigenvalues below 1e-12 dropped."""
     decomp = qmath.canonical_decompose(rho)
-    return [(float(lam), psi) for lam, psi in zip(decomp.eigenvalues, decomp.eigenstates)
+    return [(lam, psi) for lam, psi in zip(decomp.eigenvalues.tolist(), decomp.eigenstates)
             if lam >= RANK_EPS]
 
 
@@ -114,7 +114,8 @@ def _d1_branch(amps: np.ndarray, f_target: complex, sm: SpectralModel, weight: f
     abs_f = abs(f_target)
     l1, l2 = invert_f(min(abs_f, 1.0), sm)
     d_a, d_b = DecohererStage("A", l1), DecohererStage("B", l2)
-    comp = np.exp(-1j * np.angle(analytic_f(d_a, d_b, sm)))
+    f = analytic_f(d_a, d_b, sm)
+    comp = np.exp(-1j * np.arctan2(f.imag, f.real))
     if abs_f > 0.0:
         comp *= f_target / abs_f
     seed = np.array(amps, dtype=complex)

@@ -36,6 +36,8 @@ DEPHASING_FLOOR_FACTOR = 10.0
 # |f| targets below this are treated as zero (tau capped at 8 -> e^-32)
 TAU_CAP = 8.0
 F_FLOOR = 1.3e-14
+# a path phase w |dn| L / 2c beyond 2**53 rad keeps no digit mod 2 pi in a double
+MAX_PATH_PHASE = 2.0**53
 
 
 def check_finite(**values: float) -> None:
@@ -115,7 +117,9 @@ class SpdcSourceSpec:
     phi: float = 0.0
 
     def __post_init__(self):
-        check_finite(theta=self.theta, phi=self.phi)
+        theta, phi = self.theta, self.phi
+        if not (type(theta) is type(phi) is float and math.isfinite(theta + phi)):
+            check_finite(theta=theta, phi=phi)  # only where a value is not a finite float
         if not 0.0 <= self.theta <= math.pi / 2.0 + 1e-12:
             raise OutOfRange(f"theta {self.theta} outside [0, pi/2]")
         object.__setattr__(self, "phi", float(self.phi) % (2.0 * math.pi))
@@ -195,7 +199,9 @@ def su2_to_waveplates(u: np.ndarray) -> tuple[WaveplateSpec, WaveplateSpec, Wave
     q_last = -a_ang
     q_first = c_ang
     h_mid = 0.5 * (-theta + q_last + q_first)
-    return qwp(_axis_angle(q_first)), hwp(_axis_angle(h_mid)), qwp(_axis_angle(q_last))
+    return (WaveplateSpec(math.pi / 2.0, _axis_angle(q_first)),
+            WaveplateSpec(math.pi, _axis_angle(h_mid)),
+            WaveplateSpec(math.pi / 2.0, _axis_angle(q_last)))
 
 
 def _axis_angle(t: float) -> float:
@@ -262,6 +268,14 @@ def dephasing_length_um(sm: SpectralModel) -> float:
     return C_UM_PER_S / (sm.delta_eps * abs(sm.delta_n))
 
 
+def check_path_phase(stage: DecohererStage, sm: SpectralModel) -> None:
+    """OutOfRange when the decoherer's path phase w |dn| L / 2c exceeds MAX_PATH_PHASE."""
+    phase = sm.omega * (abs(sm.delta_n) * stage.length_um) / (2.0 * C_UM_PER_S)
+    if phase > MAX_PATH_PHASE:
+        raise OutOfRange(f"decoherer of {stage.length_um} um has a path phase of {phase:.3g} "
+                         f"rad, beyond 2**53 rad, where no digit of it is left")
+
+
 def full_dephasing_floor_um(sm: SpectralModel) -> float:
     """Minimum thickness used for 'fully dephasing' decoherers."""
     return DEPHASING_FLOOR_FACTOR * dephasing_length_um(sm)
@@ -272,10 +286,12 @@ def analytic_f(d_a: DecohererStage, d_b: DecohererStage, sm: SpectralModel) -> c
     lengths L1 = d_a.length_um (arm A) and L2 = d_b.length_um (arm B).
 
     f = exp(-tau^2/2) exp(-i dn (L1+L2) w / 2c), tau = dn (L1-L2) delta_eps / c.
-    |f| = 1 exactly when L1 = L2.
+    |f| = 1 exactly when L1 = L2.  check_path_phase guards each length first.
     """
     if d_a.axis != d_b.axis:
         raise MismatchedDecoherers(f"decoherers differ: axis {d_a.axis} vs {d_b.axis}")
+    check_path_phase(d_a, sm)
+    check_path_phase(d_b, sm)
     dn = d_a.effective_delta_n(sm)
     tau = dn * (d_a.length_um - d_b.length_um) * sm.delta_eps / C_UM_PER_S
     phase = -dn * (d_a.length_um + d_b.length_um) * sm.omega / (2.0 * C_UM_PER_S)

@@ -163,13 +163,12 @@ def canonical_decompose(rho: np.ndarray) -> CanonicalDecomposition:
     """Decompose rho into orthonormal eigenstates weighted by eigenvalues."""
     rho = validate_density(rho)
     evals, evecs = _eigh(rho)
-    order = np.argsort(evals)[::-1]
-    states = evecs.T[order]
+    states = evecs.T[::-1]  # eigh's order, ascending, reversed
     # rotate each unit row so its first largest-magnitude entry is real, positive
     mags = np.abs(states)
     peak = mags.argmax(axis=1)
     states = states * (states[_ROWS, peak].conj() / mags[_ROWS, peak])[:, None]
-    return CanonicalDecomposition(eigenvalues=np.maximum(evals[order], 0.0), eigenstates=states)
+    return CanonicalDecomposition(eigenvalues=np.maximum(evals[::-1], 0.0), eigenstates=states)
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
@@ -200,7 +199,9 @@ def concurrence(rho: np.ndarray) -> float:
     rho = _matrix(rho)
     mu, vec = _eigh(0.5 * (rho + rho.conj().T))
     keep = mu > 1e-15 * max(1.0, float(mu[-1]))
-    w = vec[:, keep] * np.sqrt(mu[keep])
+    if not keep.all():
+        mu, vec = mu[keep], vec[:, keep]
+    w = vec * np.sqrt(mu)
     tau = w.T @ _YY @ w
     # descending, as LAPACK returns them: one per kept eigenvalue, padded to four
     lam = _svdvals(tau).tolist() + [0.0] * 4

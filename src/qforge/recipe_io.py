@@ -33,9 +33,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .elements import C_UM_PER_S, SpdcSourceSpec, SpectralModel, check_finite
+from .elements import SpdcSourceSpec, SpectralModel, check_finite, check_path_phase
 from .elements import DecohererStage, LocalRotationStage
-from .errors import BadWeights, InconsistentRecipe, NotFinite, NotNormalized, NotUnitary, OutOfRange
+from .errors import BadWeights, InconsistentRecipe, NotFinite, NotNormalized, NotUnitary
 from .errors import TimingCollision
 from .qmath import _norm
 
@@ -47,8 +47,6 @@ UNITARY_TOL = 1e-10
 SPLIT_TOL = 1e-10
 IDENTITY_TOL = 1e-10  # a local unitary this close to the identity (up to phase) costs no optics
 RANK_EPS = 1e-12  # eigenvalues below this produce no branch; pump power below it is spent
-# a path phase w |dn| L / 2c beyond 2**53 rad keeps no digit mod 2 pi in a double
-MAX_PATH_PHASE = 2.0**53
 
 
 @dataclass(frozen=True)
@@ -83,11 +81,13 @@ class Recipe:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown recipe scheme {self.scheme!r}; use I, II, III or IV")
         weights = [b.weight for b in self.branches]
-        check_finite(**{f"weight[{k}]": w for k, w in enumerate(weights)})
+        if not all(type(w) is float and math.isfinite(w) for w in weights):  # names on failure only
+            check_finite(**{f"weight[{k}]": w for k, w in enumerate(weights)})
         if any(w < 0.0 for w in weights):
             raise BadWeights(f"negative branch weight in {weights}")
-        if abs(sum(weights) - 1.0) > WEIGHT_SUM_TOL:
-            raise BadWeights(f"branch weights sum to {sum(weights)}, not 1")
+        total = sum(weights)
+        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+            raise BadWeights(f"branch weights sum to {total}, not 1")
         for k, b in enumerate(self.branches if self.scheme == "II" else ()):
             if isinstance(b.seed, SpdcSourceSpec) or b.stages or not b.weight > 0.0:
                 raise InconsistentRecipe(f"scheme-II branch {k} must seed from amplitudes, "
@@ -100,13 +100,7 @@ class Recipe:
                 raise TimingCollision(f"distinct branches share timing tag {b.timing_tag}")
             for stage in b.stages:
                 if isinstance(stage, DecohererStage):
-                    path = abs(dn) * stage.length_um
-                    phase = self.spectral_model.omega * path / (2.0 * C_UM_PER_S)
-                    if phase > MAX_PATH_PHASE:
-                        raise OutOfRange(
-                            f"decoherer of {stage.length_um} um has a path phase of {phase:.3g} "
-                            f"rad, beyond 2**53 rad, where no digit of it is left"
-                        )
+                    check_path_phase(stage, self.spectral_model)
 
 
 def pump_splits(recipe: Recipe) -> list:

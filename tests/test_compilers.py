@@ -18,6 +18,7 @@ from qforge.compilers import (
 from qforge.elements import (
     DecohererStage,
     LocalRotationStage,
+    SpdcSourceSpec,
     analytic_f,
     default_spectral_model,
     dephasing_length_um,
@@ -358,6 +359,56 @@ def test_weights_must_sum_to_one():
     for branch, error in ((b0, BadWeights), (nan_weight, NotFinite)):
         with pytest.raises(error):
             Recipe(scheme="I", branches=(branch,), spectral_model=SM)
+
+
+def _weights(*weights):
+    """The weights a scheme-I recipe of one SPDC branch per weight keeps."""
+    seed = SpdcSourceSpec(0.0)
+    branches = tuple(RecipeBranch(w, tag, seed) for tag, w in enumerate(weights, start=1))
+    return [b.weight for b in Recipe(scheme="I", branches=branches, spectral_model=SM).branches]
+
+
+NAN, INF = float("nan"), float("inf")
+# (constructor, arguments, repr of what it returns or (type, message) of what it raises),
+# each outcome as it was before finite Python floats skipped check_finite
+CONSTRUCTOR_TABLE = [
+    (_weights, (0.5, 0.25, np.float64(0.25)), "[0.5, 0.25, np.float64(0.25)]"),
+    (_weights, (0, 0, 1), "[0, 0, 1]"),
+    (_weights, (0.5, 0.25, True), (TypeError, "weight[2] must be a number, got True")),
+    (_weights, (0.5, 0.25, 10**400), (NotFinite, "weight[2] is an integer beyond double range")),
+    (_weights, (0.5, 0.25, NAN), (NotFinite, "weight[2] = nan is not finite")),
+    (_weights, (0.5, 0.25, INF), (NotFinite, "weight[2] = inf is not finite")),
+    (_weights, (0.5, 0.25, -INF), (NotFinite, "weight[2] = -inf is not finite")),
+    (_weights, (np.float64(NAN), 0.5, 0.5), (NotFinite, "weight[0] = nan is not finite")),
+    (_weights, (0.5, INF, NAN), (NotFinite, "weight[1] = inf is not finite")),
+    (_weights, (0.75, 0.5, -0.25), (BadWeights, "negative branch weight in [0.75, 0.5, -0.25]")),
+    (_weights, (0.5, 0.25, 0.2), (BadWeights, "branch weights sum to 0.95, not 1")),
+    (_weights, (1e308, 1e308, 0.5), (BadWeights, "branch weights sum to inf, not 1")),
+    (_weights, (0.5, 0.25, "0.25"), (TypeError, "must be real number, not str")),
+    (_weights, (), (BadWeights, "branch weights sum to 0, not 1")),
+    (SpdcSourceSpec, (np.float64(0.5), 0.0), "SpdcSourceSpec(theta=np.float64(0.5), phi=0.0)"),
+    (SpdcSourceSpec, (1, 7), "SpdcSourceSpec(theta=1, phi=0.7168146928204138)"),
+    (SpdcSourceSpec, (True, 0.0), (TypeError, "theta must be a number, got True")),
+    (SpdcSourceSpec, (0.5, True), (TypeError, "phi must be a number, got True")),
+    (SpdcSourceSpec, (10**400, 0.0), (NotFinite, "theta is an integer beyond double range")),
+    (SpdcSourceSpec, (0.5, 10**400), (NotFinite, "phi is an integer beyond double range")),
+    (SpdcSourceSpec, (NAN, 0.0), (NotFinite, "theta = nan is not finite")),
+    (SpdcSourceSpec, (0.5, INF), (NotFinite, "phi = inf is not finite")),
+    (SpdcSourceSpec, (0.5, np.float64(-INF)), (NotFinite, "phi = -inf is not finite")),
+    (SpdcSourceSpec, (INF, NAN), (NotFinite, "theta = inf is not finite")),
+    (SpdcSourceSpec, (1e308, 1e308), (OutOfRange, "theta 1e+308 outside [0, pi/2]")),
+    (SpdcSourceSpec, (-0.25, 0.0), (OutOfRange, "theta -0.25 outside [0, pi/2]")),
+]
+
+
+@pytest.mark.parametrize("build, args, want", CONSTRUCTOR_TABLE)
+def test_constructors_accept_and_reject_as_before(build, args, want):
+    if isinstance(want, tuple):
+        with pytest.raises(want[0]) as info:
+            build(*args)
+        assert (type(info.value), str(info.value)) == want
+    else:
+        assert repr(build(*args)) == want
 
 
 def test_recipe_checks_scheme_delta_n_and_path_phase():

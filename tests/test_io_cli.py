@@ -1083,6 +1083,11 @@ CLI_CONTRACT = [
                  "not-finite", "", id="huge-int-default"),
     (["compile", "V", "mems:0.4", "--out", "{tmp}/x.json"], None, 2, "value-error", ""),
     (["--l-si", "0", "families", "werner", "0.5"], None, 2, "out-of-range", ""),
+    # coherence lengths whose decoherers' path phase would overflow analytic_f
+    *((["--l-si", l_si, "compile", scheme, target, "--out", "{tmp}/x.json"], None, 2,
+       "out-of-range", "")
+      for l_si in ("1e292", "1e305")
+      for scheme, target in (("III", "mems:0.4"), ("IV", "bell-diagonal:.4,.3,.2,.1"))),
     (["--pump-wavelength", "-1", "families", "werner", "0.5"], None, 2, "out-of-range", ""),
     # a matrix path holding ':' that names no family
     (["compile", "I", "{tmp}/h:h.txt", "--out", "{tmp}/y.json"], None, 0, None, "branches: 1"),

@@ -150,6 +150,61 @@ def test_canonical_phase_convention():
             assert abs(v[i].imag) < 1e-12
 
 
+def _decompose_by_argsort(rho):
+    """canonical_decompose as first written: argsort of eigh's eigenvalues,
+    reversed, and fancy indexing of the eigenvector rows."""
+    evals, evecs = _eigh(validate_density(rho))
+    order = np.argsort(evals)[::-1]
+    states = evecs.T[order]
+    mags = np.abs(states)
+    peak = mags.argmax(axis=1)
+    rows = np.arange(4)
+    states = states * (states[rows, peak].conj() / mags[rows, peak])[:, None]
+    return np.maximum(evals[order], 0.0), states
+
+
+def _tied_spectra():
+    """Spectra with equal eigenvalues, bare and under a seeded local unitary."""
+    bells = [projector(bell_state(name)) for name in ("phi+", "phi-", "psi+", "psi-")]
+    spectra = [np.eye(4, dtype=complex) / 4.0, np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex),
+               np.diag([0.0, 0.5, 0.0, 0.5]).astype(complex)]
+    spectra += [families.werner(r) for r in (0.0, 0.2, 1 / 3, 0.5, 0.8, 1.0)]
+    for w in ((0.25,) * 4, (0.5, 0.5, 0.0, 0.0), (0.4, 0.4, 0.1, 0.1), (0.3, 0.1, 0.3, 0.3),
+              (0.0, 0.0, 0.5, 0.5)):
+        spectra.append(sum(x * b for x, b in zip(w, bells)))
+    rng = np.random.default_rng(18)
+    for rho in spectra:
+        yield rho
+        u = np.kron(*(np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+                      for _ in range(2)))
+        turned = u @ rho @ u.conj().T
+        yield 0.5 * (turned + turned.conj().T)
+
+
+def test_canonical_decompose_keeps_the_argsort_order_on_tied_spectra():
+    # eigh returns ascending eigenvalues, and argsort of them is the identity,
+    # ties included: reversing eigh's order gives the same bits
+    for rho in itertools.chain(_tied_spectra(), _rank_targets()):
+        dec = canonical_decompose(rho)
+        evals, states = _decompose_by_argsort(rho)
+        assert _bits(dec.eigenvalues) == _bits(evals)
+        assert _bits(dec.eigenstates) == _bits(states)
+
+
+def _concurrence_by_mask(rho):
+    """concurrence as first written: the kept eigenpairs gathered by mask always."""
+    mu, vec = _eigh(0.5 * (rho + rho.conj().T))
+    keep = mu > 1e-15 * max(1.0, float(mu[-1]))
+    w = vec[:, keep] * np.sqrt(mu[keep])
+    lam = _svdvals(w.T @ np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]]) @ w).tolist() + [0.0] * 4
+    return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
+
+
+def test_concurrence_matches_the_mask_gather_bitwise():
+    for rho in itertools.chain(_tied_spectra(), _rank_targets(), HELPER_MATRICES):
+        assert _bits(concurrence(rho)) == _bits(_concurrence_by_mask(rho))
+
+
 def test_fidelity_examples():
     rho = families.werner(0.37)
     assert abs(fidelity(rho, rho) - 1.0) < 1e-12

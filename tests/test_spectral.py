@@ -3,7 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from qforge import spectral
 from qforge.elements import (
+    C_UM_PER_S,
     DecohererStage,
     LocalRotationStage,
     analytic_f,
@@ -211,6 +213,60 @@ def _random_chain(rng, n_dec):
     return stages
 
 
+def _chain_by_took_v(psi, stages, sm):
+    """simulate_chain's delay sum as first written: the int64 pair table
+    diff[p, q, k] = c_pk - c_qk rebuilt on every call and read by strided slices."""
+    terms = (psi / np.linalg.norm(psi))[None, :]
+    paths = []
+    for stage in stages:
+        if isinstance(stage, LocalRotationStage):
+            terms = terms @ stage.u4.T
+        else:
+            path = stage.effective_delta_n(sm) * stage.length_um
+            pol = np.array([0, 0, 1, 1] if stage.arm == "A" else [0, 1, 0, 1])
+            paths.append((path, path if stage.arm == "A" else -path))
+            terms = np.concatenate([terms * (1 - pol), terms * pol])
+    took_v = (np.arange(len(terms))[:, None] >> np.arange(len(paths))) & 1
+    diff = took_v[:, None, :] - took_v[None, :, :]
+    ds = np.zeros(diff.shape[:2])
+    dt = np.zeros(diff.shape[:2])
+    for k, (path, signed) in enumerate(paths):
+        ds += diff[:, :, k] * path
+        dt += diff[:, :, k] * signed
+    const = ds * sm.omega / (2.0 * C_UM_PER_S)
+    lin = dt / C_UM_PER_S
+    kernel = np.exp(1j * const) * np.exp(-0.5 * (sm.delta_eps * lin) ** 2)
+    rho = terms.T @ kernel @ terms.conj()
+    return 0.5 * (rho + rho.conj().T)
+
+
+def test_exact_path_matches_the_per_call_pair_table_bitwise():
+    # integer lengths and delta_n: the int8 planes must not make an int8 product
+    sm_int = dataclasses.replace(SM, delta_n=1)
+    rng = np.random.default_rng(1806)
+    for n_dec in range(7):
+        for _ in range(3):
+            psi = random_pure_state(rng)
+            mixed = _random_chain(rng, n_dec)
+            single = [dataclasses.replace(s, axis="V") if isinstance(s, DecohererStage) else s
+                      for s in mixed]
+            whole = [dataclasses.replace(s, length_um=int(s.length_um) % 300)
+                     if isinstance(s, DecohererStage) else s for s in mixed]
+            for stages, sm in ((single, SM), (mixed, SM), (whole, sm_int)):
+                got = simulate_chain(psi, stages, sm)
+                assert got.tobytes() == _chain_by_took_v(psi, stages, sm).tobytes()
+
+
+def test_pair_planes_are_built_once_and_read_only():
+    planes = spectral._pair_planes(3)
+    assert spectral._pair_planes(3) is planes
+    assert (planes.dtype, planes.shape, planes.flags.c_contiguous) == (np.int8, (3, 8, 8), True)
+    assert planes[1, 2, 5] == 1  # bit 1 of 2, less bit 1 of 5
+    with pytest.raises(ValueError, match="read-only"):
+        planes[0, 1, 0] = 0
+    assert spectral._pair_planes(0).shape == (0, 1, 1)
+
+
 def test_exact_matches_grid_on_random_chains():
     # the raw exact trace must sit far inside validate_density's 1e-12,
     # although the phases w dn L / 2c reach ~1e4 rad
@@ -256,8 +312,6 @@ def test_analytic_falls_back_to_exact_on_other_chains():
 
 
 def test_exact_path_refuses_more_than_ten_decoherers(monkeypatch):
-    from qforge import spectral
-
     chain = [DecohererStage("AB"[k % 2], FLOOR) for k in range(11)]
     psi = bell_state("phi+")
     with pytest.raises(OutOfRange, match="a chain of 11 decoherers exceeds the exact simulator's 10"):
