@@ -22,16 +22,20 @@ exception: kind internal-error).  They are mapped in one place,
 standard output and exits 0.  `--seed` and `simulate --analytic` are
 accepted and ignored: simulate picks each branch's method from its chain.
 
-Each command loads only the qforge layers it runs: every one loads errors,
-elements, qmath, families and matrix_io; cost adds recipe_io (home of
-recipe_cost); compile and simulate add compilers, with synth_pure, spectral
-and recipe_io.
+Each command loads only the qforge layers it runs.  Every one loads
+errors, qmath and matrix_io, and verify and metrics nothing more; families
+and plane add families (its FAMILIES table); cost adds recipe_io (home of
+recipe_cost), with elements; compile and simulate add compilers, with
+elements, families, synth_pure, spectral and recipe_io.  A physical
+constant set by a flag or QFORGE_DEFAULTS loads elements too.
 
 The env var QFORGE_DEFAULTS may point to a JSON file overriding the
 physical constants, e.g. {"delta_n": 0.009, "l_si_um": 100.0,
-"pump_wavelength_nm": 351.0}; explicit flags win over the file.  The group
-turns them into one SpectralModel, delta_n included, and passes it to the
-commands; a family target is parsed into one families.FamilyParams.
+"pump_wavelength_nm": 351.0}; explicit flags win over the file.  Where one
+is set, the group turns them into one SpectralModel, delta_n included,
+before any command runs, so a bad constant fails every command; compile
+then uses it.  Where none is set, compile takes the compilers' memoized
+default model.  A family target is parsed into one families.FamilyParams.
 
 Every --out takes '-' for stdout; compile then writes the recipe alone,
 without its summary.
@@ -48,11 +52,9 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import families as fam
 from . import matrix_io, qmath
-from .elements import check_finite, default_spectral_model
 from .errors import DefaultsFile, OutOfRange, QforgeError, RecipeParse, TimingCollision
-from .errors import UnsupportedTarget, VerificationFailed
+from .errors import UnsupportedTarget, VerificationFailed, check_finite
 
 MAX_PLANE_STEPS = 10**6  # 200,001 steps took 21.6 s and 77 MB: ~107 us and ~230 B a step
 
@@ -141,7 +143,10 @@ def cli(ctx, delta_n, l_si, pump_wavelength):
     file_defaults = _load_defaults_file()
     chosen = {key: file_defaults[key] for key in flags if key in file_defaults}
     chosen.update((key, flag) for key, flag in flags.items() if flag is not None)
-    ctx.obj = default_spectral_model(**chosen)
+    if chosen:  # else ctx.obj stays None, and compile takes the default model
+        from .elements import default_spectral_model
+
+        ctx.obj = default_spectral_model(**chosen)
 
 
 def _write_text(out: str, text: str):
@@ -166,19 +171,33 @@ def _load_recipe(path: str):
         raise RecipeParse(f"{path}: {exc}") from exc
 
 
-_FAMILY_USAGE = " | ".join(
-    " ".join((name.replace("_", "-"),) + f.param_names) for name, f in fam.FAMILIES.items()
-)
+class _FamiliesCommand(click.Command):
+    """A command whose help ends with the families of families.FAMILIES,
+    loaded only when the help is shown."""
+
+    def format_help_text(self, ctx, formatter):
+        from .families import FAMILIES
+
+        super().format_help_text(ctx, formatter)
+        usage = " | ".join(
+            " ".join((name.replace("_", "-"),) + f.param_names) for name, f in FAMILIES.items()
+        )
+        formatter.write_paragraph()
+        with formatter.indentation():
+            formatter.write_text(f"Families: {usage}.")
 
 
 @cli.command(
-    help=f"Write a named family state in the shared matrix format.\n\nFamilies: {_FAMILY_USAGE}.",
+    cls=_FamiliesCommand,
+    help="Write a named family state in the shared matrix format.",
     context_settings={"ignore_unknown_options": True},  # negative parameters
 )
 @click.argument("family")
 @click.argument("params", nargs=-1)
 @click.option("--out", "-o", default="-", help="Output path ('-' for stdout).")
 def families(family, params, out):
+    from . import families as fam
+
     t = fam.FamilyParams(family, params)
     m = fam.FAMILIES[t.kind].matrix(*t.params)
     label = f"{t.kind}({', '.join(f'{p:.6g}' for p in t.params)})"
@@ -196,6 +215,8 @@ def _parse_scheme(s: str) -> str:
 
 def _parse_target(target: str):
     """Return a FamilyParams, or the matrix file path."""
+    from . import families as fam
+
     if ":" in target:
         name, _, rest = target.partition(":")
         try:
@@ -230,6 +251,7 @@ def compile_cmd(sm, scheme, target, out):
     'bell-diagonal:0.4,0.3,0.2,0.1' (scheme IV).  The summary and the
     cost table follow unless the recipe goes to stdout.
     """
+    from . import families as fam
     from .compilers import compile_scheme1, compile_scheme2, compile_scheme3
     from .compilers import compile_scheme4_bell_diagonal
     from .recipe_io import recipe_to_json
@@ -324,6 +346,8 @@ def plane(family, steps, out):
 
     Families with one parameter, swept over [0, 1] in STEPS points (2 to 1,000,000).
     """
+    from . import families as fam
+
     one_param = {k: f.matrix for k, f in fam.FAMILIES.items() if f.arity == 1}
     ctor = one_param.get(family.replace("-", "_").lower())
     if ctor is None:

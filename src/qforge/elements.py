@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MismatchedDecoherers, NotFinite, OutOfRange, TargetOutOfRange
+from .errors import MismatchedDecoherers, OutOfRange, TargetOutOfRange, check_finite
 
 C_UM_PER_S = 2.99792458e14  # speed of light in micrometers per second
 
@@ -38,21 +38,6 @@ TAU_CAP = 8.0
 F_FLOOR = 1.3e-14
 # a path phase w |dn| L / 2c beyond 2**53 rad keeps no digit mod 2 pi in a double
 MAX_PATH_PHASE = 2.0**53
-
-
-def check_finite(**values: float) -> None:
-    """Raise NotFinite naming the first keyword whose value is NaN, infinite
-    or an integer beyond double range (a JSON number may be one); a bool,
-    which Python would read as 0 or 1, is a TypeError."""
-    for name, x in values.items():
-        if isinstance(x, bool):
-            raise TypeError(f"{name} must be a number, got {x}")
-        try:
-            finite = math.isfinite(x)
-        except OverflowError:
-            raise NotFinite(f"{name} is an integer beyond double range") from None
-        if not finite:
-            raise NotFinite(f"{name} = {x} is not finite")
 
 
 @dataclass(frozen=True)
@@ -268,9 +253,14 @@ def dephasing_length_um(sm: SpectralModel) -> float:
     return C_UM_PER_S / (sm.delta_eps * abs(sm.delta_n))
 
 
+def _path_phase(length_um: float, sm: SpectralModel) -> float:
+    """w |dn| L / 2c, the path phase of a decoherer of length L."""
+    return sm.omega * (abs(sm.delta_n) * length_um) / (2.0 * C_UM_PER_S)
+
+
 def check_path_phase(stage: DecohererStage, sm: SpectralModel) -> None:
     """OutOfRange when the decoherer's path phase w |dn| L / 2c exceeds MAX_PATH_PHASE."""
-    phase = sm.omega * (abs(sm.delta_n) * stage.length_um) / (2.0 * C_UM_PER_S)
+    phase = _path_phase(stage.length_um, sm)
     if phase > MAX_PATH_PHASE:
         raise OutOfRange(f"decoherer of {stage.length_um} um has a path phase of {phase:.3g} "
                          f"rad, beyond 2**53 rad, where no digit of it is left")
@@ -304,10 +294,18 @@ def invert_f(target_abs_f: float, sm: SpectralModel) -> tuple[float, float]:
     L2 sits at the full-dephasing floor and L1 >= L2.  Targets in
     [0, F_FLOOR), zero included, are treated as zero: the length difference
     is capped at tau = 8, where the Gaussian is ~1.3e-14.
+
+    The lengths scale with l_si / |delta_n| and their path phase with l_si:
+    where the phase of L1 overflows a double (from about l_si = 1e292 um at
+    the default pump), the model is OutOfRange, named by its l_si.  Finite
+    phases beyond MAX_PATH_PHASE are left to check_path_phase.
     """
     if not 0.0 <= target_abs_f <= 1.0:
         raise TargetOutOfRange(f"|f| target {target_abs_f} outside [0, 1]")
     tau = TAU_CAP if target_abs_f < F_FLOOR else math.sqrt(2.0 * math.log(1.0 / target_abs_f))
     floor = full_dephasing_floor_um(sm)
-    diff = tau * dephasing_length_um(sm)
-    return floor + diff, floor
+    l1 = floor + tau * dephasing_length_um(sm)
+    if not math.isfinite(_path_phase(l1, sm)):  # an infinite length too
+        raise OutOfRange(f"l_si {sm.l_si_um:.6g} um makes the decoherers' path phase "
+                         f"overflow a double")
+    return l1, floor

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and check_finite, the check
+that raises NotFinite for a scalar input.  elements, recipe_io and cli import
+it from here, next to NotFinite, so a command that builds no element (verify
+checks --min-fidelity with it) does not load elements."""
+
+import math
 
 
 class QforgeError(Exception):
@@ -11,6 +16,21 @@ class ValidationError(QforgeError, ValueError):
 
 class NotFinite(ValidationError):
     """A matrix holds a NaN or infinite entry."""
+
+
+def check_finite(**values: float) -> None:
+    """Raise NotFinite naming the first keyword whose value is NaN, infinite
+    or an integer beyond double range (a JSON number may be one); a bool,
+    which Python would read as 0 or 1, is a TypeError."""
+    for name, x in values.items():
+        if isinstance(x, bool):
+            raise TypeError(f"{name} must be a number, got {x}")
+        try:
+            finite = math.isfinite(x)
+        except OverflowError:
+            raise NotFinite(f"{name} is an integer beyond double range") from None
+        if not finite:
+            raise NotFinite(f"{name} = {x} is not finite")
 
 
 class NotHermitian(ValidationError):

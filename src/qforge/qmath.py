@@ -7,13 +7,14 @@ validate the physical invariants and compute the standard two-qubit
 quantities used everywhere else in the package.
 
 Every eigen-decomposition, singular-value and vector-norm call in qforge
-goes through the three private helpers below; only synth_pure's rare
-product and near-seam routes keep np.linalg.svd (with U and V) and
-np.linalg.det.  _eigh calls LAPACK through numpy's `_umath_linalg.eigh_lo`
-gufunc ("D->dD"), _svdvals through `_umath_linalg.svd` ("D->d"), under
-the error state numpy's wrappers set, so a failure raises numpy's
-LinAlgError with numpy's message.  That state is built once, by the
-np.errstate the wrappers enter; each call sets numpy's
+goes through the three private helpers below (a metric sets _eigh's
+state once and calls its gufunc itself); only
+synth_pure's rare product and near-seam routes keep np.linalg.svd (with U
+and V) and np.linalg.det.  _eigh calls LAPACK through numpy's
+`_umath_linalg.eigh_lo` gufunc ("D->dD"), _svdvals through
+`_umath_linalg.svd` ("D->d"), under the error state numpy's wrappers set,
+so a failure raises numpy's LinAlgError with numpy's message.  That state
+is built once, by the np.errstate the wrappers enter; each call sets numpy's
 `_ufunc_config._extobj_contextvar` to it and resets the token in a
 finally, as errstate's __enter__ and __exit__ do, so the caller's (per
 thread) state is back on return or raise.  _norm is np.linalg.norm's
@@ -23,7 +24,13 @@ and _svdvals.  _trace is ndarray.trace of a complex 4x4 matrix in
 scalars: numpy's add.reduce adds the diagonal pairwise, (a + b) + (c + d),
 onto +0, and so does _trace (left to right, half of all matrices differ
 in the last bit).  Every metric raises validate_density's NotHermitian
-for input that is not 4x4; none checks finiteness.
+for input that is not 4x4, and its NotFinite for a NaN or infinite entry
+that the metric reads (of rho, fidelity reads what eigh reads: the strict
+lower triangle and the real part of the diagonal).  A metric runs in
+_eigh's error state, so an invalid operation on such an entry raises
+LinAlgError rather than a RuntimeWarning, and checks finiteness only where
+a finite matrix never goes: after a LinAlgError, a NaN least eigenvalue or
+a result that is not finite.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_CLAMP = 1e-10  # eigenvalues in [-1e-10, 0) are treated as round-off
 NORM_TOL = 1e-9  # check_pure accepts a norm this close to 1
+_NOT_FINITE = "matrix holds a NaN or infinite entry"
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
@@ -114,6 +122,13 @@ def check_pure(psi: np.ndarray) -> np.ndarray:
     return v / n
 
 
+def _check_finite(*ms: np.ndarray) -> None:
+    """validate_density's NotFinite where some m holds a NaN or infinite entry."""
+    for m in ms:
+        if not np.isfinite(m).all():
+            raise NotFinite(_NOT_FINITE)
+
+
 def validate_density(m: np.ndarray) -> np.ndarray:
     """Validate a 4x4 density matrix and return a cleaned copy.
 
@@ -122,8 +137,7 @@ def validate_density(m: np.ndarray) -> np.ndarray:
     unit trace; anything worse raises the matching error.
     """
     m = np.asarray(m, dtype=complex)
-    if not np.isfinite(m).all():
-        raise NotFinite("matrix holds a NaN or infinite entry")
+    _check_finite(m)
     m = _matrix(m)
     m_dag = m.conj().T
     skew = np.abs(m - m_dag).max()
@@ -172,18 +186,26 @@ def canonical_decompose(rho: np.ndarray) -> CanonicalDecomposition:
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    evals, evecs = _eigh(m)
+    evals, evecs = _umath_linalg.eigh_lo(m, signature="D->dD")  # in fidelity's _eigh state
     return (evecs * np.sqrt(np.maximum(evals, 0.0))) @ evecs.conj().T
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Uhlmann fidelity F = (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2."""
-    rho = _matrix(rho)
-    sigma = _matrix(sigma)
-    sq = _psd_sqrt(rho)
-    inner = sq @ sigma @ sq
-    inner = 0.5 * (inner + inner.conj().T)
-    f = _trace(_psd_sqrt(inner)).real ** 2
+    rho, sigma = _matrix(rho), _matrix(sigma)
+    token = _extobj_contextvar.set(_EIGH_EXTOBJ)
+    try:
+        sq = _psd_sqrt(rho)
+        inner = sq @ sigma @ sq
+        inner = 0.5 * (inner + inner.conj().T)
+        f = _trace(_psd_sqrt(inner)).real ** 2
+    except LinAlgError:
+        _check_finite(rho, sigma)
+        raise
+    finally:
+        _extobj_contextvar.reset(token)
+    if not math.isfinite(f):
+        _check_finite(rho, sigma)
     return min(max(f, 0.0), 1.0)
 
 
@@ -197,15 +219,29 @@ def concurrence(rho: np.ndarray) -> float:
     machine precision for rank-deficient states.
     """
     rho = _matrix(rho)
-    mu, vec = _eigh(0.5 * (rho + rho.conj().T))
-    keep = mu > 1e-15 * max(1.0, float(mu[-1]))
-    if not keep.all():
-        mu, vec = mu[keep], vec[:, keep]
-    w = vec * np.sqrt(mu)
-    tau = w.T @ _YY @ w
-    # descending, as LAPACK returns them: one per kept eigenvalue, padded to four
-    lam = _svdvals(tau).tolist() + [0.0] * 4
-    return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
+    token = _extobj_contextvar.set(_EIGH_EXTOBJ)
+    try:
+        h = 0.5 * (rho + rho.conj().T)
+        mu, vec = _umath_linalg.eigh_lo(h, signature="D->dD")  # in _eigh's state, set above
+        cut = 1e-15 * max(1.0, float(mu[-1]))
+        if not mu[0] > cut:  # ascending: some eigenvalue is dropped, or the least is NaN
+            if not math.isfinite(sum(mu.tolist())):
+                _check_finite(rho)
+            keep = mu > cut
+            mu, vec = mu[keep], vec[:, keep]
+        w = vec * np.sqrt(mu)
+        tau = w.T @ _YY @ w
+        # descending, as LAPACK returns them: one per kept eigenvalue, padded to four
+        lam = _svdvals(tau).tolist() + [0.0] * 4
+        c = lam[0] - lam[1] - lam[2] - lam[3]
+    except LinAlgError:
+        _check_finite(rho)
+        raise
+    finally:
+        _extobj_contextvar.reset(token)
+    if not math.isfinite(c):
+        _check_finite(rho)
+    return max(0.0, c)
 
 
 def tangle(rho: np.ndarray) -> float:
@@ -216,7 +252,17 @@ def tangle(rho: np.ndarray) -> float:
 
 def purity(rho: np.ndarray) -> float:
     rho = _matrix(rho)
-    return _trace(rho @ rho).real
+    token = _extobj_contextvar.set(_EIGH_EXTOBJ)
+    try:
+        p = _trace(rho @ rho).real
+    except LinAlgError:
+        _check_finite(rho)
+        raise
+    finally:
+        _extobj_contextvar.reset(token)
+    if not math.isfinite(p):
+        _check_finite(rho)
+    return p
 
 
 def linear_entropy(rho: np.ndarray) -> float:

@@ -33,10 +33,10 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .elements import SpdcSourceSpec, SpectralModel, check_finite, check_path_phase
+from .elements import SpdcSourceSpec, SpectralModel, check_path_phase
 from .elements import DecohererStage, LocalRotationStage
 from .errors import BadWeights, InconsistentRecipe, NotFinite, NotNormalized, NotUnitary
-from .errors import TimingCollision
+from .errors import TimingCollision, check_finite
 from .qmath import _norm
 
 FORMAT_VERSION = 1

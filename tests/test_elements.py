@@ -215,5 +215,19 @@ def test_invert_f_below_floor_capped():
     assert abs(abs(f) - 1e-20) < 1e-12  # both effectively zero
 
 
+def test_invert_f_names_an_l_si_whose_path_phase_overflows():
+    # the phase of L1 overflows from l_si = 1e292 um at the default pump; below
+    # that, the lengths come back and analytic_f's check_path_phase names them
+    l1, _ = invert_f(0.6, default_spectral_model(l_si_um=1e291))
+    assert math.isfinite(l1)
+    with pytest.raises(OutOfRange, match="beyond 2\\*\\*53 rad"):
+        analytic_f(DecohererStage("A", l1), DecohererStage("B", l1), SM)
+    for l_si, target in ((1e292, 0.6), (1e292, 1.0), (1e307, 0.0), (1e308, 1.0)):
+        with pytest.raises(OutOfRange) as info:
+            invert_f(target, default_spectral_model(l_si_um=l_si))
+        assert str(info.value) == (f"l_si {l_si:.6g} um makes the decoherers' path phase "
+                                   f"overflow a double")
+
+
 def test_spectral_model_lengths():
     assert abs(SM.l_si_um - 100.0) < 1e-9

@@ -1089,6 +1089,12 @@ CLI_CONTRACT = [
       for l_si in ("1e292", "1e305")
       for scheme, target in (("III", "mems:0.4"), ("IV", "bell-diagonal:.4,.3,.2,.1"))),
     (["--pump-wavelength", "-1", "families", "werner", "0.5"], None, 2, "out-of-range", ""),
+    # a bad constant fails commands that use no spectral model too
+    (["--l-si", "-1", "metrics", "{tmp}/hh.txt"], None, 2, "out-of-range", ""),
+    (["--delta-n", "nan", "verify", "{tmp}/hh.txt", "{tmp}/hh.txt"], None, 2, "not-finite", ""),
+    (["cost", "{tmp}/r.json"], '{"l_si_um": 0}', 2, "out-of-range", ""),
+    (["simulate", "{tmp}/r.json", "--out", "{tmp}/x.json"], '{"l_si_um": 0}', 2,
+     "out-of-range", ""),
     # a matrix path holding ':' that names no family
     (["compile", "I", "{tmp}/h:h.txt", "--out", "{tmp}/y.json"], None, 0, None, "branches: 1"),
 ]
@@ -1113,6 +1119,65 @@ def test_cli_exit_code_contract(runner, tmp_path, args, defaults, code, kind, st
         _single_error_line(res, kind)
     assert res.stdout.startswith(stdout)
     assert not (tmp_path / "x.json").exists()
+
+
+# a bad constant, from a flag or from QFORGE_DEFAULTS, and the line it ends every command with
+BAD_CONSTANTS = [
+    (["--l-si", "-1"], None, "error: out-of-range: l_si must be positive, got -1.0\n"),
+    (["--delta-n", "nan"], None, "error: not-finite: delta_n = nan is not finite\n"),
+    (["--pump-wavelength", "0"], None,
+     "error: out-of-range: pump wavelength must be positive, got 0.0\n"),
+    ([], '{"l_si_um": 0}', "error: out-of-range: l_si must be positive, got 0\n"),
+    ([], '{"delta_n": true}', "error: type-error: delta_n must be a number, got True\n"),
+    ([], '{"pump_wavelength_nm": Infinity}',
+     "error: not-finite: pump_wavelength = inf is not finite\n"),
+]
+EVERY_COMMAND = [
+    ["families", "werner", "0.5"],
+    ["compile", "III", "mems:0.4", "--out", "{tmp}/x.json"],
+    ["simulate", "{tmp}/r.json", "--out", "{tmp}/x.json"],
+    ["verify", "{tmp}/w.txt", "{tmp}/w.txt"],
+    ["metrics", "{tmp}/w.txt"],
+    ["plane", "mems", "3"],
+    ["cost", "{tmp}/r.json"],
+]
+
+
+@pytest.mark.parametrize("command", EVERY_COMMAND, ids=lambda c: c[0])
+@pytest.mark.parametrize("flags, defaults, line", BAD_CONSTANTS)
+def test_cli_bad_constant_ends_every_command_in_its_line(runner, tmp_path, command, flags,
+                                                         defaults, line):
+    (tmp_path / "w.txt").write_text(format_matrix(werner(0.5)), encoding="utf-8")
+    (tmp_path / "r.json").write_text(recipe_to_json(compile_scheme3(FamilyParams("mems", (0.4,)))),
+                                     encoding="utf-8")
+    env = None
+    if defaults is not None:
+        (tmp_path / "defaults.json").write_text(defaults, encoding="utf-8")
+        env = {"QFORGE_DEFAULTS": str(tmp_path / "defaults.json")}
+    res = invoke(runner, *flags, *[a.format(tmp=tmp_path) for a in command], env=env)
+    assert (res.exit_code, res.stdout, res.stderr) == (2, "", line)
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("l_si", ["1e292", "1e300", "1e305", "1e307", "1e308"])
+@pytest.mark.parametrize("scheme, target", [("III", "mems:0.4"), ("III", "mems:0.8"),
+                                            ("IV", "bell-diagonal:.4,.3,.2,.1")])
+def test_cli_compile_names_an_l_si_whose_decoherers_overflow(runner, tmp_path, l_si, scheme,
+                                                             target):
+    res = invoke(runner, "--l-si", l_si, "compile", scheme, target,
+                 "--out", str(tmp_path / "x.json"))
+    want = (f"error: out-of-range: l_si {float(l_si):.6g} um makes the decoherers' path phase "
+            f"overflow a double\n")
+    assert (res.exit_code, res.stdout, res.stderr) == (2, "", want)
+
+
+def test_cli_compile_keeps_the_path_phase_line_below_the_overflow(runner, tmp_path):
+    res = invoke(runner, "--l-si", "1e291", "compile", "III", "mems:0.4",
+                 "--out", str(tmp_path / "x.json"))
+    assert res.exit_code == 2
+    assert res.stderr == ("error: out-of-range: decoherer of 1.2234186280660878e+294 um has a "
+                          "path phase of 9.86e+292 rad, beyond 2**53 rad, where no digit of it "
+                          "is left\n")
 
 
 def test_cli_unexpected_exception_is_one_internal_error_line(runner, tmp_path, monkeypatch):

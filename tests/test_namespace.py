@@ -127,14 +127,21 @@ def test_family_target_loads_no_compiler_layer():
     assert qforge.compilers.FamilyParams is qforge.FamilyParams
 
 
+ELEMENTS, FAMILIES = {"qforge.elements"}, {"qforge.families"}
+
+
 @pytest.mark.parametrize(
     "args, unloaded",
     [
-        (["families", "werner", "0.5"], COMPILER_STACK),
-        (["metrics", "w.txt"], COMPILER_STACK),
-        (["verify", "w.txt", "w.txt"], COMPILER_STACK),
-        (["plane", "mems", "3"], COMPILER_STACK),
-        (["cost", "r.json"], {"qforge.compilers", "qforge.synth_pure", "qforge.spectral"}),
+        (["families", "werner", "0.5"], COMPILER_STACK | ELEMENTS),
+        (["metrics", "w.txt"], COMPILER_STACK | ELEMENTS | FAMILIES),
+        (["verify", "w.txt", "w.txt"], COMPILER_STACK | ELEMENTS | FAMILIES),
+        (["plane", "mems", "3"], COMPILER_STACK | ELEMENTS),
+        (["cost", "r.json"],
+         {"qforge.compilers", "qforge.synth_pure", "qforge.spectral"} | FAMILIES),
+        # a constant set on the command line builds the model, from elements
+        (["--l-si", "50", "metrics", "w.txt"], COMPILER_STACK | FAMILIES),
+        (["--help"], COMPILER_STACK | ELEMENTS | FAMILIES),
     ],
 )
 def test_cli_command_loads_only_its_layers(tmp_path, args, unloaded):
@@ -145,6 +152,10 @@ def test_cli_command_loads_only_its_layers(tmp_path, args, unloaded):
     assert "qforge.cli" in loaded
     assert not unloaded & loaded, sorted(unloaded & loaded)
     assert ("qforge.recipe_io" in loaded) == (args[0] == "cost")
+    assert ("qforge.elements" in loaded) == (args[0] in ("cost", "--l-si"))
+    if args[0] in ("metrics", "verify"):
+        assert loaded == {"qforge", "qforge.cli", "qforge.errors", "qforge.qmath",
+                          "qforge.matrix_io"}
 
 
 def test_benchmark_measures_public_layer_functions():

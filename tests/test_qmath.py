@@ -360,6 +360,15 @@ def _helpers_keep_the_error_state():
             helper(bad)
         assert str(info.value) == message
         assert (np.geterr(), np.geterrcall()) == before
+    # the metrics set their own state too, and reset it on return and on NotFinite
+    for metric in (concurrence, purity, lambda m: fidelity(m, m)):
+        before = (np.geterr(), np.geterrcall())
+        metric(good)
+        assert (np.geterr(), np.geterrcall()) == before
+        for m in NON_FINITE.values():
+            with pytest.raises(NotFinite):
+                metric(m)
+            assert (np.geterr(), np.geterrcall()) == before
 
 
 def test_linalg_helpers_restore_the_callers_error_state():
@@ -408,33 +417,77 @@ def test_metrics_reject_a_matrix_that_is_not_4x4(metric, shape):
 
 NON_FINITE = {"nan": np.full((4, 4), np.nan, dtype=complex),
               "inf": np.full((4, 4), np.inf, dtype=complex)}
-# (matrix, metric) -> exception type and message; None where the metric
-# returns NaN.  RuntimeWarning is an error in this suite, and on the inf
-# matrix 0.5 * (inf + inf) and inf @ inf warn before any LAPACK call.
-NON_FINITE_OUTCOMES = {
-    ("nan", "tangle"): (np.linalg.LinAlgError, "Eigenvalues did not converge"),
-    ("nan", "concurrence"): (np.linalg.LinAlgError, "Eigenvalues did not converge"),
-    ("nan", "fidelity"): (np.linalg.LinAlgError, "Eigenvalues did not converge"),
+METRICS = {"tangle": tangle, "concurrence": concurrence, "fidelity": fidelity,
+           "linear_entropy": linear_entropy, "purity": purity}
+# (matrix, metric) -> the numpy error that the metric's NotFinite is raised
+# from, None where its arithmetic ends in NaN unraised.  RuntimeWarning is an error
+# in this suite: on the inf matrix 0.5 * (inf + inf) and inf @ inf would warn,
+# and under eigh's error state, which the metrics run in, they raise eigh's
+# LinAlgError instead.
+EIGH_ERROR = (np.linalg.LinAlgError, "Eigenvalues did not converge")
+NON_FINITE_CONTEXT = {
+    ("nan", "tangle"): EIGH_ERROR,
+    ("nan", "concurrence"): EIGH_ERROR,
+    ("nan", "fidelity"): EIGH_ERROR,
     ("nan", "linear_entropy"): None,
-    ("inf", "tangle"): (RuntimeWarning, "invalid value encountered in multiply"),
-    ("inf", "concurrence"): (RuntimeWarning, "invalid value encountered in multiply"),
-    ("inf", "fidelity"): (np.linalg.LinAlgError, "Eigenvalues did not converge"),
-    ("inf", "linear_entropy"): (RuntimeWarning, "invalid value encountered in matmul"),
+    ("nan", "purity"): None,
+    ("inf", "tangle"): EIGH_ERROR,
+    ("inf", "concurrence"): EIGH_ERROR,
+    ("inf", "fidelity"): EIGH_ERROR,
+    ("inf", "linear_entropy"): EIGH_ERROR,
+    ("inf", "purity"): EIGH_ERROR,
 }
 
 
-@pytest.mark.parametrize("case", NON_FINITE_OUTCOMES, ids="-".join)
-def test_metrics_on_non_finite_input_raise_numpys_errors(case):
-    # numpy's own types and messages: a numpy whose private LAPACK entry
-    # points changed fails here rather than in a user's hands
+def _not_finite_message():
+    with pytest.raises(NotFinite) as info:
+        validate_density(NON_FINITE["nan"])
+    return str(info.value)
+
+
+@pytest.mark.parametrize("case", NON_FINITE_CONTEXT, ids="-".join)
+def test_metrics_on_non_finite_input_raise_not_finite(case):
+    # validate_density's error, raised from numpy's own type and message where
+    # LAPACK saw the matrix: a numpy whose private LAPACK entry points changed
+    # fails here rather than in a user's hands
     m = NON_FINITE[case[0]]
-    metric = {"tangle": tangle, "concurrence": concurrence, "fidelity": fidelity,
-              "linear_entropy": linear_entropy}[case[1]]
-    args = (m, m) if metric is fidelity else (m,)
-    if NON_FINITE_OUTCOMES[case] is None:
-        assert np.isnan(metric(*args))
-        return
-    raises, message = NON_FINITE_OUTCOMES[case]
-    with pytest.raises(raises) as info:
-        metric(*args)
-    assert type(info.value) is raises and str(info.value) == message
+    metric = METRICS[case[1]]
+    with pytest.raises(NotFinite) as info:
+        metric(*((m, m) if metric is fidelity else (m,)))
+    assert str(info.value) == _not_finite_message()
+    context = info.value.__context__
+    if NON_FINITE_CONTEXT[case] is None:
+        assert context is None
+    else:
+        raises, message = NON_FINITE_CONTEXT[case]
+        assert type(context) is raises and str(context) == message
+
+
+NON_FINITE_ENTRIES = (np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(0.0, np.nan),
+                      complex(np.inf, -np.inf))
+# a full-rank, a pure and a rank-2 state: the pure and rank-2 ones take
+# concurrence's dropped-eigenvalue path when finite
+NON_FINITE_BASES = (np.eye(4, dtype=complex) / 4.0, np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex),
+                    _ginibre(7, 2))
+
+
+@pytest.mark.parametrize("name", METRICS)
+def test_every_non_finite_entry_a_metric_reads_raises_not_finite(name):
+    # each entry of each base state replaced by each non-finite value; fidelity
+    # reads all of sigma, and of rho what eigh reads: the strict lower triangle
+    # and the real part of the diagonal
+    metric, message = METRICS[name], _not_finite_message()
+    for base, value, (i, j) in itertools.product(
+            NON_FINITE_BASES, NON_FINITE_ENTRIES, itertools.product(range(4), repeat=2)):
+        m = base.copy()
+        m[i, j] = value
+        if metric is not fidelity:
+            calls = [(m,)]
+        elif i > j or (i == j and not np.isfinite(m[i, j].real)):  # read in rho too
+            calls = [(base, m), (m, base)]
+        else:
+            calls = [(base, m)]
+        for args in calls:
+            with pytest.raises(NotFinite) as info:
+                metric(*args)
+            assert str(info.value) == message, (name, value, i, j)
