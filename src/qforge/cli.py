@@ -22,12 +22,17 @@ exception: kind internal-error).  They are mapped in one place,
 standard output and exits 0.  `--seed` and `simulate --analytic` are
 accepted and ignored: simulate picks each branch's method from its chain.
 
-Each command loads only the qforge layers it runs.  Every one loads
-errors, qmath and matrix_io, and verify and metrics nothing more; families
-and plane add families (its FAMILIES table); cost adds recipe_io (home of
-recipe_cost), with elements; compile and simulate add compilers, with
-elements, families, synth_pure, spectral and recipe_io.  A physical
-constant set by a flag or QFORGE_DEFAULTS loads elements too.
+Each command loads only the qforge layers it runs, and numpy only where
+it computes.  cost loads errors and recipe_io alone (home of the records a
+recipe holds and of recipe_cost), and no numpy: recipe_io parses and
+checks a recipe in Python scalars, and only a scheme-II recipe, whose pump
+split pump_splits derives with numpy (its upper_fraction keeps
+qmath._norm's bits), adds numpy and qmath.  Every other
+command loads errors, qmath, matrix_io and numpy, and verify and metrics
+nothing more; families and plane add families (its FAMILIES table);
+compile and simulate add compilers, with elements, families, synth_pure,
+spectral and recipe_io.  A physical constant set by a flag or
+QFORGE_DEFAULTS loads elements (and with it recipe_io and numpy) too.
 
 The env var QFORGE_DEFAULTS may point to a JSON file overriding the
 physical constants, e.g. {"delta_n": 0.009, "l_si_um": 100.0,
@@ -48,13 +53,15 @@ import re
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
-import numpy as np
 
-from . import matrix_io, qmath
 from .errors import DefaultsFile, OutOfRange, QforgeError, RecipeParse, TimingCollision
 from .errors import UnsupportedTarget, VerificationFailed, check_finite
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_PLANE_STEPS = 10**6  # 200,001 steps took 21.6 s and 77 MB: ~107 us and ~230 B a step
 
@@ -157,6 +164,8 @@ def _write_text(out: str, text: str):
 
 
 def _load_validated(path: str) -> np.ndarray:
+    from . import matrix_io, qmath
+
     return qmath.validate_density(matrix_io.load_matrix(path))
 
 
@@ -197,6 +206,7 @@ class _FamiliesCommand(click.Command):
 @click.option("--out", "-o", default="-", help="Output path ('-' for stdout).")
 def families(family, params, out):
     from . import families as fam
+    from . import matrix_io
 
     t = fam.FamilyParams(family, params)
     m = fam.FAMILIES[t.kind].matrix(*t.params)
@@ -292,6 +302,7 @@ def simulate(recipe_path, out, grid_n):
     The simulation is exact for the Gaussian spectrum unless --grid-n is given:
     the closed form where a branch's chain fits it, else the delay sum.
     """
+    from . import matrix_io
     from .compilers import simulate_recipe
 
     recipe = _load_recipe(recipe_path)
@@ -301,6 +312,8 @@ def simulate(recipe_path, out, grid_n):
 
 
 def _echo_metrics(label: str, rho: np.ndarray):
+    from . import qmath
+
     click.echo(
         f"{label}: tangle {qmath.tangle(rho):.6g}  "
         f"linear_entropy {qmath.linear_entropy(rho):.6g}  "
@@ -317,6 +330,8 @@ def verify(target_path, produced_path, min_fidelity):
     check_finite(min_fidelity=min_fidelity)
     if not 0.0 <= min_fidelity <= 1.0:
         raise OutOfRange(f"--min-fidelity {min_fidelity:.9g} must lie in [0, 1]")
+    from . import qmath
+
     target = _load_validated(target_path)
     produced = _load_validated(produced_path)
     f = qmath.fidelity(target, produced)
@@ -331,6 +346,8 @@ def verify(target_path, produced_path, min_fidelity):
 @click.argument("matrix_path")
 def metrics(matrix_path):
     """Print tangle, linear entropy and purity of a matrix file."""
+    from . import qmath
+
     rho = _load_validated(matrix_path)
     click.echo(f"tangle {qmath.tangle(rho):.6g}")
     click.echo(f"linear_entropy {qmath.linear_entropy(rho):.6g}")
@@ -347,6 +364,7 @@ def plane(family, steps, out):
     Families with one parameter, swept over [0, 1] in STEPS points (2 to 1,000,000).
     """
     from . import families as fam
+    from . import qmath
 
     one_param = {k: f.matrix for k, f in fam.FAMILIES.items() if f.arity == 1}
     ctor = one_param.get(family.replace("-", "_").lower())

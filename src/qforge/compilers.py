@@ -22,19 +22,11 @@ from typing import Optional
 import numpy as np
 
 from . import qmath
-from .elements import (
-    DecohererStage,
-    LocalRotationStage,
-    SpdcSourceSpec,
-    SpectralModel,
-    analytic_f,
-    default_spectral_model,
-    invert_f,
-    spdc_pair_state,
-)
+from .elements import analytic_f, default_spectral_model, invert_f, spdc_pair_state
 from .errors import UnsupportedTarget
 from .families import FAMILIES, FamilyParams, bell_weights
-from .recipe_io import RANK_EPS, Recipe, RecipeBranch
+from .recipe_io import RANK_EPS, DecohererStage, LocalRotationStage, Recipe, RecipeBranch
+from .recipe_io import SpdcSourceSpec, SpectralModel
 from .spectral import analytic_single_stage, make_grid, simulate_chain
 from .synth_pure import solve_pure
 

@@ -1,8 +1,12 @@
 """Optical element models: SPDC source, waveplates, decoherers.
 
-The stage records a recipe branch applies after its seed live here:
-LocalRotationStage and DecohererStage.  spectral simulates chains of
-them; recipe_io reads and writes them.
+This module holds the optics formulas: the spectral amplitude, the pair
+state a source gives, waveplate Jones matrices and their QWP-HWP-QWP
+synthesis, and the decoherence factor with its inverse.  The records they
+read (SpectralModel, SpdcSourceSpec, DecohererStage) and the rotation
+stage live in recipe_io, which reads, writes and tallies recipes without
+numpy; only its pump_splits imports numpy, for a scheme-II split, whose
+upper_fraction must keep qmath._norm's bits.
 
 Conventions used throughout:
   * angles in radians, lengths in micrometers, frequencies in rad/s;
@@ -23,50 +27,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MismatchedDecoherers, OutOfRange, TargetOutOfRange, check_finite
-
-C_UM_PER_S = 2.99792458e14  # speed of light in micrometers per second
+from .recipe_io import C_UM_PER_S, DEFAULT_DELTA_N, MAX_PATH_PHASE, DecohererStage
+from .recipe_io import SpdcSourceSpec, SpectralModel, _path_phase, check_path_phase
 
 # defaults for examples and the CLI; working regime is l_p >> |dn| L >> l_si
 DEFAULT_PUMP_WAVELENGTH_NM = 351.0
 DEFAULT_L_SI_UM = 100.0
-DEFAULT_DELTA_N = 0.009  # quartz-like birefringence
 
 # full-dephasing floor: decoherers at least 10 dephasing lengths thick
 DEPHASING_FLOOR_FACTOR = 10.0
 # |f| targets below this are treated as zero (tau capped at 8 -> e^-32)
 TAU_CAP = 8.0
 F_FLOOR = 1.3e-14
-# a path phase w |dn| L / 2c beyond 2**53 rad keeps no digit mod 2 pi in a double
-MAX_PATH_PHASE = 2.0**53
-
-
-@dataclass(frozen=True)
-class SpectralModel:
-    """Gaussian downconversion spectrum parameters and the decoherers'
-    birefringence.
-
-    delta_eps is the half-width of |A(eps)|^2 and omega the pump central
-    frequency, both in rad/s.  delta_n = n_V - n_H is the birefringence of
-    every decoherer in a recipe; it is checked finite, and zero is allowed
-    (schemes I and II emit no decoherer).
-    """
-
-    delta_eps: float
-    omega: float
-    delta_n: float = DEFAULT_DELTA_N
-
-    def __post_init__(self):
-        check_finite(delta_eps=self.delta_eps, omega=self.omega)
-        if self.delta_eps <= 0.0:
-            raise OutOfRange(f"delta_eps must be positive, got {self.delta_eps}")
-        if self.omega <= 0.0:
-            raise OutOfRange(f"omega must be positive, got {self.omega}")
-        check_finite(delta_n=self.delta_n)  # last: a bad delta_eps or omega is named first
-
-    @property
-    def l_si_um(self) -> float:
-        """Coherence length of the downconversion photons, c / delta_eps."""
-        return C_UM_PER_S / self.delta_eps
 
 
 @functools.lru_cache(typed=True)
@@ -92,22 +64,6 @@ def spectral_amplitude(sm: SpectralModel, eps: np.ndarray) -> np.ndarray:
     """Gaussian amplitude A(eps) with |A|^2 the normal density of width delta_eps."""
     d2 = sm.delta_eps**2
     return (2.0 * math.pi * d2) ** -0.25 * np.exp(-np.asarray(eps) ** 2 / (4.0 * d2))
-
-
-@dataclass(frozen=True)
-class SpdcSourceSpec:
-    """Two-crystal source pumped by cos(theta)|V> + e^{i phi} sin(theta)|H>."""
-
-    theta: float
-    phi: float = 0.0
-
-    def __post_init__(self):
-        theta, phi = self.theta, self.phi
-        if not (type(theta) is type(phi) is float and math.isfinite(theta + phi)):
-            check_finite(theta=theta, phi=phi)  # only where a value is not a finite float
-        if not 0.0 <= self.theta <= math.pi / 2.0 + 1e-12:
-            raise OutOfRange(f"theta {self.theta} outside [0, pi/2]")
-        object.__setattr__(self, "phi", float(self.phi) % (2.0 * math.pi))
 
 
 def spdc_pair_state(src: SpdcSourceSpec) -> np.ndarray:
@@ -202,68 +158,11 @@ def compose_waveplates(plates) -> np.ndarray:
     return u
 
 
-def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a (x) b for 2x2 matrices, without np.kron's general-shape overhead."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
-
-
-@dataclass(frozen=True)
-class LocalRotationStage:
-    """Frequency-independent local unitaries, one per arm."""
-
-    u_a: np.ndarray
-    u_b: np.ndarray
-
-    @property
-    def u4(self) -> np.ndarray:
-        """The two-photon unitary u_a (x) u_b."""
-        return _kron2(self.u_a, self.u_b)
-
-
-@dataclass(frozen=True)
-class DecohererStage:
-    """Thick birefringent crystal in one arm ('A' or 'B'): the polarization
-    named by axis sees an index sm.delta_n, shared by every decoherer, above
-    the other one; the stage keeps no birefringence of its own."""
-
-    arm: str
-    length_um: float
-    axis: str = "V"
-
-    def __post_init__(self):
-        check_finite(length_um=self.length_um)
-        if self.length_um < 0.0:
-            raise OutOfRange(f"decoherer length {self.length_um} must be >= 0")
-        if self.axis not in ("H", "V"):
-            raise OutOfRange(f"axis must be 'H' or 'V', got {self.axis!r}")
-        if self.arm not in ("A", "B"):
-            raise ValueError(f"arm must be 'A' or 'B', got {self.arm!r}")
-
-    def effective_delta_n(self, sm: SpectralModel) -> float:
-        """n_V - n_H: +sm.delta_n for axis 'V', -sm.delta_n for axis 'H'."""
-        return sm.delta_n if self.axis == "V" else -sm.delta_n
-
-
 def dephasing_length_um(sm: SpectralModel) -> float:
     """Length scale c / (delta_eps |delta_n|) over which coherence dies."""
     if sm.delta_n == 0.0:
         raise OutOfRange("delta_n must be nonzero for a decoherer")
     return C_UM_PER_S / (sm.delta_eps * abs(sm.delta_n))
-
-
-def _path_phase(length_um: float, sm: SpectralModel) -> float:
-    """w |dn| L / 2c, the path phase of a decoherer of length L."""
-    return sm.omega * (abs(sm.delta_n) * length_um) / (2.0 * C_UM_PER_S)
-
-
-def check_path_phase(stage: DecohererStage, sm: SpectralModel) -> None:
-    """OutOfRange when the decoherer's path phase w |dn| L / 2c exceeds MAX_PATH_PHASE."""
-    phase = _path_phase(stage.length_um, sm)
-    if phase > MAX_PATH_PHASE:
-        raise OutOfRange(f"decoherer of {stage.length_um} um has a path phase of {phase:.3g} "
-                         f"rad, beyond 2**53 rad, where no digit of it is left")
 
 
 def full_dephasing_floor_um(sm: SpectralModel) -> float:
@@ -295,10 +194,13 @@ def invert_f(target_abs_f: float, sm: SpectralModel) -> tuple[float, float]:
     [0, F_FLOOR), zero included, are treated as zero: the length difference
     is capped at tau = 8, where the Gaussian is ~1.3e-14.
 
-    The lengths scale with l_si / |delta_n| and their path phase with l_si:
-    where the phase of L1 overflows a double (from about l_si = 1e292 um at
-    the default pump), the model is OutOfRange, named by its l_si.  Finite
-    phases beyond MAX_PATH_PHASE are left to check_path_phase.
+    The lengths scale with l_si / |delta_n| and their path phase with l_si
+    alone, as w (10 + tau) / (2 delta_eps).  Where the phase of L1 overflows
+    a double, the model is OutOfRange, named by what overflows: its l_si
+    where that phase lies beyond MAX_PATH_PHASE (from about l_si = 1e292 um
+    at the default pump), else its delta_n, too small for lengths l_si /
+    |delta_n| a double holds.  Finite phases beyond MAX_PATH_PHASE are left
+    to check_path_phase.
     """
     if not 0.0 <= target_abs_f <= 1.0:
         raise TargetOutOfRange(f"|f| target {target_abs_f} outside [0, 1]")
@@ -306,6 +208,9 @@ def invert_f(target_abs_f: float, sm: SpectralModel) -> tuple[float, float]:
     floor = full_dephasing_floor_um(sm)
     l1 = floor + tau * dephasing_length_um(sm)
     if not math.isfinite(_path_phase(l1, sm)):  # an infinite length too
+        if sm.omega * (DEPHASING_FLOOR_FACTOR + tau) / (2.0 * sm.delta_eps) <= MAX_PATH_PHASE:
+            raise OutOfRange(f"delta_n {sm.delta_n} makes the decoherers' lengths "
+                             f"overflow a double")
         raise OutOfRange(f"l_si {sm.l_si_um:.6g} um makes the decoherers' path phase "
                          f"overflow a double")
     return l1, floor

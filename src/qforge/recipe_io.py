@@ -21,6 +21,17 @@ for the lab, checked to 1e-10 when parsed and never kept; other schemes
 carry none.  A decoherer's delta_n is the spectral model's: written for the
 lab, checked equal when parsed, never kept.  Breaking a rule raises
 InconsistentRecipe.
+
+The records a recipe holds live here too: SpectralModel, SpdcSourceSpec,
+LocalRotationStage and DecohererStage, with check_path_phase, the one
+check a decoherer needs of the model.  elements keeps the optics formulas
+and imports the records from here, so that reading, checking and tallying
+a recipe (`qforge cost`) loads no numpy.  A compiled recipe holds the
+solver's ndarrays; a parsed one holds its seeds and rotations as tuples of
+Python complex, the values the file gives, and every numeric reader takes
+either through np.asarray.  pump_splits alone imports numpy, and only for
+scheme II: its upper_fraction must keep qmath._norm's bits, which a
+Python-scalar norm misses in the last bit for some seeds.
 """
 
 from __future__ import annotations
@@ -29,15 +40,10 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
-import numpy as np
-
-from .elements import SpdcSourceSpec, SpectralModel, check_path_phase
-from .elements import DecohererStage, LocalRotationStage
 from .errors import BadWeights, InconsistentRecipe, NotFinite, NotNormalized, NotUnitary
-from .errors import TimingCollision, check_finite
-from .qmath import _norm
+from .errors import OutOfRange, TimingCollision, check_finite
 
 FORMAT_VERSION = 1
 SCHEMES = ("I", "II", "III", "IV")
@@ -48,19 +54,116 @@ SPLIT_TOL = 1e-10
 IDENTITY_TOL = 1e-10  # a local unitary this close to the identity (up to phase) costs no optics
 RANK_EPS = 1e-12  # eigenvalues below this produce no branch; pump power below it is spent
 
+C_UM_PER_S = 2.99792458e14  # speed of light in micrometers per second
+DEFAULT_DELTA_N = 0.009  # quartz-like birefringence
+# a path phase w |dn| L / 2c beyond 2**53 rad keeps no digit mod 2 pi in a double
+MAX_PATH_PHASE = 2.0**53
+
+
+@dataclass(frozen=True)
+class SpectralModel:
+    """Gaussian downconversion spectrum parameters and the decoherers'
+    birefringence.
+
+    delta_eps is the half-width of |A(eps)|^2 and omega the pump central
+    frequency, both in rad/s.  delta_n = n_V - n_H is the birefringence of
+    every decoherer in a recipe; it is checked finite, and zero is allowed
+    (schemes I and II emit no decoherer).
+    """
+
+    delta_eps: float
+    omega: float
+    delta_n: float = DEFAULT_DELTA_N
+
+    def __post_init__(self):
+        check_finite(delta_eps=self.delta_eps, omega=self.omega)
+        if self.delta_eps <= 0.0:
+            raise OutOfRange(f"delta_eps must be positive, got {self.delta_eps}")
+        if self.omega <= 0.0:
+            raise OutOfRange(f"omega must be positive, got {self.omega}")
+        check_finite(delta_n=self.delta_n)  # last: a bad delta_eps or omega is named first
+
+    @property
+    def l_si_um(self) -> float:
+        """Coherence length of the downconversion photons, c / delta_eps."""
+        return C_UM_PER_S / self.delta_eps
+
+
+@dataclass(frozen=True)
+class SpdcSourceSpec:
+    """Two-crystal source pumped by cos(theta)|V> + e^{i phi} sin(theta)|H>."""
+
+    theta: float
+    phi: float = 0.0
+
+    def __post_init__(self):
+        theta, phi = self.theta, self.phi
+        if not (type(theta) is type(phi) is float and math.isfinite(theta + phi)):
+            check_finite(theta=theta, phi=phi)  # only where a value is not a finite float
+        if not 0.0 <= self.theta <= math.pi / 2.0 + 1e-12:
+            raise OutOfRange(f"theta {self.theta} outside [0, pi/2]")
+        object.__setattr__(self, "phi", float(self.phi) % (2.0 * math.pi))
+
+
+@dataclass(frozen=True)
+class LocalRotationStage:
+    """Frequency-independent local unitaries, one 2x2 matrix per arm: an
+    ndarray when compiled, a tuple of rows of complex when parsed."""
+
+    u_a: Sequence
+    u_b: Sequence
+
+
+@dataclass(frozen=True)
+class DecohererStage:
+    """Thick birefringent crystal in one arm ('A' or 'B'): the polarization
+    named by axis sees an index sm.delta_n, shared by every decoherer, above
+    the other one; the stage keeps no birefringence of its own."""
+
+    arm: str
+    length_um: float
+    axis: str = "V"
+
+    def __post_init__(self):
+        check_finite(length_um=self.length_um)
+        if self.length_um < 0.0:
+            raise OutOfRange(f"decoherer length {self.length_um} must be >= 0")
+        if self.axis not in ("H", "V"):
+            raise OutOfRange(f"axis must be 'H' or 'V', got {self.axis!r}")
+        if self.arm not in ("A", "B"):
+            raise ValueError(f"arm must be 'A' or 'B', got {self.arm!r}")
+
+    def effective_delta_n(self, sm: SpectralModel) -> float:
+        """n_V - n_H: +sm.delta_n for axis 'V', -sm.delta_n for axis 'H'."""
+        return sm.delta_n if self.axis == "V" else -sm.delta_n
+
+
+def _path_phase(length_um: float, sm: SpectralModel) -> float:
+    """w |dn| L / 2c, the path phase of a decoherer of length L."""
+    return sm.omega * (abs(sm.delta_n) * length_um) / (2.0 * C_UM_PER_S)
+
+
+def check_path_phase(stage: DecohererStage, sm: SpectralModel) -> None:
+    """OutOfRange when the decoherer's path phase w |dn| L / 2c exceeds MAX_PATH_PHASE."""
+    phase = _path_phase(stage.length_um, sm)
+    if phase > MAX_PATH_PHASE:
+        raise OutOfRange(f"decoherer of {stage.length_um} um has a path phase of {phase:.3g} "
+                         f"rad, beyond 2**53 rad, where no digit of it is left")
+
 
 @dataclass(frozen=True)
 class RecipeBranch:
     """One incoherent component of a recipe.
 
     The seed is a source setting (two-crystal SPDC) or a direct pure
-    state; stages act in order on the state it gives.  A scheme-II
+    state of four amplitudes (an ndarray when compiled, a tuple of complex
+    when parsed); stages act in order on the state it gives.  A scheme-II
     branch's pump split is derived (pump_splits), not stored.
     """
 
     weight: float
     timing_tag: int
-    seed: Union[SpdcSourceSpec, np.ndarray]
+    seed: Union[SpdcSourceSpec, Sequence[complex]]
     stages: tuple = ()
     note: str = ""
 
@@ -116,6 +219,10 @@ def pump_splits(recipe: Recipe) -> list:
     """
     if recipe.scheme != "II":
         return [None] * len(recipe.branches)
+    import numpy as np
+
+    from .qmath import _norm
+
     splits, remaining = [], 1.0
     for b in recipe.branches:
         lam, seed = b.weight, np.asarray(b.seed, dtype=complex)
@@ -128,12 +235,12 @@ def pump_splits(recipe: Recipe) -> list:
     return splits
 
 
-def _cvec(v: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex).reshape(-1)]
+def _cvec(v) -> list:
+    return [[float(z.real), float(z.imag)] for z in v]
 
 
-def _cmat(m: np.ndarray) -> list:
-    return [_cvec(row) for row in np.asarray(m, dtype=complex)]
+def _cmat(m) -> list:
+    return [_cvec(row) for row in m]
 
 
 def _complex(z) -> complex:
@@ -144,8 +251,8 @@ def _complex(z) -> complex:
     return complex(z[0], z[1])
 
 
-def _vec_from(data) -> np.ndarray:
-    return np.array([_complex(z) for z in data], dtype=complex)
+def _vec_from(data) -> tuple:
+    return tuple(_complex(z) for z in data)
 
 
 def _stage_to_dict(stage, delta_n: float) -> dict:
@@ -162,7 +269,7 @@ def _stage_to_dict(stage, delta_n: float) -> dict:
     raise TypeError(f"cannot serialize stage {type(stage).__name__}")
 
 
-def _unitary_from(data, stage: int, arm: str) -> np.ndarray:
+def _unitary_from(data, stage: int, arm: str) -> tuple:
     """A local rotation's 2x2 matrix, checked unitary in scalar arithmetic
     (cheaper than numpy on 2x2); a NaN in any entry fails the check too."""
     rows = [[_complex(z) for z in row] for row in data]
@@ -175,7 +282,7 @@ def _unitary_from(data, stage: int, arm: str) -> np.ndarray:
     for err in errs:  # not max(): it drops a NaN that is not its first argument
         if not err <= UNITARY_TOL:
             raise NotUnitary(f"stage {stage} u_{arm} is not unitary: |U U^+ - 1| = {err:.3g}")
-    return np.array(rows, dtype=complex)
+    return (a, b), (c, d)
 
 
 def _stage_from_dict(data: dict, index: int, delta_n: float):
@@ -229,7 +336,8 @@ def _branch_from_dict(data: dict, delta_n: float) -> tuple:
         psi = {key: _vec_from(ps[key]) for key in ("psi_upper", "psi_lower")}
         check_finite(chain_transmission=ps["chain_transmission"],
                      upper_fraction=ps["upper_fraction"])
-        if not np.isfinite(np.concatenate(list(psi.values()))).all():
+        if not all(math.isfinite(z.real) and math.isfinite(z.imag)
+                   for v in psi.values() for z in v):
             raise NotFinite("pump split amplitudes hold a NaN or infinite entry")
         split = {**ps, **psi}
     tag, note = data["timing_tag"], data.get("note", "")
@@ -274,11 +382,19 @@ def recipe_from_json(text: str) -> Recipe:
             raise InconsistentRecipe(f"branch {k} of a scheme-{recipe.scheme} recipe "
                                      f"{'lacks' if have is None else 'carries'} a pump split")
         for key, value in (want or {}).items():
-            same_shape = np.shape(have[key]) == np.shape(value)
-            if not (same_shape and np.abs(np.subtract(have[key], value)).max() <= SPLIT_TOL):
+            if not _within_split_tol(have[key], value):
                 raise InconsistentRecipe(f"branch {k} pump_split {key} is off by more than "
                                          f"{SPLIT_TOL:g} from the split its seed and weight give")
     return recipe
+
+
+def _within_split_tol(have, want) -> bool:
+    """Whether a split entry as written lies within SPLIT_TOL of the derived
+    one: a number, or each amplitude of a vector of the same length."""
+    if isinstance(want, float):
+        return abs(have - want) <= SPLIT_TOL
+    want = want.tolist()
+    return len(have) == len(want) and all(abs(h - w) <= SPLIT_TOL for h, w in zip(have, want))
 
 
 def load_recipe(path) -> Recipe:
@@ -300,8 +416,8 @@ class ResourceCount:
     controllable_params: int
 
 
-def _is_identity(u: np.ndarray) -> bool:
-    return abs(abs(np.trace(u)) / 2.0 - 1.0) < IDENTITY_TOL
+def _is_identity(u) -> bool:
+    return abs(abs(u[0][0] + u[1][1]) / 2.0 - 1.0) < IDENTITY_TOL
 
 
 _PUMP_WAVEPLATES_PER_SOURCE = 2

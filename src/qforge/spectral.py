@@ -6,7 +6,7 @@ sees its extra index, and tracing out frequency yields the polarization
 density matrix.
 
 This module holds only the frequency grid and the simulators; the stage
-records they apply live in elements.
+records they apply live in recipe_io.
 
 simulate_chain simulates any chain.  It is exact by default: the state
 stays a short list of delay-tagged polarization 4-vectors, and the
@@ -36,10 +36,10 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .elements import C_UM_PER_S, SpectralModel, spectral_amplitude
-from .elements import DecohererStage, LocalRotationStage
+from .elements import spectral_amplitude
 from .errors import OutOfRange
 from .qmath import _norm
+from .recipe_io import C_UM_PER_S, DecohererStage, LocalRotationStage, SpectralModel
 
 DEFAULT_GRID_N = 2049
 GRID_HALF_SPAN = 6.0  # grid covers +/- 6 delta_eps
@@ -79,6 +79,14 @@ def make_grid(sm: SpectralModel, n: int = DEFAULT_GRID_N) -> FrequencyGrid:
 StageList = Sequence[Union[LocalRotationStage, DecohererStage]]
 
 
+def _u4(stage: LocalRotationStage) -> np.ndarray:
+    """The two-photon unitary u_a (x) u_b, without np.kron's general-shape
+    overhead; the stage holds ndarrays or, parsed, tuples of rows."""
+    a = np.asarray(stage.u_a, dtype=complex)
+    b = np.asarray(stage.u_b, dtype=complex)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+
+
 @functools.lru_cache(maxsize=MAX_EXACT_DECOHERERS + 1)
 def _pair_planes(k: int) -> np.ndarray:
     """Read-only int8 planes[j, p, q] = c_pj - c_qj over the 2**k terms of k
@@ -106,7 +114,7 @@ def _simulate_on_grid(
     amps = amps / np.sqrt(np.sum(grid.weights * np.abs(amps) ** 2))
     for stage in stages:
         if isinstance(stage, LocalRotationStage):
-            amps = stage.u4 @ amps
+            amps = _u4(stage) @ amps
         elif isinstance(stage, DecohererStage):
             if stage.arm == "A":
                 pol, w_arm = _POL_A, 0.5 * sm.omega + grid.points
@@ -160,7 +168,7 @@ def simulate_chain(
     paths = []  # (P_k, P_k signed by arm) [um]
     for stage in stages:
         if isinstance(stage, LocalRotationStage):
-            terms = terms @ stage.u4.T
+            terms = terms @ _u4(stage).T
         elif isinstance(stage, DecohererStage):
             if len(paths) == MAX_EXACT_DECOHERERS:
                 count = sum(isinstance(s, DecohererStage) for s in stages)
@@ -219,7 +227,7 @@ def analytic_single_stage(
             return None
     psi = np.asarray(psi, dtype=complex).reshape(4)
     for stage in prefix:
-        psi = stage.u4 @ psi
+        psi = _u4(stage) @ psi
     if delta_n is None:
         return psi[:, None] * psi.conj()
     da = delta_n * _DPOL_A * length_a
@@ -229,6 +237,6 @@ def analytic_single_stage(
     factors = np.exp(1j * const) * np.exp(-0.5 * (sm.delta_eps * lin) ** 2)
     rho = np.outer(psi, psi.conj()) * factors
     rho = 0.5 * (rho + rho.conj().T)
-    for u4 in (stage.u4 for stage in suffix):
+    for u4 in map(_u4, suffix):
         rho = u4 @ rho @ u4.conj().T
     return rho

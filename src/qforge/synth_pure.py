@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import SpdcSourceSpec, WaveplateSpec, spdc_pair_state, su2_to_waveplates
+from .elements import WaveplateSpec, spdc_pair_state, su2_to_waveplates
 from .qmath import _norm, check_pure
+from .recipe_io import SpdcSourceSpec
 
 PRODUCT_THRESHOLD = 1e-12
 # 1 - 2|D| below this is |D| = 1/2 up to rounding (exact Bell states sit

@@ -16,8 +16,6 @@ from qforge.compilers import (
     simulate_recipe,
 )
 from qforge.elements import (
-    DecohererStage,
-    LocalRotationStage,
     analytic_f,
     default_spectral_model,
     dephasing_length_um,
@@ -26,7 +24,7 @@ from qforge.elements import (
 )
 from qforge.families import bell_diagonal, mems, mems_boundary_tangle, werner
 from qforge.qmath import fidelity, linear_entropy, tangle
-from qforge.recipe_io import recipe_cost
+from qforge.recipe_io import DecohererStage, LocalRotationStage, recipe_cost
 from qforge.spectral import make_grid, simulate_chain
 from qforge.synth_pure import solve_pure
 

@@ -5,7 +5,8 @@ file holds, a command either succeeds with finite printed numbers and
 nothing on stderr, or prints one `error: <kind>: <reason>` line to stderr
 and exits with a documented code (1 only for a failed verification).
 `cost` and `simulate` each read a recipe file, and accept or reject the
-same files alike.
+same files alike; a recipe whose numbers sit at the edge of the parse
+tolerances that `cost` accepts, `simulate` turns into a unit-trace matrix.
 """
 
 import copy
@@ -23,6 +24,8 @@ from qforge.compilers import FamilyParams, compile_scheme1, compile_scheme2, com
 from qforge.compilers import compile_scheme4_bell_diagonal
 from qforge.families import werner
 from qforge.matrix_io import format_matrix, load_matrix
+from qforge.qmath import TRACE_TOL
+from qforge.recipe_io import SEED_NORM_TOL, SPLIT_TOL, UNITARY_TOL, WEIGHT_SUM_TOL
 from qforge.recipe_io import recipe_to_json
 
 from kit import projector, random_density_matrix
@@ -165,3 +168,54 @@ def test_mutated_recipe_files_keep_the_error_contract(workdir, doc):
         lines = sim.stderr.splitlines()
         assert sim.exit_code in (2, 4) and len(lines) == 1 and ERROR_LINE.match(lines[0]), case
         assert not out.exists() and cost.stdout == "", case
+
+
+PARSE_TOLS = (WEIGHT_SUM_TOL, SEED_NORM_TOL, UNITARY_TOL, SPLIT_TOL)
+
+
+def _numbers(node):
+    """(container, key) of every number in a JSON document, nested ones included."""
+    return [(c, k) for c, k in _slots(node) if type(c[k]) in (int, float)]
+
+
+@st.composite
+def scaled_recipe_docs(draw):
+    """A compiled recipe with one to four of its numbers, or every number of
+    one of its parts (a seed, a unitary, a pump split, a branch), scaled by
+    1 + s k tol, with s = +-1, k in [0.5, 1.5] and tol a parse tolerance: each
+    lands just inside or just outside a check that reads it."""
+    doc = json.loads(draw(st.sampled_from(RECIPES)))
+    tol = draw(st.sampled_from(PARSE_TOLS))
+
+    def factor():
+        return 1.0 + draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(0.5, 1.5)) * tol
+
+    if draw(st.booleans()):
+        numbers = _numbers(doc)
+        picked = draw(st.lists(st.sampled_from(range(len(numbers))), min_size=1, max_size=4,
+                               unique=True))
+        for node, key in (numbers[i] for i in picked):
+            node[key] *= factor()
+    else:
+        parts = [c[k] for c, k in _slots(doc) if isinstance(c[k], (dict, list))]
+        scale = factor()
+        for node, key in _numbers(draw(st.sampled_from(parts))):
+            node[key] *= scale
+    return doc
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(doc=scaled_recipe_docs())
+def test_recipes_cost_accepts_simulate_to_unit_trace(workdir, doc):
+    recipe, out = workdir / "scaled.json", workdir / "y.txt"
+    recipe.write_text(json.dumps(doc), encoding="utf-8")
+    out.unlink(missing_ok=True)
+    runner = CliRunner()
+    cost = runner.invoke(cli, ["cost", str(recipe)])
+    if cost.exit_code != 0:
+        return
+    sim = runner.invoke(cli, ["simulate", str(recipe), "--out", str(out)])
+    assert (sim.exit_code, sim.stderr) == (0, ""), sim.stderr
+    rho = load_matrix(out)
+    assert np.isfinite(rho).all()
+    assert abs(np.trace(rho) - 1.0) <= TRACE_TOL

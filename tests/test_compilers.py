@@ -16,9 +16,6 @@ from qforge.compilers import (
     simulate_recipe,
 )
 from qforge.elements import (
-    DecohererStage,
-    LocalRotationStage,
-    SpdcSourceSpec,
     analytic_f,
     default_spectral_model,
     dephasing_length_um,
@@ -28,7 +25,8 @@ from qforge.errors import BadWeights, InconsistentRecipe, NotFinite, OutOfRange,
 from qforge.errors import UnsupportedTarget
 from qforge.families import bell_diagonal, collins_gisin, mems, werner
 from qforge.qmath import canonical_decompose, fidelity, linear_entropy, tangle
-from qforge.recipe_io import pump_splits, recipe_cost
+from qforge.recipe_io import DecohererStage, LocalRotationStage, SpdcSourceSpec, pump_splits
+from qforge.recipe_io import recipe_cost
 from qforge.spectral import simulate_chain
 
 from kit import bell_state, projector, random_density_matrix, random_pure_state, random_su2

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from qforge.elements import (
-    DecohererStage,
-    SpdcSourceSpec,
     WaveplateSpec,
     analytic_f,
     compose_waveplates,
@@ -20,6 +18,7 @@ from qforge.elements import (
     waveplate_unitary,
 )
 from qforge.errors import MismatchedDecoherers, OutOfRange, TargetOutOfRange
+from qforge.recipe_io import DecohererStage, SpdcSourceSpec
 
 from kit import random_su2
 

@@ -22,15 +22,16 @@ from qforge.compilers import (
     compile_scheme4_bell_diagonal,
     simulate_recipe,
 )
-from qforge.elements import SpdcSourceSpec, SpectralModel, default_spectral_model
-from qforge.elements import spdc_pair_state
+from qforge.elements import default_spectral_model, full_dephasing_floor_um, spdc_pair_state
 from qforge.errors import NotFinite
 from qforge.families import FAMILIES, werner
 from qforge.matrix_io import format_matrix, load_matrix, parse_matrix
 from qforge.qmath import fidelity, linear_entropy, tangle, validate_density
-from qforge.recipe_io import load_recipe, recipe_from_json, recipe_to_json
+from qforge.recipe_io import DecohererStage, LocalRotationStage, Recipe, RecipeBranch
+from qforge.recipe_io import SpdcSourceSpec, SpectralModel, load_recipe, recipe_from_json
+from qforge.recipe_io import recipe_to_json
 
-from kit import random_density_matrix
+from kit import random_density_matrix, random_pure_state, random_su2
 
 
 @pytest.fixture
@@ -78,11 +79,40 @@ def test_matrix_comments_ignored():
 # ------------------------------------------------------------- recipe io
 
 
+def _three_decoherer_chain(sm):
+    """A seed, then three (rotation, decoherer) pairs on both arms and a last
+    rotation: a chain only the delay sum takes."""
+    rng = np.random.default_rng(2020)
+    floor = full_dephasing_floor_um(sm)
+    stages = []
+    for arm, length in (("A", floor + 300.0), ("B", floor), ("A", 2.0 * floor)):
+        stages += [LocalRotationStage(u_a=random_su2(rng), u_b=random_su2(rng)),
+                   DecohererStage(arm, length)]
+    stages.append(LocalRotationStage(u_a=random_su2(rng), u_b=random_su2(rng)))
+    branch = RecipeBranch(1.0, 1, random_pure_state(rng), tuple(stages))
+    return Recipe(scheme="III", branches=(branch,), spectral_model=sm)
+
+
+def _more_round_trip_recipes(sm):
+    """Schemes I-IV, the swapped Bell-diagonal split and a recipe-v1 chain of
+    three decoherers: parsed, each holds tuples where the compiled one holds
+    arrays."""
+    return (
+        compile_scheme1(random_density_matrix(5), sm),
+        compile_scheme2(random_density_matrix(5), sm),
+        compile_scheme3(FamilyParams("d1", (0.6, 0.0, 0.0, 0.8, -0.3)), sm),
+        compile_scheme4_bell_diagonal(0.4, 0.3, 0.2, 0.1, sm=sm),
+        compile_scheme4_bell_diagonal(0.05, 0.05, 0.85, 0.05, sm=sm),
+        _three_decoherer_chain(sm),
+    )
+
+
 def test_recipe_json_round_trip_byte_identical():
     sm = default_spectral_model()
     for recipe in (
         compile_scheme1(werner(0.5), sm),
         compile_scheme3(FamilyParams("mems", (0.4,)), sm),
+        *_more_round_trip_recipes(sm),
     ):
         text = recipe_to_json(recipe)
         again = recipe_to_json(recipe_from_json(text))
@@ -103,12 +133,13 @@ def test_recipe_file_round_trip_simulates_identically(tmp_path):
 
     sm = default_spectral_model()
     recipe = compile_scheme3(FamilyParams("werner", (0.5,)), sm)
-    path = tmp_path / "r.json"
-    path.write_text(recipe_to_json(recipe), encoding="utf-8")
-    loaded = load_recipe(path)
-    a = simulate_recipe(recipe, analytic=True)
-    b = simulate_recipe(loaded, analytic=True)
-    assert np.array_equal(a, b)
+    for recipe in (recipe, *_more_round_trip_recipes(sm)):
+        path = tmp_path / "r.json"
+        path.write_text(recipe_to_json(recipe), encoding="utf-8")
+        loaded = load_recipe(path)
+        a = simulate_recipe(recipe, analytic=True)
+        b = simulate_recipe(loaded, analytic=True)
+        assert np.array_equal(a, b), recipe.scheme
 
 
 def test_recipe_to_json_rejects_a_non_stage():
@@ -210,19 +241,26 @@ SIMULATED_SHA256 = {
 
 
 def test_simulated_bits_pinned():
+    # each digest twice: over the compiled recipes, which hold arrays, and over
+    # the same recipes written and parsed again, which hold tuples
+    def both(recipe):
+        return recipe, recipe_from_json(recipe_to_json(recipe))
+
     for scheme, compile_fn in (("I", compile_scheme1), ("II", compile_scheme2)):
-        digest = hashlib.sha256()
+        digests = hashlib.sha256(), hashlib.sha256()
         for rho in _matrix_targets():
-            _simulated_bits(digest, rho, compile_fn(rho))
-        assert digest.hexdigest() == SIMULATED_SHA256[scheme], scheme
-    digest = hashlib.sha256()
+            for digest, recipe in zip(digests, both(compile_fn(rho))):
+                _simulated_bits(digest, rho, recipe)
+        assert [d.hexdigest() for d in digests] == [SIMULATED_SHA256[scheme]] * 2, scheme
+    digests = hashlib.sha256(), hashlib.sha256()
     for name, params, _ in FAMILY_RECIPE_SHA256:
         if FAMILIES[name].seed is None:
             recipe = compile_scheme4_bell_diagonal(*params)
         else:
             recipe = compile_scheme3(FamilyParams(name, params))
-        _simulated_bits(digest, FAMILIES[name].matrix(*params), recipe)
-    assert digest.hexdigest() == SIMULATED_SHA256["families"]
+        for digest, r in zip(digests, both(recipe)):
+            _simulated_bits(digest, FAMILIES[name].matrix(*params), r)
+    assert [d.hexdigest() for d in digests] == [SIMULATED_SHA256["families"]] * 2
 
 
 @pytest.mark.parametrize(
@@ -1088,6 +1126,10 @@ CLI_CONTRACT = [
        "out-of-range", "")
       for l_si in ("1e292", "1e305")
       for scheme, target in (("III", "mems:0.4"), ("IV", "bell-diagonal:.4,.3,.2,.1"))),
+    # a birefringence so small that the decoherers' lengths l_si / |delta_n| overflow
+    *((["--delta-n", "1e-320", "compile", scheme, target, "--out", "{tmp}/x.json"], None, 2,
+       "out-of-range", "")
+      for scheme, target in (("III", "mems:0.4"), ("IV", "bell-diagonal:.4,.3,.2,.1"))),
     (["--pump-wavelength", "-1", "families", "werner", "0.5"], None, 2, "out-of-range", ""),
     # a bad constant fails commands that use no spectral model too
     (["--l-si", "-1", "metrics", "{tmp}/hh.txt"], None, 2, "out-of-range", ""),
@@ -1167,6 +1209,18 @@ def test_cli_compile_names_an_l_si_whose_decoherers_overflow(runner, tmp_path, l
     res = invoke(runner, "--l-si", l_si, "compile", scheme, target,
                  "--out", str(tmp_path / "x.json"))
     want = (f"error: out-of-range: l_si {float(l_si):.6g} um makes the decoherers' path phase "
+            f"overflow a double\n")
+    assert (res.exit_code, res.stdout, res.stderr) == (2, "", want)
+
+
+@pytest.mark.parametrize("delta_n", ["1e-320", "-1e-320", "5e-324"])
+@pytest.mark.parametrize("scheme, target", [("III", "mems:0.4"), ("III", "mems:0.8"),
+                                            ("IV", "bell-diagonal:.4,.3,.2,.1")])
+def test_cli_compile_names_a_delta_n_whose_decoherers_overflow(runner, tmp_path, delta_n,
+                                                               scheme, target):
+    res = invoke(runner, "--delta-n", delta_n, "compile", scheme, target,
+                 "--out", str(tmp_path / "x.json"))
+    want = (f"error: out-of-range: delta_n {float(delta_n)} makes the decoherers' lengths "
             f"overflow a double\n")
     assert (res.exit_code, res.stdout, res.stderr) == (2, "", want)
 

@@ -17,7 +17,8 @@ from pathlib import Path
 import pytest
 
 import qforge
-from qforge.compilers import FamilyParams, compile_scheme3
+from qforge.compilers import FamilyParams, compile_scheme1, compile_scheme2, compile_scheme3
+from qforge.compilers import compile_scheme4_bell_diagonal
 from qforge.families import werner
 from qforge.matrix_io import format_matrix
 from qforge.recipe_io import recipe_to_json
@@ -38,8 +39,11 @@ EXPORTS = {
 LAYERS = ("cli", "compilers", "elements", "errors", "families", "matrix_io", "qmath",
           "recipe_io", "spectral", "synth_pure")
 COMPILER_STACK = {"qforge.compilers", "qforge.synth_pure", "qforge.spectral", "qforge.recipe_io"}
+# the records' home, which the group's SpectralModel loads with elements
+RECORDS = {"qforge.recipe_io"}
 
-# runs `qforge ARGS` and prints, on its last stdout line, the qforge modules loaded
+# runs `qforge ARGS` and prints, on its last stdout line, the qforge modules
+# loaded and whether numpy is
 CLI_CHILD = """
 import sys
 from qforge.cli import main
@@ -48,7 +52,8 @@ try:
     main()
 finally:
     import json
-    print(json.dumps(sorted(m for m in sys.modules if m.startswith("qforge"))))
+    print(json.dumps([sorted(m for m in sys.modules if m.startswith("qforge")),
+                      "numpy" in sys.modules]))
 """
 
 
@@ -137,10 +142,9 @@ ELEMENTS, FAMILIES = {"qforge.elements"}, {"qforge.families"}
         (["metrics", "w.txt"], COMPILER_STACK | ELEMENTS | FAMILIES),
         (["verify", "w.txt", "w.txt"], COMPILER_STACK | ELEMENTS | FAMILIES),
         (["plane", "mems", "3"], COMPILER_STACK | ELEMENTS),
-        (["cost", "r.json"],
-         {"qforge.compilers", "qforge.synth_pure", "qforge.spectral"} | FAMILIES),
+        (["cost", "r.json"], COMPILER_STACK - RECORDS | ELEMENTS | FAMILIES),
         # a constant set on the command line builds the model, from elements
-        (["--l-si", "50", "metrics", "w.txt"], COMPILER_STACK | FAMILIES),
+        (["--l-si", "50", "metrics", "w.txt"], COMPILER_STACK - RECORDS | FAMILIES),
         (["--help"], COMPILER_STACK | ELEMENTS | FAMILIES),
     ],
 )
@@ -148,14 +152,51 @@ def test_cli_command_loads_only_its_layers(tmp_path, args, unloaded):
     (tmp_path / "w.txt").write_text(format_matrix(werner(0.5)), encoding="utf-8")
     recipe = compile_scheme3(FamilyParams("mems", (0.4,)))
     (tmp_path / "r.json").write_text(recipe_to_json(recipe), encoding="utf-8")
-    loaded = set(json.loads(_child(CLI_CHILD, *args, cwd=tmp_path)[-1]))
+    modules, numpy = json.loads(_child(CLI_CHILD, *args, cwd=tmp_path)[-1])
+    loaded = set(modules)
     assert "qforge.cli" in loaded
     assert not unloaded & loaded, sorted(unloaded & loaded)
-    assert ("qforge.recipe_io" in loaded) == (args[0] == "cost")
-    assert ("qforge.elements" in loaded) == (args[0] in ("cost", "--l-si"))
+    assert ("qforge.recipe_io" in loaded) == (args[0] in ("cost", "--l-si"))
+    assert ("qforge.elements" in loaded) == (args[0] == "--l-si")
+    assert numpy == (args[0] not in ("cost", "--help"))
     if args[0] in ("metrics", "verify"):
         assert loaded == {"qforge", "qforge.cli", "qforge.errors", "qforge.qmath",
                           "qforge.matrix_io"}
+
+
+COMPILE = {
+    "I": lambda: compile_scheme1(werner(0.5)),
+    "II": lambda: compile_scheme2(werner(0.5)),
+    "III": lambda: compile_scheme3(FamilyParams("mems", (0.4,))),
+    "IV": lambda: compile_scheme4_bell_diagonal(0.4, 0.3, 0.2, 0.1),
+}
+
+
+@pytest.mark.parametrize("scheme", COMPILE)
+def test_cost_loads_numpy_only_for_a_scheme_ii_split(tmp_path, scheme):
+    (tmp_path / "r.json").write_text(recipe_to_json(COMPILE[scheme]()), encoding="utf-8")
+    lines = _child(CLI_CHILD, "cost", "r.json", cwd=tmp_path)
+    assert lines[1].startswith(f"{scheme} ")  # the cost table's row
+    modules, numpy = json.loads(lines[-1])
+    light = ["qforge", "qforge.cli", "qforge.errors", "qforge.recipe_io"]
+    if scheme == "II":  # pump_splits derives the split it checks with numpy and qmath._norm
+        assert (modules, numpy) == (sorted([*light, "qforge.qmath"]), True)
+    else:
+        assert (modules, numpy) == (light, False)
+
+
+def test_records_load_no_numpy():
+    code = (
+        "import json, sys\n"
+        "import qforge\n"
+        "assert qforge.DecohererStage('A', 1.0).arm == 'A'\n"
+        "assert qforge.SpectralModel(1.0, 2.0).delta_n == 0.009\n"
+        "qforge.LocalRotationStage, qforge.SpdcSourceSpec\n"
+        "print(json.dumps([sorted(m for m in sys.modules if m.startswith('qforge')),\n"
+        "                  'numpy' in sys.modules]))\n"
+    )
+    modules, numpy = json.loads(_child(code)[-1])
+    assert (modules, numpy) == (["qforge", "qforge.errors", "qforge.recipe_io"], False)
 
 
 def test_benchmark_measures_public_layer_functions():

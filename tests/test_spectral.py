@@ -5,9 +5,6 @@ import pytest
 
 from qforge import spectral
 from qforge.elements import (
-    C_UM_PER_S,
-    DecohererStage,
-    LocalRotationStage,
     analytic_f,
     default_spectral_model,
     dephasing_length_um,
@@ -16,6 +13,7 @@ from qforge.elements import (
 )
 from qforge.qmath import fidelity, purity, validate_density
 from qforge.errors import OutOfRange
+from qforge.recipe_io import C_UM_PER_S, DecohererStage, LocalRotationStage
 from qforge.spectral import MAX_GRID_N, analytic_single_stage, make_grid, simulate_chain
 
 from kit import bell_state, projector, random_pure_state, random_su2
@@ -220,7 +218,7 @@ def _chain_by_took_v(psi, stages, sm):
     paths = []
     for stage in stages:
         if isinstance(stage, LocalRotationStage):
-            terms = terms @ stage.u4.T
+            terms = terms @ spectral._u4(stage).T
         else:
             path = stage.effective_delta_n(sm) * stage.length_um
             pol = np.array([0, 0, 1, 1] if stage.arm == "A" else [0, 1, 0, 1])
