@@ -27,9 +27,9 @@ it computes.  cost loads errors and recipe_io alone (home of the records a
 recipe holds and of recipe_cost), and no numpy: recipe_io parses and
 checks a recipe in Python scalars, and only a scheme-II recipe, whose pump
 split pump_splits derives with numpy (its upper_fraction keeps
-qmath._norm's bits), adds numpy and qmath.  Every other
-command loads errors, qmath, matrix_io and numpy, and verify and metrics
-nothing more; families and plane add families (its FAMILIES table);
+qmath._norm's bits), adds numpy and qmath.  Every other command loads
+errors, qmath, matrix_io and numpy (compile matrix_io only for a file),
+and verify and metrics nothing more; families and plane add families;
 compile and simulate add compilers, with elements, families, synth_pure,
 spectral and recipe_io.  A physical constant set by a flag or
 QFORGE_DEFAULTS loads elements (and with it recipe_io and numpy) too.
@@ -40,7 +40,7 @@ physical constants, e.g. {"delta_n": 0.009, "l_si_um": 100.0,
 is set, the group turns them into one SpectralModel, delta_n included,
 before any command runs, so a bad constant fails every command; compile
 then uses it.  Where none is set, compile takes the compilers' memoized
-default model.  A family target is parsed into one families.FamilyParams.
+default model.  Only compilers.compile_target pairs a scheme with a target.
 
 Every --out takes '-' for stdout; compile then writes the recipe alone,
 without its summary.
@@ -224,7 +224,7 @@ def _parse_scheme(s: str) -> str:
 
 
 def _parse_target(target: str):
-    """Return a FamilyParams, or the matrix file path."""
+    """Return a FamilyParams, or the Path of the matrix file."""
     from . import families as fam
 
     if ":" in target:
@@ -233,7 +233,7 @@ def _parse_target(target: str):
             return fam.FamilyParams(name, [x for x in rest.split(",") if x.strip()])
         except UnsupportedTarget:
             pass  # not a family name: a path holding ':'
-    return target
+    return Path(target)
 
 
 def _print_cost_table(recipe):
@@ -261,25 +261,10 @@ def compile_cmd(sm, scheme, target, out):
     'bell-diagonal:0.4,0.3,0.2,0.1' (scheme IV).  The summary and the
     cost table follow unless the recipe goes to stdout.
     """
-    from . import families as fam
-    from .compilers import compile_scheme1, compile_scheme2, compile_scheme3
-    from .compilers import compile_scheme4_bell_diagonal
+    from .compilers import compile_target
     from .recipe_io import recipe_to_json
 
-    scheme = _parse_scheme(scheme)
-    t = _parse_target(target)
-    family = isinstance(t, fam.FamilyParams)
-    if scheme in ("I", "II"):
-        rho = fam.FAMILIES[t.kind].matrix(*t.params) if family else _load_validated(t)
-        recipe = compile_scheme1(rho, sm) if scheme == "I" else compile_scheme2(rho, sm)
-    elif scheme == "III":
-        if not family:
-            raise UnsupportedTarget("scheme III takes a family spec, not a raw matrix")
-        recipe = compile_scheme3(t, sm)
-    else:  # IV takes the family that has no scheme-III seed
-        if not family or fam.FAMILIES[t.kind].seed is not None:
-            raise UnsupportedTarget("scheme IV takes a bell-diagonal:l1,l2,l3,l4 target")
-        recipe = compile_scheme4_bell_diagonal(*t.params, sm=sm)
+    recipe = compile_target(_parse_scheme(scheme), _parse_target(target), sm)
     _write_text(out, recipe_to_json(recipe))
     if out == "-":
         return

@@ -1,6 +1,6 @@
 """Compile target density matrices into synthesis recipes and verify them.
 
-Four schemes:
+Four schemes; compile_target is the one place that pairs one with a target:
   I   one crystal set per eigenstate, attenuators set the mixing weights;
   II  a single crystal set pumped through an interferometer, beam
       splitters set the weights, timing tags keep branches incoherent;
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -198,6 +199,28 @@ def compile_scheme4_bell_diagonal(l1: float, l2: float, l3: float, l4: float,
     if split.pure_weight >= RANK_EPS:
         branches.append(_solved_branch(split.pure_state, split.pure_weight, 2))
     return Recipe(scheme="IV", branches=tuple(branches), spectral_model=sm)
+
+
+def compile_target(scheme: str, target, sm: Optional[SpectralModel] = None) -> Recipe:
+    """Compile a FamilyParams, density matrix or matrix file's Path.  I and II take all three,
+    III a seeded family, IV the unseeded one; else UnsupportedTarget, before any file is read."""
+    family = isinstance(target, FamilyParams)
+    if scheme in ("I", "II"):
+        if family:
+            target = FAMILIES[target.kind].matrix(*target.params)
+        elif isinstance(target, Path):
+            from . import matrix_io
+
+            target = qmath.validate_density(matrix_io.load_matrix(target))
+        return (compile_scheme1 if scheme == "I" else compile_scheme2)(target, sm)
+    if scheme == "III" and family:
+        return compile_scheme3(target, sm)
+    if scheme == "IV" and family and FAMILIES[target.kind].seed is None:
+        return compile_scheme4_bell_diagonal(*target.params, sm=sm)
+    if scheme not in ("III", "IV"):
+        raise ValueError(f"unknown scheme {scheme!r}; use I, II, III or IV")
+    raise UnsupportedTarget("scheme III takes a family spec, not a raw matrix" if scheme == "III"
+                            else "scheme IV takes a bell-diagonal:l1,l2,l3,l4 target")
 
 
 # ---------------------------------------------------------------------------

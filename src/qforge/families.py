@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BadF, BadNorm, BadWeights, OutOfRange, UnsupportedTarget
+from .errors import BadF, BadNorm, BadWeights, OutOfRange, UnsupportedTarget, check_finite
 from .qmath import validate_density
 
 MEMS_BRANCH_SPLIT = 2.0 / 3.0  # branches coincide at r = 2/3
@@ -57,6 +57,7 @@ def collins_gisin(lam: float, theta: float) -> np.ndarray:
     """lam |psi_theta><psi_theta| + (1 - lam)|HV><HV| with
     psi_theta = cos(theta)|HH> + sin(theta)|VV>."""
     _check_unit_interval("lambda", lam)
+    check_finite(theta=theta)
     ct, st = math.cos(theta), math.sin(theta)
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0] = lam * ct * ct
@@ -135,6 +136,7 @@ def _werner_seed(r: float) -> tuple[np.ndarray, float]:
 
 def _collins_gisin_seed(lam: float, theta: float) -> tuple[np.ndarray, float]:
     _check_unit_interval("lambda", lam)
+    check_finite(theta=theta)
     rl = math.sqrt(lam)
     return np.array([rl * math.cos(theta), math.sqrt(1.0 - lam), 0.0, rl * math.sin(theta)]), 1.0
 

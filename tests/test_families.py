@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from qforge.errors import BadF, BadNorm, BadWeights, OutOfRange, UnsupportedTarget
+from qforge.errors import BadF, BadNorm, BadWeights, NotFinite, OutOfRange, UnsupportedTarget
 from qforge.families import (
+    FAMILIES,
     FamilyParams,
     bell_diagonal,
     collins_gisin,
@@ -158,6 +159,11 @@ def test_nan_parameters_are_rejected():
         family_d1(0.6, 0.0, 0.0, 0.8, nan)
     with pytest.raises(OutOfRange):
         mems_boundary_tangle(nan)
+    # theta reaches only cos and sin, which take no infinity and pass a NaN on
+    for theta in (nan, float("inf"), float("-inf")):
+        for build in (collins_gisin, FAMILIES["collins_gisin"].seed):
+            with pytest.raises(NotFinite, match=f"^theta = {theta} is not finite$"):
+                build(0.5, theta)
 
 
 def test_all_constructors_validate():

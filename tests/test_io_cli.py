@@ -20,10 +20,11 @@ from qforge.compilers import (
     compile_scheme2,
     compile_scheme3,
     compile_scheme4_bell_diagonal,
+    compile_target,
     simulate_recipe,
 )
 from qforge.elements import default_spectral_model, full_dephasing_floor_um, spdc_pair_state
-from qforge.errors import NotFinite
+from qforge.errors import NotFinite, UnsupportedTarget
 from qforge.families import FAMILIES, werner
 from qforge.matrix_io import format_matrix, load_matrix, parse_matrix
 from qforge.qmath import fidelity, linear_entropy, tangle, validate_density
@@ -155,33 +156,31 @@ def test_recipe_rejects_unknown_version():
         recipe_from_json(json.dumps({"version": 99}))
 
 
-# SHA-256 of the default-model recipe JSON of each family at fixed parameters
-# (scheme III, scheme IV for the family scheme III has no seed for).  Family
-# recipes come from closed forms; schemes I/II are pinned below.
+# SHA-256 of the default-model recipe JSON of each family at fixed parameters,
+# compiled under the scheme of its row.  Family recipes come from closed forms;
+# schemes I/II are pinned below.
 FAMILY_RECIPE_SHA256 = [
-    ("mems", (0.4,), "e40cfe1f8f88fd9671d78d8a43fce588bdc1e83650c8e44c1e9f919bc9531e8c"),
-    ("mems", (0.8,), "bd9e97a9220c83c481b3c2bb03a91b81a530eef513d3a71c3954f8361eb59a7c"),
-    ("werner", (0.5,), "53a242864605c5ff9d0994cfc2dabba9ffaadb568d2b268544417a2f1c6ae6b8"),
-    ("collins_gisin", (0.5, 0.5236),
+    ("III", "mems", (0.4,), "e40cfe1f8f88fd9671d78d8a43fce588bdc1e83650c8e44c1e9f919bc9531e8c"),
+    ("III", "mems", (0.8,), "bd9e97a9220c83c481b3c2bb03a91b81a530eef513d3a71c3954f8361eb59a7c"),
+    ("III", "werner", (0.5,),
+     "53a242864605c5ff9d0994cfc2dabba9ffaadb568d2b268544417a2f1c6ae6b8"),
+    ("III", "collins_gisin", (0.5, 0.5236),
      "51449126cfbc76ddf4d1c9699f205f3baed4a83ea332962e335658ae5d9eb605"),
-    ("d1", (0.5, 0.5, 0.5, 0.5, 0.8),
+    ("III", "d1", (0.5, 0.5, 0.5, 0.5, 0.8),
      "be8ea0313f78825824c64a834ccc3a15d863dc60e5e99331d0718028c0be7154"),
-    ("d1", (0.6, 0.0, 0.0, 0.8, -0.3),
+    ("III", "d1", (0.6, 0.0, 0.0, 0.8, -0.3),
      "57ea9f650a755684a3e1e7a03d04ded901fb9e53dba8874a9021665b31f81db6"),
-    ("bell_diagonal", (0.4, 0.3, 0.2, 0.1),
+    ("IV", "bell_diagonal", (0.4, 0.3, 0.2, 0.1),
      "f15b593efd8e1c97e122737b2e49a4a1209fbbf37a22921c5edc102aee1c63de"),
-    ("bell_diagonal", (0.05, 0.05, 0.85, 0.05),
+    ("IV", "bell_diagonal", (0.05, 0.05, 0.85, 0.05),
      "de03167a155e87c335f2316007b38a2807644245a91aefa1a8bc435fe7d97506"),
 ]
 
 
 def test_family_recipe_bytes_pinned():
-    assert {name for name, _, _ in FAMILY_RECIPE_SHA256} == set(FAMILIES)
-    for name, params, want in FAMILY_RECIPE_SHA256:
-        if FAMILIES[name].seed is None:
-            recipe = compile_scheme4_bell_diagonal(*params)
-        else:
-            recipe = compile_scheme3(FamilyParams(name, params))
+    assert {name for _, name, _, _ in FAMILY_RECIPE_SHA256} == set(FAMILIES)
+    for scheme, name, params, want in FAMILY_RECIPE_SHA256:
+        recipe = compile_target(scheme, FamilyParams(name, params))
         got = hashlib.sha256(recipe_to_json(recipe).encode("utf-8")).hexdigest()
         assert got == want, (name, params)
 
@@ -202,7 +201,7 @@ def _matrix_targets():
         other -= np.vdot(bell, other) * bell
         pures.append(np.cos(tilt) * bell + np.sin(tilt) * other / np.linalg.norm(other))
     targets += [np.outer(psi, psi.conj()) for psi in pures]
-    targets += [FAMILIES[name].matrix(*params) for name, params, _ in FAMILY_RECIPE_SHA256]
+    targets += [FAMILIES[name].matrix(*params) for _, name, params, _ in FAMILY_RECIPE_SHA256]
     return targets
 
 
@@ -253,11 +252,8 @@ def test_simulated_bits_pinned():
                 _simulated_bits(digest, rho, recipe)
         assert [d.hexdigest() for d in digests] == [SIMULATED_SHA256[scheme]] * 2, scheme
     digests = hashlib.sha256(), hashlib.sha256()
-    for name, params, _ in FAMILY_RECIPE_SHA256:
-        if FAMILIES[name].seed is None:
-            recipe = compile_scheme4_bell_diagonal(*params)
-        else:
-            recipe = compile_scheme3(FamilyParams(name, params))
+    for scheme, name, params, _ in FAMILY_RECIPE_SHA256:
+        recipe = compile_target(scheme, FamilyParams(name, params))
         for digest, r in zip(digests, both(recipe)):
             _simulated_bits(digest, FAMILIES[name].matrix(*params), r)
     assert [d.hexdigest() for d in digests] == [SIMULATED_SHA256["families"]] * 2
@@ -350,9 +346,19 @@ def test_cli_compile_out_dash_writes_the_recipe_alone(runner, tmp_path, monkeypa
         assert res.stdout_bytes == (tmp_path / "r.json").read_bytes()
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_block_runs():
+    """README's library example, the first python block, runs as it stands."""
+    block = README.read_text(encoding="utf-8").split("\n```python\n", 1)[1].split("```\n", 1)[0]
+    assert "compile_target" in block
+    exec(compile(block, "README.md", "exec"), {})
+
+
 def _readme_cli_lines() -> list:
     """The qforge lines of README's CLI block, in order."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    text = README.read_text(encoding="utf-8")
     block = text.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
     return [line for line in block.splitlines() if line.startswith("qforge ")]
 
@@ -391,6 +397,58 @@ def test_cli_compile_bad_target(runner, tmp_path):
     res = invoke(runner, "compile", "I", str(tmp_path / "missing.txt"), "--out",
                  str(tmp_path / "x.json"))
     assert res.exit_code == 2
+
+
+# the targets compile_target refuses, per scheme: the kind of the CLI's error line
+REFUSED = {
+    "I": {"missing path": "io-error"},
+    "II": {"missing path": "io-error"},
+    "III": dict.fromkeys(("bell-diagonal family", "array", "matrix path", "missing path"),
+                         "unsupported-target"),
+    "IV": dict.fromkeys(("seeded family", "array", "matrix path", "missing path"),
+                        "unsupported-target"),
+}
+ERROR_AND_EXIT = {"io-error": (FileNotFoundError, 2), "unsupported-target": (UnsupportedTarget, 3)}
+
+
+@pytest.mark.parametrize("case", ["seeded family", "bell-diagonal family", "array",
+                                  "matrix path", "missing path"])
+@pytest.mark.parametrize("scheme", ["I", "II", "III", "IV"])
+def test_compile_target_gives_what_the_cli_gives(runner, tmp_path, scheme, case):
+    """compile_target's recipe bytes, or its error, are those of `qforge compile` on
+    the same target; an array is compiled as it is, as compile_scheme1 and 2 take it."""
+    path, missing = tmp_path / "rho.txt", tmp_path / "missing.txt"
+    # a second validate_density moves bits of this matrix, so an extra one would show
+    path.write_text(format_matrix(random_density_matrix(1)), encoding="utf-8")
+    rho = validate_density(load_matrix(path))  # what compile makes of the file
+    spec, target = {
+        "seeded family": ("mems:0.4", FamilyParams("mems", (0.4,))),
+        "bell-diagonal family": ("bell-diagonal:.4,.3,.2,.1",
+                                 FamilyParams("bell_diagonal", (0.4, 0.3, 0.2, 0.1))),
+        "array": (str(path), rho),
+        "matrix path": (str(path), path),
+        "missing path": (str(missing), missing),
+    }[case]
+    out = tmp_path / "r.json"
+    res = invoke(runner, "compile", scheme, spec, "--out", str(out))
+    kind = REFUSED[scheme].get(case)
+    if kind is None:
+        assert res.exit_code == 0
+        text = recipe_to_json(compile_target(scheme, target))
+        assert text == out.read_text(encoding="utf-8")
+        if case == "array":
+            direct = compile_scheme1 if scheme == "I" else compile_scheme2
+            assert text == recipe_to_json(direct(rho))
+    else:
+        error, code = ERROR_AND_EXIT[kind]
+        with pytest.raises(error) as raised:
+            compile_target(scheme, target)
+        assert (res.exit_code, res.stderr) == (code, f"error: {kind}: {raised.value}\n")
+
+
+def test_compile_target_rejects_an_unknown_scheme():
+    with pytest.raises(ValueError, match="^unknown scheme 'iii'; use I, II, III or IV$"):
+        compile_target("iii", FamilyParams("mems", (0.4,)))
 
 
 def test_cli_simulate_and_verify_pipeline(runner, tmp_path):
@@ -673,27 +731,26 @@ def test_spectral_model_rejects_non_finite():
             default_spectral_model(pump_wavelength_nm=bad)
 
 
-# fixed parameters per registry family; a family added without an entry here
-# fails the CLI family test
+# the scheme and fixed parameters per registry family; a family added without an
+# entry here fails the CLI family test
 CLI_FAMILY_PARAMS = {
-    "mems": (0.4,),
-    "werner": (0.5,),
-    "collins_gisin": (0.5, 0.5236),
-    "bell_diagonal": (0.4, 0.3, 0.2, 0.1),
-    "d1": (0.5, 0.5, 0.5, 0.5, 0.8),
+    "mems": ("III", (0.4,)),
+    "werner": ("III", (0.5,)),
+    "collins_gisin": ("III", (0.5, 0.5236)),
+    "bell_diagonal": ("IV", (0.4, 0.3, 0.2, 0.1)),
+    "d1": ("III", (0.5, 0.5, 0.5, 0.5, 0.8)),
 }
 
 
 @pytest.mark.parametrize("key", list(FAMILIES))
 def test_cli_family_pipeline(runner, tmp_path, key):
     family = FAMILIES[key]
-    params = CLI_FAMILY_PARAMS[key]
+    scheme, params = CLI_FAMILY_PARAMS[key]
     name = key.replace("_", "-")
     args = [repr(p) for p in params]
     target, recipe, produced = tmp_path / "t.txt", tmp_path / "r.json", tmp_path / "s.txt"
     assert invoke(runner, "families", name, *args, "--out", str(target)).exit_code == 0
     assert np.array_equal(load_matrix(target), family.matrix(*params))
-    scheme = "III" if family.seed is not None else "IV"
     spec = f"{name}:{','.join(args)}"
     assert invoke(runner, "compile", scheme, spec, "--out", str(recipe)).exit_code == 0
     assert invoke(runner, "simulate", str(recipe), "--out", str(produced)).exit_code == 0
@@ -1083,14 +1140,18 @@ def test_cli_timing_collision_exit_code(runner, tmp_path):
 
 
 # the exit-code contract on paths no other test reaches: (arguments, QFORGE_DEFAULTS
-# text or None, exit code, slug of the one stderr line or None, text on stdout)
+# text or None, exit code, the slug of the one stderr line or that whole line or None,
+# text on stdout)
+NOT_A_FAMILY = "error: unsupported-target: scheme III takes a family spec, not a raw matrix\n"
+NOT_BELL_DIAGONAL = ("error: unsupported-target: scheme IV takes a bell-diagonal:l1,l2,l3,l4 "
+                     "target\n")
 CLI_CONTRACT = [
     (["compile", "III", "mems:0.4", "--out", "{tmp}/missing/x.json"], None, 2, "io-error", ""),
     (["families", "werner", "0.5"], "[1]", 2, "defaults-file", ""),
     (["families", "werner", "0.5"], '{"delta_n": "abc"}', 2, "type-error", ""),
     (["--delta-n", "0", "compile", "III", "mems:0.4", "--out", "{tmp}/x.json"], None, 2,
      "out-of-range", ""),
-    (["compile", "IV", "mems:0.4", "--out", "{tmp}/x.json"], None, 3, "unsupported-target", ""),
+    (["compile", "IV", "mems:0.4", "--out", "{tmp}/x.json"], None, 3, NOT_BELL_DIAGONAL, ""),
     (["verify", "{tmp}/hh.txt", "{tmp}/vv.txt", "--min-fidelity", "0.5"], None, 1,
      "verification-failed", "fidelity 0\n"),
     (["--seed", "7", "plane", "mems", "5"], None, 0, None, "param,tangle,linear_entropy\n"),
@@ -1128,7 +1189,8 @@ CLI_CONTRACT = [
       for scheme, target in (("III", "mems:0.4"), ("IV", "bell-diagonal:.4,.3,.2,.1"))),
     # a birefringence so small that the decoherers' lengths l_si / |delta_n| overflow
     *((["--delta-n", "1e-320", "compile", scheme, target, "--out", "{tmp}/x.json"], None, 2,
-       "out-of-range", "")
+       "error: out-of-range: delta_n 1e-320 makes the decoherers' lengths overflow a double\n",
+       "")
       for scheme, target in (("III", "mems:0.4"), ("IV", "bell-diagonal:.4,.3,.2,.1"))),
     (["--pump-wavelength", "-1", "families", "werner", "0.5"], None, 2, "out-of-range", ""),
     # a bad constant fails commands that use no spectral model too
@@ -1139,6 +1201,18 @@ CLI_CONTRACT = [
      "out-of-range", ""),
     # a matrix path holding ':' that names no family
     (["compile", "I", "{tmp}/h:h.txt", "--out", "{tmp}/y.json"], None, 0, None, "branches: 1"),
+    # more scheme-target pairings compilers.compile_target refuses, a file before it is read
+    (["compile", "III", "{tmp}/hh.txt", "--out", "{tmp}/x.json"], None, 3, NOT_A_FAMILY, ""),
+    (["compile", "III", "{tmp}/missing.txt", "--out", "{tmp}/x.json"], None, 3, NOT_A_FAMILY,
+     ""),
+    (["compile", "III", "bell-diagonal:.4,.3,.2,.1", "--out", "{tmp}/x.json"], None, 3,
+     "error: unsupported-target: bell_diagonal targets need scheme IV\n", ""),
+    # the Collins-Gisin angle reaches only cos and sin, which pass a NaN on and take no infinity
+    (["families", "collins-gisin", "0.5", "-inf"], None, 2,
+     "error: not-finite: theta = -inf is not finite\n", ""),
+    *((["compile", scheme, f"collins-gisin:0.5,{theta}", "--out", "{tmp}/x.json"], None, 2,
+       f"error: not-finite: theta = {theta} is not finite\n", "")
+      for scheme, theta in (("III", "inf"), ("III", "nan"), ("I", "nan"))),
 ]
 
 
@@ -1157,6 +1231,8 @@ def test_cli_exit_code_contract(runner, tmp_path, args, defaults, code, kind, st
     assert res.exit_code == code
     if kind is None:
         assert res.stderr == ""
+    elif kind.endswith("\n"):
+        assert res.stderr == kind
     else:
         _single_error_line(res, kind)
     assert res.stdout.startswith(stdout)

@@ -26,7 +26,8 @@ from qforge.recipe_io import recipe_to_json
 # the names `from qforge import *` gives
 EXPORTS = {
     "FamilyParams", "ResourceCount", "bell_diagonal_split", "compile_scheme1",
-    "compile_scheme2", "compile_scheme3", "compile_scheme4_bell_diagonal", "recipe_cost",
+    "compile_scheme2", "compile_scheme3", "compile_scheme4_bell_diagonal", "compile_target",
+    "recipe_cost",
     "simulate_recipe", "DecohererStage", "LocalRotationStage", "SpdcSourceSpec",
     "SpectralModel", "WaveplateSpec", "analytic_f", "default_spectral_model", "invert_f",
     "spdc_pair_state", "su2_to_waveplates", "waveplate_unitary", "bell_diagonal",
@@ -162,6 +163,22 @@ def test_cli_command_loads_only_its_layers(tmp_path, args, unloaded):
     if args[0] in ("metrics", "verify"):
         assert loaded == {"qforge", "qforge.cli", "qforge.errors", "qforge.qmath",
                           "qforge.matrix_io"}
+
+
+# the layers `compile` loads for a family spec; compile_target adds matrix_io for a file
+COMPILE_LAYERS = {"qforge", "qforge.cli", "qforge.errors", "qforge.families", "qforge.qmath",
+                  "qforge.elements", *COMPILER_STACK}
+
+
+@pytest.mark.parametrize("args, layers", [
+    (["compile", "III", "mems:0.4", "--out", "r.json"], COMPILE_LAYERS),
+    (["compile", "I", "werner:0.5", "--out", "r.json"], COMPILE_LAYERS),
+    (["compile", "I", "w.txt", "--out", "r.json"], COMPILE_LAYERS | {"qforge.matrix_io"}),
+])
+def test_compile_loads_matrix_io_only_for_a_file_target(tmp_path, args, layers):
+    (tmp_path / "w.txt").write_text(format_matrix(werner(0.5)), encoding="utf-8")
+    modules, numpy = json.loads(_child(CLI_CHILD, *args, cwd=tmp_path)[-1])
+    assert (set(modules), numpy) == (layers, True)
 
 
 COMPILE = {
