@@ -16,7 +16,6 @@ families.FamilyParams, imported here under the same name.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import qmath
 from .elements import analytic_f, default_spectral_model, invert_f, spdc_pair_state
-from .errors import UnsupportedTarget
+from .errors import Record, UnsupportedTarget
 from .families import FAMILIES, FamilyParams, bell_weights
 from .recipe_io import RANK_EPS, DecohererStage, LocalRotationStage, Recipe, RecipeBranch
 from .recipe_io import SpdcSourceSpec, SpectralModel
@@ -136,8 +135,7 @@ def compile_scheme3(target: FamilyParams, sm: Optional[SpectralModel] = None) ->
 # Scheme IV: scheme-III mixed part + one pure state
 
 
-@dataclass(frozen=True)
-class BellDiagonalSplit:
+class BellDiagonalSplit(Record):
     """rho_B = mixed_weight * (single-stage state) + pure_weight * |pure><pure|.
 
     When |l3 - l4| > 1/2 the roles of the (l1, l2) and (l3, l4) pairs are
@@ -151,6 +149,11 @@ class BellDiagonalSplit:
     d1_f: float
     pure_state: np.ndarray
     swapped: bool
+
+    def __init__(self, mixed_weight: float, pure_weight: float, d1_amps: np.ndarray,
+                 d1_f: float, pure_state: np.ndarray, swapped: bool):
+        self.__dict__.update(mixed_weight=mixed_weight, pure_weight=pure_weight, d1_amps=d1_amps,
+                             d1_f=d1_f, pure_state=pure_state, swapped=swapped)
 
 
 def bell_diagonal_split(l1: float, l2: float, l3: float, l4: float) -> BellDiagonalSplit:

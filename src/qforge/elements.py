@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MismatchedDecoherers, OutOfRange, TargetOutOfRange, check_finite
+from .errors import MismatchedDecoherers, OutOfRange, Record, TargetOutOfRange, check_finite
 from .recipe_io import C_UM_PER_S, DEFAULT_DELTA_N, MAX_PATH_PHASE, DecohererStage
 from .recipe_io import SpdcSourceSpec, SpectralModel, _path_phase, check_path_phase
 
@@ -78,16 +77,19 @@ def spdc_pair_state(src: SpdcSourceSpec) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class WaveplateSpec:
-    """Retarder with given retardance, fast axis at axis_angle from horizontal."""
+class WaveplateSpec(Record):
+    """Retarder with given retardance, fast axis at axis_angle from horizontal;
+    a NaN or infinite axis_angle is NotFinite."""
 
     retardance: float
     axis_angle: float
 
-    def __post_init__(self):
-        if not 0.0 < self.retardance < 2.0 * math.pi:
-            raise OutOfRange(f"retardance {self.retardance} outside (0, 2 pi)")
+    def __init__(self, retardance: float, axis_angle: float):
+        if not 0.0 < retardance < 2.0 * math.pi:
+            raise OutOfRange(f"retardance {retardance} outside (0, 2 pi)")
+        if not (type(axis_angle) is float and math.isfinite(axis_angle)):
+            check_finite(axis_angle=axis_angle)  # only where it is not a finite float
+        self.__dict__.update(retardance=retardance, axis_angle=axis_angle)
 
 
 def hwp(axis_angle: float) -> WaveplateSpec:

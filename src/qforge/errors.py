@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and check_finite, the check
-that raises NotFinite for a scalar input.  elements, recipe_io and cli import
-it from here, next to NotFinite, so a command that builds no element (verify
-checks --min-fidelity with it) does not load elements."""
+"""Exception types shared across the package; check_finite, the check
+that raises NotFinite for a scalar input; and Record, the base of every
+frozen record.  elements, recipe_io and cli import check_finite from here,
+next to NotFinite, so a command that builds no element (verify checks
+--min-fidelity with it) does not load elements; every command loads this
+module, so Record adds no module to any of them."""
 
 import math
 
@@ -99,3 +101,41 @@ class RecipeParse(QforgeError):
 
 class DefaultsFile(QforgeError):
     """The QFORGE_DEFAULTS file cannot be read or holds no JSON object."""
+
+
+class Record:
+    """Base of the frozen records: each is a dataclass of its annotated fields
+    that generates no method (a generated one is compiled from source at
+    import); its own __init__ checks and stores them in one __dict__.update.
+    Record adds what frozen=True and eq=True would: FrozenInstanceError on
+    set and delete, and ==, hash and repr over the fields."""
+
+    def __init_subclass__(cls):
+        from dataclasses import dataclass
+
+        dataclass(init=False, repr=False, eq=False)(cls)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__dataclass_fields__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__dataclass_fields__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")

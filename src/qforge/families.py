@@ -10,15 +10,16 @@ FamilyParams is a family target, checked once where it is built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BadF, BadNorm, BadWeights, OutOfRange, UnsupportedTarget, check_finite
+from .errors import BadF, BadNorm, BadWeights, OutOfRange, Record, UnsupportedTarget, check_finite
 from .qmath import validate_density
 
 MEMS_BRANCH_SPLIT = 2.0 / 3.0  # branches coincide at r = 2/3
+ROUND_OFF_TOL = 1e-12  # a Bell weight, weight sum, |f| or entropy this far past its bound
+AMPS_NORM_TOL = 1e-9  # d1 amplitudes: |a|^2 + .. + |d|^2 this close to 1
 
 
 def _check_unit_interval(name: str, x: float) -> None:
@@ -69,11 +70,11 @@ def collins_gisin(lam: float, theta: float) -> np.ndarray:
 
 def bell_weights(l1: float, l2: float, l3: float, l4: float) -> np.ndarray:
     """Bell-diagonal weights as an array, checked nonnegative and summing
-    to one; round-off negatives down to -1e-12 are clipped to zero."""
+    to one; round-off negatives down to -ROUND_OFF_TOL are clipped to zero."""
     lam = np.array([l1, l2, l3, l4], dtype=float)
-    if lam.min() < -1e-12:
+    if lam.min() < -ROUND_OFF_TOL:
         raise BadWeights(f"negative weight in {lam.tolist()}")
-    if not abs(lam.sum() - 1.0) <= 1e-12:  # NaN fails too
+    if not abs(lam.sum() - 1.0) <= ROUND_OFF_TOL:  # NaN fails too
         raise BadWeights(f"weights sum to {lam.sum()}, not 1")
     return np.clip(lam, 0.0, None)
 
@@ -91,12 +92,12 @@ def bell_diagonal(l1: float, l2: float, l3: float, l4: float) -> np.ndarray:
 
 def _check_d1(a: complex, b: complex, c: complex, d: complex, f: complex) -> np.ndarray:
     """Amplitudes (a, b, c, d) renormalized, after checking that their norm
-    is 1 to 1e-9 and that |f| <= 1."""
+    is 1 to AMPS_NORM_TOL and that |f| <= 1."""
     amps = np.array([a, b, c, d], dtype=complex)
     norm2 = float(np.sum(np.abs(amps) ** 2))
-    if not abs(norm2 - 1.0) <= 1e-9:  # NaN fails too
+    if not abs(norm2 - 1.0) <= AMPS_NORM_TOL:  # NaN fails too
         raise BadNorm(f"|a|^2+..+|d|^2 = {norm2} differs from 1")
-    if not abs(complex(f)) <= 1.0 + 1e-12:
+    if not abs(complex(f)) <= 1.0 + ROUND_OFF_TOL:
         raise BadF(f"|f| = {abs(complex(f))} is not at most 1")
     return amps / math.sqrt(norm2)
 
@@ -146,8 +147,7 @@ def _d1_seed(a: float, b: float, c: float, d: float, f: float) -> tuple[np.ndarr
     return np.array([a, b, c, d]), f
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Record):
     """A named family: its parameter names (their count is the arity), the
     density-matrix constructor, and the scheme-III seed, None when scheme
     III cannot produce the family."""
@@ -155,6 +155,9 @@ class Family:
     param_names: tuple[str, ...]
     matrix: Callable[..., np.ndarray]
     seed: Optional[Callable[..., tuple[np.ndarray, float]]] = None
+
+    def __init__(self, param_names: tuple, matrix: Callable, seed: Optional[Callable] = None):
+        self.__dict__.update(param_names=param_names, matrix=matrix, seed=seed)
 
     @property
     def arity(self) -> int:
@@ -174,8 +177,7 @@ FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(Record):
     """A named family target, checked when built: kind is the registry key
     of the name ('Collins-Gisin' -> 'collins_gisin'; an unknown name is
     UnsupportedTarget) and params its parameters as floats, as many as the
@@ -184,16 +186,15 @@ class FamilyParams:
     kind: str
     params: tuple
 
-    def __post_init__(self):
-        key = self.kind.replace("-", "_").lower()
+    def __init__(self, kind: str, params: tuple):
+        key = kind.replace("-", "_").lower()
         if key not in FAMILIES:
-            raise UnsupportedTarget(f"unknown family {self.kind!r}; known: {', '.join(FAMILIES)}")
-        params = tuple(float(p) for p in self.params)
+            raise UnsupportedTarget(f"unknown family {kind!r}; known: {', '.join(FAMILIES)}")
+        params = tuple(float(p) for p in params)
         arity = FAMILIES[key].arity
         if len(params) != arity:
             raise ValueError(f"family {key} takes {arity} parameter(s), got {len(params)}")
-        object.__setattr__(self, "kind", key)
-        object.__setattr__(self, "params", params)
+        self.__dict__.update(kind=key, params=params)
 
 
 def mems_boundary_tangle(linear_entropy: float) -> float:
@@ -204,7 +205,7 @@ def mems_boundary_tangle(linear_entropy: float) -> float:
     entangled state exists beyond 8/9.
     """
     s = linear_entropy
-    if not 0.0 <= s <= 1.0 + 1e-12:
+    if not 0.0 <= s <= 1.0 + ROUND_OFF_TOL:
         raise OutOfRange(f"linear entropy {s} outside [0, 1]")
     s_split = 16.0 / 27.0  # entropy of mems(2/3)
     s_edge = 8.0 / 9.0  # entropy of mems(0)

@@ -36,18 +36,18 @@ a result that is not finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy._core._ufunc_config import _extobj_contextvar
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .errors import NotFinite, NotHermitian, NotNormalized, NotPositive, TraceNotOne
+from .errors import NotFinite, NotHermitian, NotNormalized, NotPositive, Record, TraceNotOne
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_CLAMP = 1e-10  # eigenvalues in [-1e-10, 0) are treated as round-off
 NORM_TOL = 1e-9  # check_pure accepts a norm this close to 1
+SPIN_FLIP_CUT = 1e-15  # concurrence drops eigenvalues of rho up to this times max(1, largest)
 _NOT_FINITE = "matrix holds a NaN or infinite entry"
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -157,8 +157,7 @@ def validate_density(m: np.ndarray) -> np.ndarray:
     return h / _trace(h).real
 
 
-@dataclass(frozen=True)
-class CanonicalDecomposition:
+class CanonicalDecomposition(Record):
     """Eigen-decomposition of a density matrix, eigenvalues descending.
 
     eigenstates[k] is the unit eigenvector for eigenvalues[k]; each is
@@ -168,6 +167,9 @@ class CanonicalDecomposition:
 
     eigenvalues: np.ndarray  # (4,) real, descending
     eigenstates: np.ndarray  # (4, 4) complex, row k = |psi_k>
+
+    def __init__(self, eigenvalues: np.ndarray, eigenstates: np.ndarray):
+        self.__dict__.update(eigenvalues=eigenvalues, eigenstates=eigenstates)
 
     def reconstruct(self) -> np.ndarray:
         return (self.eigenstates.T * self.eigenvalues) @ self.eigenstates.conj()
@@ -191,7 +193,9 @@ def _psd_sqrt(m: np.ndarray) -> np.ndarray:
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity F = (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2."""
+    """Uhlmann fidelity F = (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 of density
+    matrices validated where they entered (validate_density): like every
+    metric here, it checks no hermiticity, trace or positivity per call."""
     rho, sigma = _matrix(rho), _matrix(sigma)
     token = _extobj_contextvar.set(_EIGH_EXTOBJ)
     try:
@@ -216,14 +220,15 @@ def concurrence(rho: np.ndarray) -> float:
     symmetric matrix W^T (sy x sy) W, where W scales the eigenvectors of
     rho by the square roots of its eigenvalues; unlike the eigenvalues of
     the non-normal product rho rho~, singular values stay accurate at
-    machine precision for rank-deficient states.
+    machine precision for rank-deficient states.  rho is a validated
+    density matrix, as fidelity's are; concurrence reads its Hermitian part.
     """
     rho = _matrix(rho)
     token = _extobj_contextvar.set(_EIGH_EXTOBJ)
     try:
         h = 0.5 * (rho + rho.conj().T)
         mu, vec = _umath_linalg.eigh_lo(h, signature="D->dD")  # in _eigh's state, set above
-        cut = 1e-15 * max(1.0, float(mu[-1]))
+        cut = SPIN_FLIP_CUT * max(1.0, float(mu[-1]))
         if not mu[0] > cut:  # ascending: some eigenvalue is dropped, or the least is NaN
             if not math.isfinite(sum(mu.tolist())):
                 _check_finite(rho)
@@ -245,12 +250,14 @@ def concurrence(rho: np.ndarray) -> float:
 
 
 def tangle(rho: np.ndarray) -> float:
-    """Squared concurrence; 0 for separable states, 1 for Bell states."""
+    """Squared concurrence of a validated density matrix, as concurrence
+    reads it; 0 for separable states, 1 for Bell states."""
     c = concurrence(rho)
     return min(max(c * c, 0.0), 1.0)
 
 
 def purity(rho: np.ndarray) -> float:
+    """Tr rho^2 of a validated density matrix, as fidelity's are."""
     rho = _matrix(rho)
     token = _extobj_contextvar.set(_EIGH_EXTOBJ)
     try:
@@ -266,5 +273,6 @@ def purity(rho: np.ndarray) -> float:
 
 
 def linear_entropy(rho: np.ndarray) -> float:
-    """(4/3)(1 - Tr rho^2), normalized so the maximally mixed state scores 1."""
+    """(4/3)(1 - Tr rho^2) of a validated density matrix, as fidelity's
+    are, normalized so the maximally mixed state scores 1."""
     return min(max(4.0 / 3.0 * (1.0 - purity(rho)), 0.0), 1.0)

@@ -32,18 +32,27 @@ Python complex, the values the file gives, and every numeric reader takes
 either through np.asarray.  pump_splits alone imports numpy, and only for
 scheme II: its upper_fraction must keep qmath._norm's bits, which a
 Python-scalar norm misses in the last bit for some seeds.
+
+The tolerance ladder.  A simulated sum must pass qmath.validate_density's
+HERMITICITY_TOL = TRACE_TOL = 1e-12, so a parse tolerance above them needs
+a simulation step that absorbs it: simulate_recipe divides each branch by
+its trace (SEED_NORM_TOL 1e-9, UNITARY_TOL 1e-10) and the sum by the
+weight sum (WEIGHT_SUM_TOL 1e-10).  SPLIT_TOL and IDENTITY_TOL (1e-10)
+reach no simulation.  RANK_EPS, THETA_TOL and families.ROUND_OFF_TOL take
+1e-12 as round-off, qmath.EIGENVALUE_CLAMP 1e-10 below zero, qmath.NORM_TOL
+and families.AMPS_NORM_TOL 1e-9 off a unit norm; qmath.SPIN_FLIP_CUT (1e-15)
+is concurrence's rank cut, relative to the largest eigenvalue.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .errors import BadWeights, InconsistentRecipe, NotFinite, NotNormalized, NotUnitary
-from .errors import OutOfRange, TimingCollision, check_finite
+from .errors import OutOfRange, Record, TimingCollision, check_finite
 
 FORMAT_VERSION = 1
 SCHEMES = ("I", "II", "III", "IV")
@@ -53,6 +62,7 @@ UNITARY_TOL = 1e-10
 SPLIT_TOL = 1e-10
 IDENTITY_TOL = 1e-10  # a local unitary this close to the identity (up to phase) costs no optics
 RANK_EPS = 1e-12  # eigenvalues below this produce no branch; pump power below it is spent
+THETA_TOL = 1e-12  # a source angle this far above pi/2 is round-off
 
 C_UM_PER_S = 2.99792458e14  # speed of light in micrometers per second
 DEFAULT_DELTA_N = 0.009  # quartz-like birefringence
@@ -60,8 +70,7 @@ DEFAULT_DELTA_N = 0.009  # quartz-like birefringence
 MAX_PATH_PHASE = 2.0**53
 
 
-@dataclass(frozen=True)
-class SpectralModel:
+class SpectralModel(Record):
     """Gaussian downconversion spectrum parameters and the decoherers'
     birefringence.
 
@@ -75,13 +84,14 @@ class SpectralModel:
     omega: float
     delta_n: float = DEFAULT_DELTA_N
 
-    def __post_init__(self):
-        check_finite(delta_eps=self.delta_eps, omega=self.omega)
-        if self.delta_eps <= 0.0:
-            raise OutOfRange(f"delta_eps must be positive, got {self.delta_eps}")
-        if self.omega <= 0.0:
-            raise OutOfRange(f"omega must be positive, got {self.omega}")
-        check_finite(delta_n=self.delta_n)  # last: a bad delta_eps or omega is named first
+    def __init__(self, delta_eps: float, omega: float, delta_n: float = DEFAULT_DELTA_N):
+        check_finite(delta_eps=delta_eps, omega=omega)
+        if delta_eps <= 0.0:
+            raise OutOfRange(f"delta_eps must be positive, got {delta_eps}")
+        if omega <= 0.0:
+            raise OutOfRange(f"omega must be positive, got {omega}")
+        check_finite(delta_n=delta_n)  # last: a bad delta_eps or omega is named first
+        self.__dict__.update(delta_eps=delta_eps, omega=omega, delta_n=delta_n)
 
     @property
     def l_si_um(self) -> float:
@@ -89,33 +99,32 @@ class SpectralModel:
         return C_UM_PER_S / self.delta_eps
 
 
-@dataclass(frozen=True)
-class SpdcSourceSpec:
+class SpdcSourceSpec(Record):
     """Two-crystal source pumped by cos(theta)|V> + e^{i phi} sin(theta)|H>."""
 
     theta: float
     phi: float = 0.0
 
-    def __post_init__(self):
-        theta, phi = self.theta, self.phi
+    def __init__(self, theta: float, phi: float = 0.0):
         if not (type(theta) is type(phi) is float and math.isfinite(theta + phi)):
             check_finite(theta=theta, phi=phi)  # only where a value is not a finite float
-        if not 0.0 <= self.theta <= math.pi / 2.0 + 1e-12:
-            raise OutOfRange(f"theta {self.theta} outside [0, pi/2]")
-        object.__setattr__(self, "phi", float(self.phi) % (2.0 * math.pi))
+        if not 0.0 <= theta <= math.pi / 2.0 + THETA_TOL:
+            raise OutOfRange(f"theta {theta} outside [0, pi/2]")
+        self.__dict__.update(theta=theta, phi=float(phi) % (2.0 * math.pi))
 
 
-@dataclass(frozen=True)
-class LocalRotationStage:
+class LocalRotationStage(Record):
     """Frequency-independent local unitaries, one 2x2 matrix per arm: an
     ndarray when compiled, a tuple of rows of complex when parsed."""
 
     u_a: Sequence
     u_b: Sequence
 
+    def __init__(self, u_a: Sequence, u_b: Sequence):
+        self.__dict__.update(u_a=u_a, u_b=u_b)
 
-@dataclass(frozen=True)
-class DecohererStage:
+
+class DecohererStage(Record):
     """Thick birefringent crystal in one arm ('A' or 'B'): the polarization
     named by axis sees an index sm.delta_n, shared by every decoherer, above
     the other one; the stage keeps no birefringence of its own."""
@@ -124,14 +133,15 @@ class DecohererStage:
     length_um: float
     axis: str = "V"
 
-    def __post_init__(self):
-        check_finite(length_um=self.length_um)
-        if self.length_um < 0.0:
-            raise OutOfRange(f"decoherer length {self.length_um} must be >= 0")
-        if self.axis not in ("H", "V"):
-            raise OutOfRange(f"axis must be 'H' or 'V', got {self.axis!r}")
-        if self.arm not in ("A", "B"):
-            raise ValueError(f"arm must be 'A' or 'B', got {self.arm!r}")
+    def __init__(self, arm: str, length_um: float, axis: str = "V"):
+        check_finite(length_um=length_um)
+        if length_um < 0.0:
+            raise OutOfRange(f"decoherer length {length_um} must be >= 0")
+        if axis not in ("H", "V"):
+            raise OutOfRange(f"axis must be 'H' or 'V', got {axis!r}")
+        if arm not in ("A", "B"):
+            raise ValueError(f"arm must be 'A' or 'B', got {arm!r}")
+        self.__dict__.update(arm=arm, length_um=length_um, axis=axis)
 
     def effective_delta_n(self, sm: SpectralModel) -> float:
         """n_V - n_H: +sm.delta_n for axis 'V', -sm.delta_n for axis 'H'."""
@@ -151,8 +161,7 @@ def check_path_phase(stage: DecohererStage, sm: SpectralModel) -> None:
                          f"rad, beyond 2**53 rad, where no digit of it is left")
 
 
-@dataclass(frozen=True)
-class RecipeBranch:
+class RecipeBranch(Record):
     """One incoherent component of a recipe.
 
     The seed is a source setting (two-crystal SPDC) or a direct pure
@@ -167,9 +176,12 @@ class RecipeBranch:
     stages: tuple = ()
     note: str = ""
 
+    def __init__(self, weight: float, timing_tag: int, seed, stages: tuple = (), note: str = ""):
+        self.__dict__.update(weight=weight, timing_tag=timing_tag, seed=seed, stages=stages,
+                             note=note)
 
-@dataclass(frozen=True)
-class Recipe:
+
+class Recipe(Record):
     """Incoherent mixture of branches, checked when built: a known scheme,
     weights finite, non-negative, summing to 1; scheme-II branches of
     amplitudes alone, weighing more than 0; branches sharing a timing tag
@@ -180,10 +192,10 @@ class Recipe:
     branches: tuple
     spectral_model: SpectralModel
 
-    def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown recipe scheme {self.scheme!r}; use I, II, III or IV")
-        weights = [b.weight for b in self.branches]
+    def __init__(self, scheme: str, branches: tuple, spectral_model: SpectralModel):
+        if scheme not in SCHEMES:
+            raise ValueError(f"unknown recipe scheme {scheme!r}; use I, II, III or IV")
+        weights = [b.weight for b in branches]
         if not all(type(w) is float and math.isfinite(w) for w in weights):  # names on failure only
             check_finite(**{f"weight[{k}]": w for k, w in enumerate(weights)})
         if any(w < 0.0 for w in weights):
@@ -191,19 +203,20 @@ class Recipe:
         total = sum(weights)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise BadWeights(f"branch weights sum to {total}, not 1")
-        for k, b in enumerate(self.branches if self.scheme == "II" else ()):
+        for k, b in enumerate(branches if scheme == "II" else ()):
             if isinstance(b.seed, SpdcSourceSpec) or b.stages or not b.weight > 0.0:
                 raise InconsistentRecipe(f"scheme-II branch {k} must seed from amplitudes, "
                                          f"hold no stages and weigh more than 0")
         by_tag: dict = {}
-        dn = self.spectral_model.delta_n
-        for b in self.branches:
+        dn = spectral_model.delta_n
+        for b in branches:
             other = by_tag.setdefault(b.timing_tag, b)  # must have the same recipe-v1 form
             if other is not b and _branch_to_dict(b, dn) != _branch_to_dict(other, dn):
                 raise TimingCollision(f"distinct branches share timing tag {b.timing_tag}")
             for stage in b.stages:
                 if isinstance(stage, DecohererStage):
-                    check_path_phase(stage, self.spectral_model)
+                    check_path_phase(stage, spectral_model)
+        self.__dict__.update(scheme=scheme, branches=branches, spectral_model=spectral_model)
 
 
 def pump_splits(recipe: Recipe) -> list:
@@ -405,8 +418,7 @@ def load_recipe(path) -> Recipe:
 # Resource accounting
 
 
-@dataclass(frozen=True)
-class ResourceCount:
+class ResourceCount(Record):
     """Element tally: crystal sets count two nonlinear crystals, a general
     unitary costs three waveplates, and the pump is assumed pre-polarized
     (two plates tune each source)."""
@@ -414,6 +426,10 @@ class ResourceCount:
     nlc: int
     other_optics: int
     controllable_params: int
+
+    def __init__(self, nlc: int, other_optics: int, controllable_params: int):
+        self.__dict__.update(nlc=nlc, other_optics=other_optics,
+                             controllable_params=controllable_params)
 
 
 def _is_identity(u) -> bool:

@@ -31,13 +31,12 @@ not validated; compilers.simulate_recipe validates their weighted sum.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
 from .elements import spectral_amplitude
-from .errors import OutOfRange
+from .errors import OutOfRange, Record
 from .qmath import _norm
 from .recipe_io import C_UM_PER_S, DecohererStage, LocalRotationStage, SpectralModel
 
@@ -55,13 +54,15 @@ _DPOL_A = _POL_A[:, None] - _POL_A[None, :]  # pol_j - pol_k of coherence (j, k)
 _DPOL_B = _POL_B[:, None] - _POL_B[None, :]
 
 
-@dataclass(frozen=True)
-class FrequencyGrid:
+class FrequencyGrid(Record):
     """Uniform symmetric grid over the frequency deviation eps with
     trapezoid quadrature weights."""
 
     points: np.ndarray
     weights: np.ndarray
+
+    def __init__(self, points: np.ndarray, weights: np.ndarray):
+        self.__dict__.update(points=points, weights=weights)
 
 
 def make_grid(sm: SpectralModel, n: int = DEFAULT_GRID_N) -> FrequencyGrid:

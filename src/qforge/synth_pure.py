@@ -17,11 +17,11 @@ determinant D = ad - bc of the reshaped amplitude matrix:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .elements import WaveplateSpec, spdc_pair_state, su2_to_waveplates
+from .errors import Record
 from .qmath import _norm, check_pure
 from .recipe_io import SpdcSourceSpec
 
@@ -36,8 +36,7 @@ SEAM_BAND = 1e-3
 _DEGENERATE = 1e-9
 
 
-@dataclass(frozen=True)
-class PureRecipe:
+class PureRecipe(Record):
     """Source setting plus local rotations that produce a pure target.
 
     wp_a / wp_b are the quarter-half-quarter waveplate expansions of the
@@ -49,6 +48,10 @@ class PureRecipe:
     u_b: np.ndarray
     wp_a: tuple[WaveplateSpec, WaveplateSpec, WaveplateSpec]
     wp_b: tuple[WaveplateSpec, WaveplateSpec, WaveplateSpec]
+
+    def __init__(self, source: SpdcSourceSpec, u_a: np.ndarray, u_b: np.ndarray, wp_a: tuple,
+                 wp_b: tuple):
+        self.__dict__.update(source=source, u_a=u_a, u_b=u_b, wp_a=wp_a, wp_b=wp_b)
 
     def state(self) -> np.ndarray:
         return np.kron(self.u_a, self.u_b) @ spdc_pair_state(self.source)

@@ -17,7 +17,7 @@ from qforge.elements import (
     su2_to_waveplates,
     waveplate_unitary,
 )
-from qforge.errors import MismatchedDecoherers, OutOfRange, TargetOutOfRange
+from qforge.errors import MismatchedDecoherers, NotFinite, OutOfRange, TargetOutOfRange
 from qforge.recipe_io import DecohererStage, SpdcSourceSpec
 
 from kit import random_su2
@@ -72,6 +72,18 @@ def test_waveplates_unitary():
 def test_waveplate_retardance_range():
     with pytest.raises(OutOfRange):
         WaveplateSpec(retardance=0.0, axis_angle=0.0)
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf, np.float64("nan")])
+@pytest.mark.parametrize("plate", [hwp, qwp, lambda t: WaveplateSpec(math.pi, t)],
+                         ids=["hwp", "qwp", "spec"])
+def test_waveplate_axis_angle_must_be_finite(plate, angle):
+    # such a plate's Jones matrix would be all NaN
+    with pytest.raises(NotFinite, match=f"^axis_angle = {angle} is not finite$"):
+        plate(angle)
+    with pytest.raises(OutOfRange):  # the retardance is checked first
+        WaveplateSpec(0.0, angle)
+    assert plate(np.float64(3.0)).axis_angle == plate(3).axis_angle == 3.0
 
 
 def test_su2_decomposition_identity():

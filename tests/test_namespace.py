@@ -216,6 +216,20 @@ def test_records_load_no_numpy():
     assert (modules, numpy) == (["qforge", "qforge.errors", "qforge.recipe_io"], False)
 
 
+def test_loading_the_compiler_stack_compiles_no_generated_source():
+    # a frozen dataclass compiles six generated methods from "<string>" source
+    # at import (84 for the 14 records); a Record subclass generates none
+    code = (
+        "import sys\n"
+        "import click, numpy\n"
+        "seen = []\n"
+        "sys.addaudithook(lambda event, args: event == 'compile' and seen.append(args[1]))\n"
+        "import qforge.cli, qforge.compilers, qforge.matrix_io\n"
+        "print(sum(name == '<string>' for name in seen))\n"
+    )
+    assert _child(code)[-1] == "0"
+
+
 def test_benchmark_measures_public_layer_functions():
     """perfbench/run.py times and counts qforge functions by their
     "<layer>.<function>" names, and its traced run stops with "not measured"

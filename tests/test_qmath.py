@@ -415,6 +415,22 @@ def test_metrics_reject_a_matrix_that_is_not_4x4(metric, shape):
         assert str(info.value) == f"expected a 4x4 matrix, got shape {m.shape}"
 
 
+def test_metrics_trust_a_validated_matrix():
+    # the metrics take a density matrix validated where it entered, as the CLI
+    # does, and check nothing more per call: of these two, which validation
+    # rejects, they read half and return a clean state's values
+    h = np.eye(4, dtype=complex) / 4.0
+    h[0, 1] = 0.3
+    assert (fidelity(h, np.eye(4) / 4.0), tangle(h), purity(h)) == (1.0, 0.0, 0.25)
+    with pytest.raises(NotHermitian):
+        validate_density(h)
+    rho = np.eye(4, dtype=complex) / 4.0
+    rho[0, 3] = np.inf
+    assert fidelity(rho, np.eye(4) / 4.0) == 1.0
+    with pytest.raises(NotFinite):
+        validate_density(rho)
+
+
 NON_FINITE = {"nan": np.full((4, 4), np.nan, dtype=complex),
               "inf": np.full((4, 4), np.inf, dtype=complex)}
 METRICS = {"tangle": tangle, "concurrence": concurrence, "fidelity": fidelity,
