@@ -11,8 +11,8 @@ stages), which load no numpy.
 from importlib import import_module
 
 _EXPORTS = {
-    "compilers": "bell_diagonal_split compile_scheme1 compile_scheme2 compile_scheme3 "
-                 "compile_scheme4_bell_diagonal compile_target simulate_recipe",
+    "compilers": "compile_scheme1 compile_scheme2 compile_scheme3 compile_scheme4_bell_diagonal "
+                 "compile_target simulate_recipe",
     "elements": "WaveplateSpec analytic_f default_spectral_model invert_f spdc_pair_state "
                 "su2_to_waveplates waveplate_unitary",
     "families": "FamilyParams bell_diagonal collins_gisin family_d1 mems mems_boundary_tangle "

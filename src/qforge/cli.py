@@ -36,7 +36,7 @@ QFORGE_DEFAULTS loads elements (and with it recipe_io and numpy) too.
 Loading a layer compiles no generated source: its records are
 errors.Record subclasses, which write their methods out, where frozen
 dataclasses would generate six each at import (about 7 ms for the
-compiler stack's 14).
+compiler stack's 13).
 
 The env var QFORGE_DEFAULTS may point to a JSON file overriding the
 physical constants, e.g. {"delta_n": 0.009, "l_si_um": 100.0,
@@ -165,12 +165,6 @@ def _write_text(out: str, text: str):
         click.echo(text, nl=False)
     else:
         Path(out).write_text(text, encoding="utf-8")
-
-
-def _load_validated(path: str) -> np.ndarray:
-    from . import matrix_io, qmath
-
-    return qmath.validate_density(matrix_io.load_matrix(path))
 
 
 def _load_recipe(path: str):
@@ -319,10 +313,10 @@ def verify(target_path, produced_path, min_fidelity):
     check_finite(min_fidelity=min_fidelity)
     if not 0.0 <= min_fidelity <= 1.0:
         raise OutOfRange(f"--min-fidelity {min_fidelity:.9g} must lie in [0, 1]")
-    from . import qmath
+    from . import matrix_io, qmath
 
-    target = _load_validated(target_path)
-    produced = _load_validated(produced_path)
+    target = matrix_io.load_density(target_path)
+    produced = matrix_io.load_density(produced_path)
     f = qmath.fidelity(target, produced)
     click.echo(f"fidelity {f:.9g}")
     _echo_metrics("target", target)
@@ -335,9 +329,9 @@ def verify(target_path, produced_path, min_fidelity):
 @click.argument("matrix_path")
 def metrics(matrix_path):
     """Print tangle, linear entropy and purity of a matrix file."""
-    from . import qmath
+    from . import matrix_io, qmath
 
-    rho = _load_validated(matrix_path)
+    rho = matrix_io.load_density(matrix_path)
     click.echo(f"tangle {qmath.tangle(rho):.6g}")
     click.echo(f"linear_entropy {qmath.linear_entropy(rho):.6g}")
     click.echo(f"purity {qmath.purity(rho):.6g}")

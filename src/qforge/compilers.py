@@ -23,7 +23,7 @@ import numpy as np
 
 from . import qmath
 from .elements import analytic_f, default_spectral_model, invert_f, spdc_pair_state
-from .errors import Record, UnsupportedTarget
+from .errors import UnsupportedTarget
 from .families import FAMILIES, FamilyParams, bell_weights
 from .recipe_io import RANK_EPS, DecohererStage, LocalRotationStage, Recipe, RecipeBranch
 from .recipe_io import SpdcSourceSpec, SpectralModel
@@ -135,28 +135,18 @@ def compile_scheme3(target: FamilyParams, sm: Optional[SpectralModel] = None) ->
 # Scheme IV: scheme-III mixed part + one pure state
 
 
-class BellDiagonalSplit(Record):
-    """rho_B = mixed_weight * (single-stage state) + pure_weight * |pure><pure|.
-
-    When |l3 - l4| > 1/2 the roles of the (l1, l2) and (l3, l4) pairs are
-    swapped; the mixed part then lives in the inner (HV/VH) block and is
-    reached from the single-stage family by a half-waveplate on arm B.
-    """
-
-    mixed_weight: float
-    pure_weight: float
-    d1_amps: np.ndarray
-    d1_f: float
-    pure_state: np.ndarray
-    swapped: bool
-
-    def __init__(self, mixed_weight: float, pure_weight: float, d1_amps: np.ndarray,
-                 d1_f: float, pure_state: np.ndarray, swapped: bool):
-        self.__dict__.update(mixed_weight=mixed_weight, pure_weight=pure_weight, d1_amps=d1_amps,
-                             d1_f=d1_f, pure_state=pure_state, swapped=swapped)
+_SWAP_B = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
-def bell_diagonal_split(l1: float, l2: float, l3: float, l4: float) -> BellDiagonalSplit:
+def compile_scheme4_bell_diagonal(l1: float, l2: float, l3: float, l4: float,
+                                  sm: Optional[SpectralModel] = None) -> Recipe:
+    """Two branches: a single-stage mixed part of weight 1 - |l3 - l4| and the
+    Bell state (|HV> + sgn(l3 - l4)|VH>)/sqrt(2) of weight |l3 - l4|; the pure
+    part never outweighs the mixed part, so only it may need attenuation.
+    When |l3 - l4| > 1/2 the (l1, l2) and (l3, l4) pairs swap roles: the mixed
+    part lives in the inner (HV/VH) block, reached from the single-stage family
+    by a half-waveplate on arm B, and the pure part is (|HH> + sgn(l1 - l2)|VV>)/sqrt(2)."""
+    sm = sm or default_spectral_model()
     lam = bell_weights(l1, l2, l3, l4)
     swapped = abs(lam[2] - lam[3]) > 0.5
     if swapped:
@@ -170,37 +160,16 @@ def bell_diagonal_split(l1: float, l2: float, l3: float, l4: float) -> BellDiago
     a = math.sqrt(pair_sum / (2.0 * w))
     b = math.sqrt(min(inner) / w)
     f = (outer[0] - outer[1]) / pair_sum if pair_sum > 0.0 else 0.0
-    amps = np.array([a, b, b, a])
     if swapped:
         pure = np.array([1.0, 0.0, 0.0, sign], dtype=complex) / math.sqrt(2.0)
+        post = (LocalRotationStage(u_a=np.eye(2, dtype=complex), u_b=_SWAP_B),)
     else:
         pure = np.array([0.0, 1.0, sign, 0.0], dtype=complex) / math.sqrt(2.0)
-    return BellDiagonalSplit(
-        mixed_weight=w,
-        pure_weight=gap,
-        d1_amps=amps,
-        d1_f=f,
-        pure_state=pure,
-        swapped=swapped,
-    )
-
-
-_SWAP_B = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
-
-def compile_scheme4_bell_diagonal(l1: float, l2: float, l3: float, l4: float,
-                                  sm: Optional[SpectralModel] = None) -> Recipe:
-    """Two branches: a single-stage mixed part of weight 1 - |l3 - l4| and
-    the Bell state (|HV> + sgn(l3 - l4)|VH>)/sqrt(2) of weight |l3 - l4|
-    (pairs swapped when |l3 - l4| > 1/2).  The pure part never outweighs
-    the mixed part, so only it may need attenuation."""
-    sm = sm or default_spectral_model()
-    split = bell_diagonal_split(l1, l2, l3, l4)
-    post = (LocalRotationStage(u_a=np.eye(2, dtype=complex), u_b=_SWAP_B),) if split.swapped else ()
-    branches = [_d1_branch(split.d1_amps, split.d1_f, sm, weight=split.mixed_weight, tag=1,
-                           post_stages=post, note=INCOHERENCE_NOTE)]
-    if split.pure_weight >= RANK_EPS:
-        branches.append(_solved_branch(split.pure_state, split.pure_weight, 2))
+        post = ()
+    branches = [_d1_branch(np.array([a, b, b, a]), f, sm, weight=w, tag=1, post_stages=post,
+                           note=INCOHERENCE_NOTE)]
+    if gap >= RANK_EPS:
+        branches.append(_solved_branch(pure, gap, 2))
     return Recipe(scheme="IV", branches=tuple(branches), spectral_model=sm)
 
 
@@ -214,7 +183,7 @@ def compile_target(scheme: str, target, sm: Optional[SpectralModel] = None) -> R
         elif isinstance(target, Path):
             from . import matrix_io
 
-            target = qmath.validate_density(matrix_io.load_matrix(target))
+            target = matrix_io.load_density(target)
         return (compile_scheme1 if scheme == "I" else compile_scheme2)(target, sm)
     if scheme == "III" and family:
         return compile_scheme3(target, sm)

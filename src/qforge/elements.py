@@ -55,7 +55,12 @@ def default_spectral_model(
     if pump_wavelength_nm <= 0.0:
         raise OutOfRange(f"pump wavelength must be positive, got {pump_wavelength_nm}")
     delta_eps = C_UM_PER_S / l_si_um
-    omega = 2.0 * math.pi * C_UM_PER_S / (pump_wavelength_nm * 1e-3)
+    if math.isinf(delta_eps):
+        raise OutOfRange(f"l_si {l_si_um} um makes delta_eps overflow a double")
+    wavelength_um = pump_wavelength_nm * 1e-3  # 0.0 where the product underflows
+    omega = 2.0 * math.pi * C_UM_PER_S / wavelength_um if wavelength_um else math.inf
+    if math.isinf(omega):
+        raise OutOfRange(f"pump wavelength {pump_wavelength_nm} nm makes omega overflow a double")
     return SpectralModel(delta_eps=delta_eps, omega=omega, delta_n=delta_n)
 
 

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .qmath import validate_density
+
 FLOAT_FMT = "{:.17g}"
 
 
@@ -44,3 +46,8 @@ def parse_matrix(text: str) -> np.ndarray:
 
 def load_matrix(path) -> np.ndarray:
     return parse_matrix(Path(path).read_text(encoding="utf-8"))
+
+
+def load_density(path) -> np.ndarray:
+    """The density matrix in the file at path, checked by qmath.validate_density."""
+    return validate_density(load_matrix(path))

@@ -154,11 +154,18 @@ def _path_phase(length_um: float, sm: SpectralModel) -> float:
 
 
 def check_path_phase(stage: DecohererStage, sm: SpectralModel) -> None:
-    """OutOfRange when the decoherer's path phase w |dn| L / 2c exceeds MAX_PATH_PHASE."""
+    """OutOfRange when the decoherer's path phase w |dn| L / 2c, or its delay
+    spread delta_eps |dn| L / c (its thickness in dephasing lengths), exceeds
+    MAX_PATH_PHASE.  The second bound keeps every coherence's Gaussian
+    exponent (delta_eps t)**2 / 2, t a sum of such delays over c, in double range."""
     phase = _path_phase(stage.length_um, sm)
     if phase > MAX_PATH_PHASE:
         raise OutOfRange(f"decoherer of {stage.length_um} um has a path phase of {phase:.3g} "
                          f"rad, beyond 2**53 rad, where no digit of it is left")
+    spread = sm.delta_eps * (abs(sm.delta_n) * stage.length_um) / C_UM_PER_S
+    if spread > MAX_PATH_PHASE:
+        raise OutOfRange(f"decoherer of {stage.length_um} um is {spread:.3g} dephasing lengths "
+                         f"thick at delta_eps {sm.delta_eps:.6g} rad/s, beyond 2**53")
 
 
 class RecipeBranch(Record):
@@ -185,7 +192,7 @@ class Recipe(Record):
     """Incoherent mixture of branches, checked when built: a known scheme,
     weights finite, non-negative, summing to 1; scheme-II branches of
     amplitudes alone, weighing more than 0; branches sharing a timing tag
-    are equal; no decoherer path phase beyond MAX_PATH_PHASE.  The spectral
+    are equal; check_path_phase passes every decoherer.  The spectral
     model, which carries every decoherer's delta_n, checks itself."""
 
     scheme: str  # "I" | "II" | "III" | "IV"

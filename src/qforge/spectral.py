@@ -44,6 +44,9 @@ DEFAULT_GRID_N = 2049
 GRID_HALF_SPAN = 6.0  # grid covers +/- 6 delta_eps
 # a grid point costs ~210 B of peak memory: 2**20 + 1 points took ~250 MB
 MAX_GRID_N = 2**20 + 1
+# delta_eps [rad/s] keeping delta_eps**2 and (GRID_HALF_SPAN delta_eps)**2 normal doubles,
+# as spectral_amplitude's (2 pi delta_eps**2)**-1/4 and exp(-eps**2 / 4 delta_eps**2) need
+GRID_DELTA_EPS = (1e-150, 1e150)
 # the exact path's pair tables hold 4**K entries: K = 11 took ~0.6 GB
 MAX_EXACT_DECOHERERS = 10
 
@@ -67,9 +70,13 @@ class FrequencyGrid(Record):
 
 def make_grid(sm: SpectralModel, n: int = DEFAULT_GRID_N) -> FrequencyGrid:
     """Trapezoid-rule grid over [-6 delta_eps, +6 delta_eps] with n odd points,
-    from 3 to MAX_GRID_N of them (else OutOfRange, before anything is allocated)."""
+    from 3 to MAX_GRID_N of them, for a delta_eps within GRID_DELTA_EPS (else
+    OutOfRange, before anything is allocated)."""
     if n < 3 or n % 2 == 0 or n > MAX_GRID_N:
         raise OutOfRange(f"grid size {n} must be odd, from 3 to {MAX_GRID_N} points (~210 B each)")
+    if not GRID_DELTA_EPS[0] <= sm.delta_eps <= GRID_DELTA_EPS[1]:
+        raise OutOfRange(f"delta_eps {sm.delta_eps:.6g} rad/s lies outside [1e-150, 1e150] rad/s, "
+                         f"the range a frequency grid takes")
     pts = np.linspace(-GRID_HALF_SPAN * sm.delta_eps, GRID_HALF_SPAN * sm.delta_eps, n)
     w = np.full(n, pts[1] - pts[0])
     w[0] *= 0.5

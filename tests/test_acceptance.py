@@ -8,7 +8,6 @@ import pytest
 
 from qforge.compilers import (
     FamilyParams,
-    bell_diagonal_split,
     compile_scheme1,
     compile_scheme2,
     compile_scheme3,
@@ -49,7 +48,7 @@ def test_criterion_1_mems_reproduction():
     target = mems(2.0 / 3.0)  # the 1/3-entry matrix
     recipe = compile_scheme3(FamilyParams("mems", (2.0 / 3.0,)), SM)
     f_grid = fidelity(simulate_recipe(recipe, grid_n=2049), target)
-    f_analytic = fidelity(simulate_recipe(recipe, analytic=True), target)
+    f_analytic = fidelity(simulate_recipe(recipe), target)
     assert f_grid >= 0.9999
     assert f_analytic >= 1.0 - 1e-9
     report(1, f"MEMS r=2/3 fidelity grid {f_grid:.10f}, analytic {f_analytic:.12f}")
@@ -129,8 +128,8 @@ def test_criterion_5_scheme1_scheme2_universality():
         rho = random_density_matrix(rng)
         r1 = compile_scheme1(rho, SM)
         r2 = compile_scheme2(rho, SM)
-        worst1 = min(worst1, fidelity(simulate_recipe(r1, analytic=True), rho))
-        worst2 = min(worst2, fidelity(simulate_recipe(r2, analytic=True), rho))
+        worst1 = min(worst1, fidelity(simulate_recipe(r1), rho))
+        worst2 = min(worst2, fidelity(simulate_recipe(r2), rho))
     assert worst1 >= 1.0 - 1e-9
     assert worst2 >= 1.0 - 1e-9
     report(
@@ -146,13 +145,11 @@ def test_criterion_6_scheme4_bell_diagonal():
     for _ in range(1000):
         lam = rng.dirichlet(np.ones(4))
         recipe = compile_scheme4_bell_diagonal(*lam, SM)
-        worst = min(worst, fidelity(simulate_recipe(recipe, analytic=True), bell_diagonal(*lam)))
-        split = bell_diagonal_split(*lam)
-        gap34 = abs(lam[2] - lam[3])
-        if gap34 <= 0.5:
-            assert split.pure_weight == gap34
-        else:  # pairs swapped per the construction's assumption
-            assert split.pure_weight == abs(lam[0] - lam[1])
+        worst = min(worst, fidelity(simulate_recipe(recipe), bell_diagonal(*lam)))
+        gap = abs(lam[2] - lam[3])
+        if gap > 0.5:  # pairs swapped per the construction's assumption
+            gap = abs(lam[0] - lam[1])
+        assert recipe.branches[0].weight == 1.0 - gap
     assert worst >= 1.0 - 1e-9
     report(6, f"1000 Bell-diagonal targets, worst fidelity 1 - {1.0 - worst:.2e}")
 

@@ -7,7 +7,6 @@ from qforge.compilers import (
     FamilyParams,
     Recipe,
     RecipeBranch,
-    bell_diagonal_split,
     branch_seed_state,
     compile_scheme1,
     compile_scheme2,
@@ -73,7 +72,7 @@ def test_scheme1_round_trip_random():
     for _ in range(100):
         rho = random_density_matrix(rng)
         recipe = compile_scheme1(rho, SM)
-        assert fidelity(simulate_recipe(recipe, analytic=True), rho) >= 1.0 - 1e-9
+        assert fidelity(simulate_recipe(recipe), rho) >= 1.0 - 1e-9
 
 
 # ---------------------------------------------------------------- scheme II
@@ -122,7 +121,7 @@ def test_scheme2_round_trip_random():
     for _ in range(100):
         rho = random_density_matrix(rng)
         recipe = compile_scheme2(rho, SM)
-        assert fidelity(simulate_recipe(recipe, analytic=True), rho) >= 1.0 - 1e-9
+        assert fidelity(simulate_recipe(recipe), rho) >= 1.0 - 1e-9
 
 
 # ---------------------------------------------------------------- scheme III
@@ -163,7 +162,7 @@ def test_scheme3_family_sweeps_analytic():
                 "werner": lambda: werner(float(r)),
                 "collins_gisin": lambda: collins_gisin(float(r), 0.9),
             }[params.kind]()
-            produced = simulate_recipe(recipe, analytic=True)
+            produced = simulate_recipe(recipe)
             assert fidelity(produced, target) >= 1.0 - 1e-9, (params.kind, r)
 
 
@@ -187,14 +186,14 @@ def test_scheme3_d1_target_complexish():
 
     target = family_d1(*amps, -0.4)  # signed f
     recipe = compile_scheme3(FamilyParams("d1", (*amps, -0.4)), SM)
-    assert fidelity(simulate_recipe(recipe, analytic=True), target) >= 1.0 - 1e-9
+    assert fidelity(simulate_recipe(recipe), target) >= 1.0 - 1e-9
     assert fidelity(simulate_recipe(recipe, grid_n=2049), target) >= 1.0 - 1e-6
 
 
 def test_scheme3_mems_sweep_on_boundary():
     for r in np.linspace(0.0, 1.0, 11):
         recipe = compile_scheme3(FamilyParams("mems", (float(r),)), SM)
-        produced = simulate_recipe(recipe, analytic=True)
+        produced = simulate_recipe(recipe)
         ref = mems(float(r))
         assert abs(tangle(produced) - tangle(ref)) < 1e-8
         assert abs(linear_entropy(produced) - linear_entropy(ref)) < 1e-8
@@ -220,18 +219,25 @@ def test_scheme4_example_weights():
 def test_scheme4_maximally_mixed_single_branch():
     recipe = compile_scheme4_bell_diagonal(0.25, 0.25, 0.25, 0.25, SM)
     assert len(recipe.branches) == 1
-    produced = simulate_recipe(recipe, analytic=True)
+    produced = simulate_recipe(recipe)
     assert fidelity(produced, np.eye(4) / 4.0) >= 1.0 - 1e-9
+
+
+def _swapped(recipe) -> bool:
+    """Whether the recipe's single-stage branch ends in the arm-B half-waveplate
+    that moves its mixed part into the inner (HV/VH) block."""
+    last = recipe.branches[0].stages[-1]
+    return (isinstance(last, LocalRotationStage) and np.array_equal(last.u_a, np.eye(2))
+            and np.array_equal(last.u_b, [[0.0, 1.0], [1.0, 0.0]]))
 
 
 def test_scheme4_swapped_case():
     lam = (0.05, 0.15, 0.75, 0.05)
-    split = bell_diagonal_split(*lam)
-    assert split.swapped
-    assert split.pure_weight == abs(lam[0] - lam[1])
     recipe = compile_scheme4_bell_diagonal(*lam, SM)
+    assert _swapped(recipe)
+    assert recipe.branches[0].weight == 1.0 - abs(lam[0] - lam[1])
     target = bell_diagonal(*lam)
-    assert fidelity(simulate_recipe(recipe, analytic=True), target) >= 1.0 - 1e-9
+    assert fidelity(simulate_recipe(recipe), target) >= 1.0 - 1e-9
     assert fidelity(simulate_recipe(recipe, grid_n=2049), target) >= 1.0 - 1e-6
 
 
@@ -241,12 +247,11 @@ def test_scheme4_random_simplex():
         lam = rng.dirichlet(np.ones(4))
         recipe = compile_scheme4_bell_diagonal(*lam, SM)
         target = bell_diagonal(*lam)
-        assert fidelity(simulate_recipe(recipe, analytic=True), target) >= 1.0 - 1e-9
-        split = bell_diagonal_split(*lam)
-        if abs(lam[2] - lam[3]) <= 0.5:
-            assert split.pure_weight == abs(lam[2] - lam[3])
-        else:
-            assert split.pure_weight == abs(lam[0] - lam[1])
+        assert fidelity(simulate_recipe(recipe), target) >= 1.0 - 1e-9
+        swapped = abs(lam[2] - lam[3]) > 0.5
+        assert _swapped(recipe) == swapped
+        gap = abs(lam[0] - lam[1]) if swapped else abs(lam[2] - lam[3])
+        assert recipe.branches[0].weight == 1.0 - gap
 
 
 def test_scheme4_rejects_bad_weights():
@@ -259,14 +264,14 @@ def test_scheme4_rejects_bad_weights():
 
 def test_simulate_single_pure_branch_projector():
     recipe = compile_scheme1(projector(bell_state("psi-")), SM)
-    rho = simulate_recipe(recipe, analytic=True)
+    rho = simulate_recipe(recipe)
     assert np.abs(rho - projector(bell_state("psi-"))).max() < 1e-10
 
 
 def test_simulate_grid_matches_analytic_for_scheme1():
     rho_t = random_density_matrix(5)
     recipe = compile_scheme1(rho_t, SM)
-    a = simulate_recipe(recipe, analytic=True)
+    a = simulate_recipe(recipe)
     g = simulate_recipe(recipe, grid_n=2049)
     assert np.abs(a - g).max() < 1e-8
 

@@ -138,8 +138,8 @@ def test_recipe_file_round_trip_simulates_identically(tmp_path):
         path = tmp_path / "r.json"
         path.write_text(recipe_to_json(recipe), encoding="utf-8")
         loaded = load_recipe(path)
-        a = simulate_recipe(recipe, analytic=True)
-        b = simulate_recipe(loaded, analytic=True)
+        a = simulate_recipe(recipe)
+        b = simulate_recipe(loaded)
         assert np.array_equal(a, b), recipe.scheme
 
 
@@ -384,19 +384,6 @@ def test_cli_compile_scheme4_bell_diagonal(runner, tmp_path):
     assert res.exit_code == 0
     recipe = load_recipe(r)
     assert recipe.branches[1].weight == pytest.approx(0.1)
-
-
-def test_cli_compile_scheme3_with_matrix_is_unsupported(runner, tmp_path):
-    w = tmp_path / "w.txt"
-    invoke(runner, "families", "werner", "0.5", "--out", str(w))
-    res = invoke(runner, "compile", "III", str(w), "--out", str(tmp_path / "x.json"))
-    assert res.exit_code == 3
-
-
-def test_cli_compile_bad_target(runner, tmp_path):
-    res = invoke(runner, "compile", "I", str(tmp_path / "missing.txt"), "--out",
-                 str(tmp_path / "x.json"))
-    assert res.exit_code == 2
 
 
 # the targets compile_target refuses, per scheme: the kind of the CLI's error line
@@ -1000,6 +987,14 @@ def _scaled_amps_seed(doc):  # the source state as amplitudes of norm 1 + 5e-10
          "out-of-range", 2),
         ("mems:0.4", _put("negative_omega", "spectral_model", "omega", value=-1),
          "out-of-range", 2),
+        # a delta_eps that makes the compiled decoherers ~4e188 dephasing lengths thick, whose
+        # Gaussian exponent would overflow; one that makes them thin simulates
+        ("mems:0.4", _put("wide_delta_eps", "spectral_model", "delta_eps", value=1e200),
+         "out-of-range", 2),
+        ("bell-diagonal:.4,.3,.2,.1",
+         _put("wide_delta_eps", "spectral_model", "delta_eps", value=1e200), "out-of-range", 2),
+        ("mems:0.4", _put("narrow_delta_eps", "spectral_model", "delta_eps", value=1e-200),
+         None, 0),
         ("mems:0.4", _put("negative_length", "branches", 0, "stages", 1, "length_um", value=-1),
          "out-of-range", 2),
         ("mems:0.4", _put("negative_weight", "branches", 0, "weight", value=-1.0),
@@ -1024,7 +1019,8 @@ def test_cli_cost_and_simulate_reject_the_same_recipes(
     runner, tmp_path, command, target, edit, kind, code
 ):
     r = tmp_path / "r.json"
-    scheme = {"mems": "III", "werner": "I", "collins-gisin": "II"}[target.partition(":")[0]]
+    scheme = {"mems": "III", "werner": "I", "collins-gisin": "II",
+              "bell-diagonal": "IV"}[target.partition(":")[0]]
     assert invoke(runner, "compile", scheme, target, "--out", str(r)).exit_code == 0
     doc = json.loads(r.read_text())
     edit(doc)
@@ -1159,6 +1155,14 @@ CLI_CONTRACT = [
     # the first odd grid size above spectral.MAX_GRID_N
     (["simulate", "{tmp}/r.json", "--out", "{tmp}/x.json", "--grid-n", "1048579"], None, 2,
      "out-of-range", ""),
+    # a grid refuses a delta_eps outside spectral.GRID_DELTA_EPS; cost and the exact path take it
+    *((["simulate", f"{{tmp}}/{name}", "--out", "{tmp}/x.json", "--grid-n", "33"], None, 2,
+       f"error: out-of-range: delta_eps {delta_eps} rad/s lies outside [1e-150, 1e150] rad/s, "
+       f"the range a frequency grid takes\n", "")
+      for name, delta_eps in (("narrow.json", "2.99792e-186"), ("wide.json", "2.99792e+174"))),
+    *(([*command, f"{{tmp}}/{name}"], None, 0, None, stdout)
+      for name in ("narrow.json", "wide.json")
+      for command, stdout in ((["cost"], "scheme"), (["simulate", "--out", "-"], "# simulated"))),
     # click's usage errors, raised by a command's parser and by the group's
     (["plane", "mems", "x"], None, 2, "usage-error", ""),
     (["--seed", "x", "plane", "mems", "5"], None, 2, "usage-error", ""),
@@ -1222,7 +1226,14 @@ def test_cli_exit_code_contract(runner, tmp_path, args, defaults, code, kind, st
         m = np.zeros((4, 4), dtype=complex)
         m[k, k] = 1.0
         (tmp_path / name).write_text(format_matrix(m), encoding="utf-8")
-    assert invoke(runner, "compile", "III", "mems:0.4", "--out", str(tmp_path / "r.json")).exit_code == 0
+    for flags, scheme, target, name in (
+        ([], "III", "mems:0.4", "r.json"),
+        # spectra so narrow and so wide that a grid would square delta_eps out of double range
+        (["--l-si", "1e200"], "I", "werner:0.5", "narrow.json"),
+        (["--l-si", "1e-160"], "III", "mems:0.4", "wide.json"),
+    ):
+        res = invoke(runner, *flags, "compile", scheme, target, "--out", str(tmp_path / name))
+        assert res.exit_code == 0
     env = None
     if defaults is not None:
         (tmp_path / "defaults.json").write_text(defaults, encoding="utf-8")
@@ -1249,6 +1260,13 @@ BAD_CONSTANTS = [
     ([], '{"delta_n": true}', "error: type-error: delta_n must be a number, got True\n"),
     ([], '{"pump_wavelength_nm": Infinity}',
      "error: not-finite: pump_wavelength = inf is not finite\n"),
+    # constants whose model would overflow, named as the user set them
+    (["--l-si", "1e-300"], None,
+     "error: out-of-range: l_si 1e-300 um makes delta_eps overflow a double\n"),
+    (["--pump-wavelength", "1e-320"], None,
+     "error: out-of-range: pump wavelength 1e-320 nm makes omega overflow a double\n"),
+    ([], '{"pump_wavelength_nm": 5e-324}',  # 5e-324 nm is 0.0 um in a double
+     "error: out-of-range: pump wavelength 5e-324 nm makes omega overflow a double\n"),
 ]
 EVERY_COMMAND = [
     ["families", "werner", "0.5"],

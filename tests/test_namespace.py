@@ -25,11 +25,9 @@ from qforge.recipe_io import recipe_to_json
 
 # the names `from qforge import *` gives
 EXPORTS = {
-    "FamilyParams", "ResourceCount", "bell_diagonal_split", "compile_scheme1",
-    "compile_scheme2", "compile_scheme3", "compile_scheme4_bell_diagonal", "compile_target",
-    "recipe_cost",
-    "simulate_recipe", "DecohererStage", "LocalRotationStage", "SpdcSourceSpec",
-    "SpectralModel", "WaveplateSpec", "analytic_f", "default_spectral_model", "invert_f",
+    "FamilyParams", "ResourceCount", "compile_scheme1", "compile_scheme2", "compile_scheme3",
+    "compile_scheme4_bell_diagonal", "compile_target", "recipe_cost", "simulate_recipe",
+    "DecohererStage", "LocalRotationStage", "SpdcSourceSpec", "SpectralModel", "WaveplateSpec", "analytic_f", "default_spectral_model", "invert_f",
     "spdc_pair_state", "su2_to_waveplates", "waveplate_unitary", "bell_diagonal",
     "collins_gisin", "family_d1", "mems", "mems_boundary_tangle", "werner",
     "CanonicalDecomposition", "canonical_decompose", "concurrence", "fidelity",

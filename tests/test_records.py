@@ -15,7 +15,7 @@ import pickle
 
 import pytest
 
-from qforge import compilers, elements, errors, families, qmath, recipe_io, spectral, synth_pure
+from qforge import elements, errors, families, qmath, recipe_io, spectral, synth_pure
 from qforge.elements import hwp, qwp
 from qforge.recipe_io import DecohererStage, RecipeBranch, SpdcSourceSpec, SpectralModel
 
@@ -47,10 +47,6 @@ RECORDS = {
     elements.WaveplateSpec: ({"retardance": math.pi, "axis_angle": 0.25}, {"axis_angle": 0.0}),
     synth_pure.PureRecipe: ({"source": SOURCE, "u_a": EYE, "u_b": SWAP, "wp_a": (hwp(0.1),),
                              "wp_b": (qwp(0.2),)}, {"wp_b": ()}),
-    compilers.BellDiagonalSplit: ({"mixed_weight": 0.75, "pure_weight": 0.25,
-                                   "d1_amps": (0.5, 0.5, 0.5, 0.5), "d1_f": 0.5,
-                                   "pure_state": (0.0, 1.0), "swapped": False},
-                                  {"swapped": True}),
 }
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +39,42 @@ def test_grid_size_is_capped_before_allocating():
     for n in (MAX_GRID_N + 2, 10**30 + 1):  # the second would not fit in any memory
         with pytest.raises(OutOfRange, match="grid size"):
             make_grid(SM, n)
+
+
+def test_grid_takes_a_delta_eps_whose_square_is_a_normal_double():
+    """At either end of GRID_DELTA_EPS a model scaled from the default simulates a compiled
+    recipe on a grid as the exact path does; beyond them make_grid refuses the model."""
+    from qforge.compilers import FamilyParams, compile_scheme3, simulate_recipe
+
+    for delta_eps in spectral.GRID_DELTA_EPS:
+        scale = delta_eps / SM.delta_eps
+        sm = dataclasses.replace(SM, delta_eps=delta_eps, omega=SM.omega * scale)
+        recipe = compile_scheme3(FamilyParams("mems", (0.4,)), sm)
+        assert np.abs(simulate_recipe(recipe, grid_n=257) - simulate_recipe(recipe)).max() < 1e-8
+    for delta_eps in (1e-200, 1e-160, 2e150, 1e160, 1e300):
+        want = f"delta_eps {delta_eps:.6g} rad/s lies outside [1e-150, 1e150] rad/s"
+        with pytest.raises(OutOfRange, match=re.escape(want)):
+            make_grid(dataclasses.replace(SM, delta_eps=delta_eps), 33)
+
+
+def test_a_decoherer_up_to_2_53_dephasing_lengths_simulates_without_overflow():
+    """check_path_phase bounds each decoherer's delta_eps |dn| L / c by 2**53, which keeps
+    the Gaussian exponent of every coherence finite; one ulp more is refused."""
+    from qforge.compilers import Recipe, RecipeBranch, simulate_recipe
+
+    sm = dataclasses.replace(SM, omega=SM.delta_eps)  # the path phase is then half the spread
+    length = 2.0**53 * C_UM_PER_S / (sm.delta_eps * DN)
+    while sm.delta_eps * (DN * length) / C_UM_PER_S > 2.0**53:
+        length = np.nextafter(length, 0.0)
+    rot = LocalRotationStage(u_a=rotation(0.3).astype(complex), u_b=np.eye(2, dtype=complex))
+    for stages in ((DecohererStage("A", length), DecohererStage("B", 0.5 * length)),
+                   (DecohererStage("A", length), rot, DecohererStage("B", length))):
+        branch = RecipeBranch(1.0, 1, bell_state("phi+"), stages=stages)
+        rho = simulate_recipe(Recipe(scheme="III", branches=(branch,), spectral_model=sm))
+        assert np.isfinite(rho).all()
+    thicker = RecipeBranch(1.0, 1, HH, stages=(DecohererStage("A", np.nextafter(length, 1e300)),))
+    with pytest.raises(OutOfRange, match="dephasing lengths thick"):
+        Recipe(scheme="III", branches=(thicker,), spectral_model=sm)
 
 
 def test_grid_normalization():
@@ -337,9 +374,7 @@ def test_default_simulate_recipe_builds_no_grid(request):
     oracle = [simulate_recipe(r, grid_n=2049) for r in recipes]
     request.getfixturevalue("forbid_make_grid")
     for recipe, want in zip(recipes, oracle):
-        for analytic in (False, True):
-            got = simulate_recipe(recipe, analytic=analytic)
-            assert np.abs(got - want).max() < 1e-8
+        assert np.abs(simulate_recipe(recipe) - want).max() < 1e-8
 
 
 def test_axis_h_equals_v_with_negated_delta_n():
@@ -359,8 +394,8 @@ def test_axis_h_equals_v_with_negated_delta_n():
     assert DecohererStage("A", FLOOR, axis="H").effective_delta_n(SM) == -DN
     h, v_minus, v_plus = recipe(DN, "H"), recipe(-DN, "V"), recipe(DN, "V")
     want = simulate_recipe(v_minus)
-    # exact, closed-form and grid paths
-    for kwargs in ({}, {"analytic": True}, {"grid_n": 2049}):
+    # the default closed form and the grid
+    for kwargs in ({}, {"grid_n": 2049}):
         got = simulate_recipe(h, **kwargs)
         assert np.abs(got - want).max() < 1e-8
         assert np.abs(got - simulate_recipe(v_plus, **kwargs)).max() > 1e-3
