@@ -23,7 +23,8 @@ class NotFinite(ValidationError):
 def check_finite(**values: float) -> None:
     """Raise NotFinite naming the first keyword whose value is NaN, infinite
     or an integer beyond double range (a JSON number may be one); a bool,
-    which Python would read as 0 or 1, is a TypeError."""
+    which Python would read as 0 or 1, or a non-number (a JSON string, null
+    or list) is a TypeError naming it."""
     for name, x in values.items():
         if isinstance(x, bool):
             raise TypeError(f"{name} must be a number, got {x}")
@@ -31,6 +32,10 @@ def check_finite(**values: float) -> None:
             finite = math.isfinite(x)
         except OverflowError:
             raise NotFinite(f"{name} is an integer beyond double range") from None
+        except TypeError:
+            import reprlib
+
+            raise TypeError(f"{name} must be a number, got {reprlib.repr(x)}") from None
         if not finite:
             raise NotFinite(f"{name} = {x} is not finite")
 

@@ -31,6 +31,7 @@ not validated; compilers.simulate_recipe validates their weighted sum.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Sequence, Union
 
 import numpy as np
@@ -128,6 +129,9 @@ def _simulate_on_grid(
                 pol, w_arm = _POL_A, 0.5 * sm.omega + grid.points
             else:
                 pol, w_arm = _POL_B, 0.5 * sm.omega - grid.points
+            if math.isinf(sm.delta_n * float(np.abs(w_arm).max())):  # else n_j w_arm overflows
+                raise OutOfRange(f"delta_n {sm.delta_n:.6g} makes a decoherer's phase on the "
+                                 f"frequency grid overflow a double")
             n_j = stage.effective_delta_n(sm) * pol
             amps = amps * np.exp(1j * np.outer(n_j, w_arm) * (stage.length_um / C_UM_PER_S))
         else:

@@ -387,12 +387,15 @@ CONSTRUCTOR_TABLE = [
     (_weights, (0.75, 0.5, -0.25), (BadWeights, "negative branch weight in [0.75, 0.5, -0.25]")),
     (_weights, (0.5, 0.25, 0.2), (BadWeights, "branch weights sum to 0.95, not 1")),
     (_weights, (1e308, 1e308, 0.5), (BadWeights, "branch weights sum to inf, not 1")),
-    (_weights, (0.5, 0.25, "0.25"), (TypeError, "must be real number, not str")),
+    # a non-number is named, as a bool is (at first it raised math.isfinite's unnamed TypeError)
+    (_weights, (0.5, 0.25, "0.25"), (TypeError, "weight[2] must be a number, got '0.25'")),
+    (_weights, (0.5, None, 0.5), (TypeError, "weight[1] must be a number, got None")),
     (_weights, (), (BadWeights, "branch weights sum to 0, not 1")),
     (SpdcSourceSpec, (np.float64(0.5), 0.0), "SpdcSourceSpec(theta=np.float64(0.5), phi=0.0)"),
     (SpdcSourceSpec, (1, 7), "SpdcSourceSpec(theta=1, phi=0.7168146928204138)"),
     (SpdcSourceSpec, (True, 0.0), (TypeError, "theta must be a number, got True")),
     (SpdcSourceSpec, (0.5, True), (TypeError, "phi must be a number, got True")),
+    (SpdcSourceSpec, ([0.1], 0.0), (TypeError, "theta must be a number, got [0.1]")),
     (SpdcSourceSpec, (10**400, 0.0), (NotFinite, "theta is an integer beyond double range")),
     (SpdcSourceSpec, (0.5, 10**400), (NotFinite, "phi is an integer beyond double range")),
     (SpdcSourceSpec, (NAN, 0.0), (NotFinite, "theta = nan is not finite")),

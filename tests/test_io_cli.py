@@ -1041,6 +1041,54 @@ def test_cli_cost_and_simulate_reject_the_same_recipes(
     assert not (tmp_path / "x.txt").exists()
 
 
+# a non-number where a recipe holds a number, and the key its one line names
+@pytest.mark.parametrize("command", ["cost", "simulate"])
+@pytest.mark.parametrize("path, value, named", [
+    (("branches", 0, "stages", 1, "length_um"), "1", "length_um must be a number, got '1'"),
+    (("spectral_model", "omega"), None, "omega must be a number, got None"),
+    (("branches", 0, "weight"), "1", "weight[0] must be a number, got '1'"),
+    (("branches", 0, "seed", "theta"), [0.1], "theta must be a number, got [0.1]"),
+    (("branches", 0, "seed", "phi"), "x" * 1000,
+     "phi must be a number, got 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+], ids=["length-string", "omega-null", "weight-string", "theta-list", "phi-long-string"])
+def test_cli_names_a_non_number_in_a_recipe(runner, tmp_path, command, path, value, named):
+    r = tmp_path / "r.json"
+    assert invoke(runner, "compile", "III", "mems:0.4", "--out", str(r)).exit_code == 0
+    doc = json.loads(r.read_text())
+    _put("non_number", *path, value=value)(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    args = [command, str(bad)]
+    if command == "simulate":
+        args += ["--out", str(tmp_path / "x.txt")]
+    res = invoke(runner, *args)
+    assert (res.exit_code, res.stdout, res.stderr) == (2, "",
+                                                       f"error: recipe-parse: {bad}: {named}\n")
+
+
+@pytest.mark.parametrize("delta_n", ["1e290", "-1e290"])
+@pytest.mark.parametrize("scheme, target", [("III", "mems:0.4"),
+                                            ("IV", "bell-diagonal:.4,.3,.2,.1")])
+def test_cli_grid_takes_a_large_delta_n_whose_phase_fits(runner, tmp_path, delta_n, scheme,
+                                                         target):
+    r, out = tmp_path / "r.json", tmp_path / "p.txt"
+    assert invoke(runner, "--delta-n", delta_n, "compile", scheme, target,
+                  "--out", str(r)).exit_code == 0
+    res = invoke(runner, "simulate", str(r), "--out", str(out), "--grid-n", "33")
+    assert (res.exit_code, res.stderr) == (0, "")
+    validate_density(load_matrix(out))
+
+
+@pytest.mark.parametrize("scheme", ["I", "II"])
+def test_cli_grid_takes_a_decoherer_free_recipe_at_any_delta_n(runner, tmp_path, scheme):
+    r, out = tmp_path / "r.json", tmp_path / "p.txt"
+    assert invoke(runner, "--delta-n", "1e300", "compile", scheme, "werner:0.5",
+                  "--out", str(r)).exit_code == 0
+    res = invoke(runner, "simulate", str(r), "--out", str(out), "--grid-n", "33")
+    assert (res.exit_code, res.stderr) == (0, "")
+    validate_density(load_matrix(out))
+
+
 @pytest.mark.parametrize("scheme", ["I", "II"])
 def test_cli_simulates_a_target_whose_dropped_eigenvalues_leave_the_weights_short(
     runner, tmp_path, scheme
@@ -1163,6 +1211,15 @@ CLI_CONTRACT = [
     *(([*command, f"{{tmp}}/{name}"], None, 0, None, stdout)
       for name in ("narrow.json", "wide.json")
       for command, stdout in ((["cost"], "scheme"), (["simulate", "--out", "-"], "# simulated"))),
+    # a birefringence whose decoherer phase delta_n (w/2 + 6 delta_eps) overflows on a grid;
+    # cost and the exact path take it
+    *((["simulate", f"{{tmp}}/{name}", "--out", "{tmp}/x.json", "--grid-n", "33"], None, 2,
+       "error: out-of-range: delta_n 1e+300 makes a decoherer's phase on the frequency grid "
+       "overflow a double\n", "")
+      for name in ("huge-dn-iii.json", "huge-dn-iv.json")),
+    *(([*command, f"{{tmp}}/{name}"], None, 0, None, stdout)
+      for name in ("huge-dn-iii.json", "huge-dn-iv.json")
+      for command, stdout in ((["cost"], "scheme"), (["simulate", "--out", "-"], "# simulated"))),
     # click's usage errors, raised by a command's parser and by the group's
     (["plane", "mems", "x"], None, 2, "usage-error", ""),
     (["--seed", "x", "plane", "mems", "5"], None, 2, "usage-error", ""),
@@ -1231,6 +1288,8 @@ def test_cli_exit_code_contract(runner, tmp_path, args, defaults, code, kind, st
         # spectra so narrow and so wide that a grid would square delta_eps out of double range
         (["--l-si", "1e200"], "I", "werner:0.5", "narrow.json"),
         (["--l-si", "1e-160"], "III", "mems:0.4", "wide.json"),
+        (["--delta-n", "1e300"], "III", "mems:0.4", "huge-dn-iii.json"),
+        (["--delta-n", "1e300"], "IV", "bell-diagonal:.4,.3,.2,.1", "huge-dn-iv.json"),
     ):
         res = invoke(runner, *flags, "compile", scheme, target, "--out", str(tmp_path / name))
         assert res.exit_code == 0
@@ -1258,6 +1317,8 @@ BAD_CONSTANTS = [
      "error: out-of-range: pump wavelength must be positive, got 0.0\n"),
     ([], '{"l_si_um": 0}', "error: out-of-range: l_si must be positive, got 0\n"),
     ([], '{"delta_n": true}', "error: type-error: delta_n must be a number, got True\n"),
+    ([], '{"l_si_um": null}', "error: type-error: l_si must be a number, got None\n"),
+    ([], '{"delta_n": "abc"}', "error: type-error: delta_n must be a number, got 'abc'\n"),
     ([], '{"pump_wavelength_nm": Infinity}',
      "error: not-finite: pump_wavelength = inf is not finite\n"),
     # constants whose model would overflow, named as the user set them
