@@ -22,29 +22,20 @@ exception: kind internal-error).  They are mapped in one place,
 standard output and exits 0.  `--seed` and `simulate --analytic` are
 accepted and ignored: simulate picks each branch's method from its chain.
 
-Each command loads only the qforge layers it runs, and numpy only where
-it computes.  cost loads errors and recipe_io alone (home of the records a
-recipe holds and of recipe_cost), and no numpy: recipe_io parses and
-checks a recipe in Python scalars, and only a scheme-II recipe, whose pump
-split pump_splits derives with numpy (its upper_fraction keeps
-qmath._norm's bits), adds numpy and qmath.  Every other command loads
-errors, qmath, matrix_io and numpy (compile matrix_io only for a file),
-and verify and metrics nothing more; families and plane add families;
-compile and simulate add compilers, with elements, families, synth_pure,
-spectral and recipe_io.  A physical constant set by a flag or
-QFORGE_DEFAULTS loads elements (and with it recipe_io and numpy) too.
-Loading a layer compiles no generated source: its records are
-errors.Record subclasses, which write their methods out, where frozen
-dataclasses would generate six each at import (about 7 ms for the
-compiler stack's 13).
+Each command imports the qforge layers it runs in its own body, and
+numpy only where it computes; README's table lists what each loads.  The
+family targets, spectral models and recipes it builds are records
+(errors.Record): each stores exactly its constructor's parameters, and
+none compiles generated source on import.
 
 The env var QFORGE_DEFAULTS may point to a JSON file overriding the
 physical constants, e.g. {"delta_n": 0.009, "l_si_um": 100.0,
-"pump_wavelength_nm": 351.0}; explicit flags win over the file.  Where one
-is set, the group turns them into one SpectralModel, delta_n included,
-before any command runs, so a bad constant fails every command; compile
-then uses it.  Where none is set, compile takes the compilers' memoized
-default model.  Only compilers.compile_target pairs a scheme with a target.
+"pump_wavelength_nm": 351.0}; any other key is a defaults-file error, and
+explicit flags win over the file.  Where one is set, the group turns them
+into one SpectralModel, delta_n included, before any command runs, so a
+bad constant fails every command; compile then uses it.  Where none is
+set, compile takes the compilers' memoized default model.  Only
+compilers.compile_target pairs a scheme with a target.
 
 Every --out takes '-' for stdout; compile then writes the recipe alone,
 without its summary.
@@ -135,7 +126,7 @@ class _ErrorBoundary(click.Group):
             return super().invoke(ctx)
 
 
-def _load_defaults_file() -> dict:
+def _load_defaults_file(known: dict) -> dict:
     path = os.environ.get("QFORGE_DEFAULTS")
     if not path:
         return {}
@@ -147,6 +138,10 @@ def _load_defaults_file() -> dict:
         raise DefaultsFile(f"cannot read QFORGE_DEFAULTS {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise DefaultsFile(f"{path} must hold a JSON object")
+    unknown = [key for key in data if key not in known]
+    if unknown:
+        raise DefaultsFile(f"{path} holds unknown key(s) {', '.join(map(repr, unknown))}; "
+                           f"it takes {', '.join(known)} only")
     return data
 
 
@@ -160,7 +155,7 @@ def cli(ctx, delta_n, l_si, pump_wavelength):
     """Compile and simulate two-photon polarization mixed-state recipes."""
     # a flag beats the file, which beats default_spectral_model's own default
     flags = {"delta_n": delta_n, "l_si_um": l_si, "pump_wavelength_nm": pump_wavelength}
-    file_defaults = _load_defaults_file()
+    file_defaults = _load_defaults_file(flags)
     chosen = {key: file_defaults[key] for key in flags if key in file_defaults}
     chosen.update((key, flag) for key, flag in flags.items() if flag is not None)
     if chosen:  # else ctx.obj stays None, and compile takes the default model

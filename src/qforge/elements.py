@@ -3,10 +3,7 @@
 This module holds the optics formulas: the spectral amplitude, the pair
 state a source gives, waveplate Jones matrices and their QWP-HWP-QWP
 synthesis, and the decoherence factor with its inverse.  The records they
-read (SpectralModel, SpdcSourceSpec, DecohererStage) and the rotation
-stage live in recipe_io, which reads, writes and tallies recipes without
-numpy; only its pump_splits imports numpy, for a scheme-II split, whose
-upper_fraction must keep qmath._norm's bits.
+read live in recipe_io.
 
 Conventions used throughout:
   * angles in radians, lengths in micrometers, frequencies in rad/s;
@@ -85,9 +82,6 @@ def spdc_pair_state(src: SpdcSourceSpec) -> np.ndarray:
 class WaveplateSpec(Record):
     """Retarder with given retardance, fast axis at axis_angle from horizontal;
     a NaN or infinite axis_angle is NotFinite."""
-
-    retardance: float
-    axis_angle: float
 
     def __init__(self, retardance: float, axis_angle: float):
         if not 0.0 < retardance < 2.0 * math.pi:

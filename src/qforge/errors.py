@@ -105,19 +105,31 @@ class RecipeParse(QforgeError):
 
 
 class DefaultsFile(QforgeError):
-    """The QFORGE_DEFAULTS file cannot be read or holds no JSON object."""
+    """The QFORGE_DEFAULTS file cannot be read, holds no JSON object or
+    holds a key that names no constant."""
 
 
 class Record:
-    """Base of the frozen records: each is a dataclass of its annotated fields
-    that generates no method (a generated one is compiled from source at
-    import); its own __init__ checks and stores them in one __dict__.update.
-    Record adds what frozen=True and eq=True would: FrozenInstanceError on
-    set and delete, and ==, hash and repr over the fields."""
+    """Base of the frozen records.  A record stores exactly its constructor's
+    parameters, under their names: those of __init__ after self, with their
+    annotations and defaults, are the fields of a dataclass that generates
+    no method (a generated one is compiled from source at import), and an
+    unannotated one is a KeyError when the class is made.  __init__ checks
+    them and stores them in one __dict__.update.  Record adds what
+    frozen=True and eq=True would: FrozenInstanceError on set and delete,
+    and ==, hash and repr over the fields, each field by its own == and
+    hash.  So == on records holding ndarrays (compiled recipes) raises
+    ValueError where it reaches one, and hash raises TypeError; a parsed
+    recipe holds tuples, and compares and hashes by value."""
 
     def __init_subclass__(cls):
         from dataclasses import dataclass
 
+        init = cls.__init__
+        names = init.__code__.co_varnames[1:init.__code__.co_argcount]
+        cls.__annotations__ = {name: init.__annotations__[name] for name in names}
+        for name, default in zip(reversed(names), reversed(init.__defaults__ or ())):
+            setattr(cls, name, default)
         dataclass(init=False, repr=False, eq=False)(cls)
 
     def _values(self) -> tuple:

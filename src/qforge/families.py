@@ -152,11 +152,8 @@ class Family(Record):
     density-matrix constructor, and the scheme-III seed, None when scheme
     III cannot produce the family."""
 
-    param_names: tuple[str, ...]
-    matrix: Callable[..., np.ndarray]
-    seed: Optional[Callable[..., tuple[np.ndarray, float]]] = None
-
-    def __init__(self, param_names: tuple, matrix: Callable, seed: Optional[Callable] = None):
+    def __init__(self, param_names: tuple[str, ...], matrix: Callable[..., np.ndarray],
+                 seed: Optional[Callable[..., tuple[np.ndarray, float]]] = None):
         self.__dict__.update(param_names=param_names, matrix=matrix, seed=seed)
 
     @property
@@ -182,9 +179,6 @@ class FamilyParams(Record):
     of the name ('Collins-Gisin' -> 'collins_gisin'; an unknown name is
     UnsupportedTarget) and params its parameters as floats, as many as the
     family's arity."""
-
-    kind: str
-    params: tuple
 
     def __init__(self, kind: str, params: tuple):
         key = kind.replace("-", "_").lower()

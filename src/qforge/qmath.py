@@ -158,15 +158,11 @@ def validate_density(m: np.ndarray) -> np.ndarray:
 
 
 class CanonicalDecomposition(Record):
-    """Eigen-decomposition of a density matrix, eigenvalues descending.
-
-    eigenstates[k] is the unit eigenvector for eigenvalues[k]; each is
-    phase-fixed so that its first largest-magnitude component is real
-    and positive.
+    """Eigen-decomposition of a density matrix: eigenvalues, (4,) real and
+    descending, and eigenstates, (4, 4) complex, whose row k = |psi_k> is
+    the unit eigenvector for eigenvalues[k], phase-fixed so that its first
+    largest-magnitude component is real and positive.
     """
-
-    eigenvalues: np.ndarray  # (4,) real, descending
-    eigenstates: np.ndarray  # (4, 4) complex, row k = |psi_k>
 
     def __init__(self, eigenvalues: np.ndarray, eigenstates: np.ndarray):
         self.__dict__.update(eigenvalues=eigenvalues, eigenstates=eigenstates)

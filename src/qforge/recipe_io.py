@@ -24,9 +24,7 @@ InconsistentRecipe.
 
 The records a recipe holds live here too: SpectralModel, SpdcSourceSpec,
 LocalRotationStage and DecohererStage, with check_path_phase, the one
-check a decoherer needs of the model.  elements keeps the optics formulas
-and imports the records from here, so that reading, checking and tallying
-a recipe (`qforge cost`) loads no numpy.  A compiled recipe holds the
+check a decoherer needs of the model.  A compiled recipe holds the
 solver's ndarrays; a parsed one holds its seeds and rotations as tuples of
 Python complex, the values the file gives, and every numeric reader takes
 either through np.asarray.  pump_splits alone imports numpy, and only for
@@ -80,10 +78,6 @@ class SpectralModel(Record):
     (schemes I and II emit no decoherer).
     """
 
-    delta_eps: float
-    omega: float
-    delta_n: float = DEFAULT_DELTA_N
-
     def __init__(self, delta_eps: float, omega: float, delta_n: float = DEFAULT_DELTA_N):
         check_finite(delta_eps=delta_eps, omega=omega)
         if delta_eps <= 0.0:
@@ -102,9 +96,6 @@ class SpectralModel(Record):
 class SpdcSourceSpec(Record):
     """Two-crystal source pumped by cos(theta)|V> + e^{i phi} sin(theta)|H>."""
 
-    theta: float
-    phi: float = 0.0
-
     def __init__(self, theta: float, phi: float = 0.0):
         if not (type(theta) is type(phi) is float and math.isfinite(theta + phi)):
             check_finite(theta=theta, phi=phi)  # only where a value is not a finite float
@@ -117,9 +108,6 @@ class LocalRotationStage(Record):
     """Frequency-independent local unitaries, one 2x2 matrix per arm: an
     ndarray when compiled, a tuple of rows of complex when parsed."""
 
-    u_a: Sequence
-    u_b: Sequence
-
     def __init__(self, u_a: Sequence, u_b: Sequence):
         self.__dict__.update(u_a=u_a, u_b=u_b)
 
@@ -128,10 +116,6 @@ class DecohererStage(Record):
     """Thick birefringent crystal in one arm ('A' or 'B'): the polarization
     named by axis sees an index sm.delta_n, shared by every decoherer, above
     the other one; the stage keeps no birefringence of its own."""
-
-    arm: str
-    length_um: float
-    axis: str = "V"
 
     def __init__(self, arm: str, length_um: float, axis: str = "V"):
         check_finite(length_um=length_um)
@@ -177,27 +161,21 @@ class RecipeBranch(Record):
     branch's pump split is derived (pump_splits), not stored.
     """
 
-    weight: float
-    timing_tag: int
-    seed: Union[SpdcSourceSpec, Sequence[complex]]
-    stages: tuple = ()
-    note: str = ""
-
-    def __init__(self, weight: float, timing_tag: int, seed, stages: tuple = (), note: str = ""):
+    def __init__(self, weight: float, timing_tag: int,
+                 seed: Union[SpdcSourceSpec, Sequence[complex]], stages: tuple = (),
+                 note: str = ""):
         self.__dict__.update(weight=weight, timing_tag=timing_tag, seed=seed, stages=stages,
                              note=note)
 
 
 class Recipe(Record):
-    """Incoherent mixture of branches, checked when built: a known scheme,
-    weights finite, non-negative, summing to 1; scheme-II branches of
-    amplitudes alone, weighing more than 0; branches sharing a timing tag
-    are equal; check_path_phase passes every decoherer.  The spectral
-    model, which carries every decoherer's delta_n, checks itself."""
-
-    scheme: str  # "I" | "II" | "III" | "IV"
-    branches: tuple
-    spectral_model: SpectralModel
+    """Incoherent mixture of branches, checked when built: a known scheme
+    ("I", "II", "III" or "IV"); weights finite, non-negative, summing to 1;
+    scheme-II branches of amplitudes alone, weighing more than 0; branches
+    sharing a timing tag equal in recipe-v1 form (a compiled branch holds
+    ndarrays, which == does not compare by value); check_path_phase passes
+    every decoherer.  The spectral model, which carries every decoherer's
+    delta_n, checks itself."""
 
     def __init__(self, scheme: str, branches: tuple, spectral_model: SpectralModel):
         if scheme not in SCHEMES:
@@ -339,9 +317,10 @@ def _branch_to_dict(branch: RecipeBranch, delta_n: float, split: Optional[dict] 
 def _branch_from_dict(data: dict, delta_n: float) -> tuple:
     """The branch, and its pump split as written (checked finite) or None."""
     seed = data["seed"]
-    if "theta" in seed:
+    keys = sorted(seed) if isinstance(seed, dict) else type(seed).__name__
+    if keys == ["phi", "theta"]:
         seed = SpdcSourceSpec(theta=seed["theta"], phi=seed["phi"])
-    else:
+    elif keys == ["amps"]:
         amps = seed["amps"]
         seed = _vec_from(amps)
         # checked only: the recipe keeps the amplitudes as written
@@ -350,6 +329,8 @@ def _branch_from_dict(data: dict, delta_n: float) -> tuple:
             raise NotFinite("seed amplitudes hold a NaN or infinite entry")
         if len(seed) != 4 or not abs(norm - 1.0) <= SEED_NORM_TOL:
             raise NotNormalized(f"seed needs 4 amplitudes of unit norm, not {len(seed)} of {norm}")
+    else:
+        raise TypeError(f"a seed holds theta and phi, or amps alone, not {keys}")
     split = None
     if "pump_split" in data:
         ps = data["pump_split"]
@@ -429,10 +410,6 @@ class ResourceCount(Record):
     """Element tally: crystal sets count two nonlinear crystals, a general
     unitary costs three waveplates, and the pump is assumed pre-polarized
     (two plates tune each source)."""
-
-    nlc: int
-    other_optics: int
-    controllable_params: int
 
     def __init__(self, nlc: int, other_optics: int, controllable_params: int):
         self.__dict__.update(nlc=nlc, other_optics=other_optics,

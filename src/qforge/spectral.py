@@ -62,9 +62,6 @@ class FrequencyGrid(Record):
     """Uniform symmetric grid over the frequency deviation eps with
     trapezoid quadrature weights."""
 
-    points: np.ndarray
-    weights: np.ndarray
-
     def __init__(self, points: np.ndarray, weights: np.ndarray):
         self.__dict__.update(points=points, weights=weights)
 

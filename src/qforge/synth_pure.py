@@ -43,14 +43,9 @@ class PureRecipe(Record):
     unitaries, in traversal order.
     """
 
-    source: SpdcSourceSpec
-    u_a: np.ndarray
-    u_b: np.ndarray
-    wp_a: tuple[WaveplateSpec, WaveplateSpec, WaveplateSpec]
-    wp_b: tuple[WaveplateSpec, WaveplateSpec, WaveplateSpec]
-
-    def __init__(self, source: SpdcSourceSpec, u_a: np.ndarray, u_b: np.ndarray, wp_a: tuple,
-                 wp_b: tuple):
+    def __init__(self, source: SpdcSourceSpec, u_a: np.ndarray, u_b: np.ndarray,
+                 wp_a: tuple[WaveplateSpec, WaveplateSpec, WaveplateSpec],
+                 wp_b: tuple[WaveplateSpec, WaveplateSpec, WaveplateSpec]):
         self.__dict__.update(source=source, u_a=u_a, u_b=u_b, wp_a=wp_a, wp_b=wp_b)
 
     def state(self) -> np.ndarray:

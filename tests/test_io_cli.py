@@ -914,6 +914,8 @@ U_A_00 = ("branches", 0, "stages", 0, "u_a", 0, 0)
 PSI_UPPER_0 = ("branches", 0, "pump_split", "psi_upper", 0)
 MODEL_DN = ("spectral_model", "delta_n")
 STAGE_1_DN = ("branches", 0, "stages", 1, "delta_n")
+SEED = ("branches", 0, "seed")
+ONE_HH = [[1, 0], [0, 0], [0, 0], [0, 0]]
 
 
 def _three_row_u_a(doc):
@@ -1009,6 +1011,11 @@ def _scaled_amps_seed(doc):  # the source state as amplitudes of norm 1 + 5e-10
         ("mems:0.4", _put("negated_stage_delta_n", *STAGE_1_DN, value=-0.009),
          "inconsistent-recipe", 2),
         ("mems:0.4", _put("nan_stage_delta_n", *STAGE_1_DN, value=float("nan")), "not-finite", 2),
+        # a seed holds theta and phi, or amps, and nothing else
+        ("mems:0.4", _put("angles_and_amps", *SEED, "amps", value=ONE_HH), "recipe-parse", 2),
+        ("collins-gisin:1.0,0.6", _put("amps_and_theta", *SEED, "theta", value=0.5),
+         "recipe-parse", 2),
+        ("mems:0.4", _put("angles_and_note", *SEED, "note", value="x"), "recipe-parse", 2),
         # within the parse tolerances of unit norm: both accept, and simulate writes unit trace
         ("mems:0.4", _scaled_u_a, None, 0),
         ("mems:0.4", _scaled_amps_seed, None, 0),
@@ -1041,7 +1048,8 @@ def test_cli_cost_and_simulate_reject_the_same_recipes(
     assert not (tmp_path / "x.txt").exists()
 
 
-# a non-number where a recipe holds a number, and the key its one line names
+# a non-number where a recipe holds a number, or a seed not of one form, and what its one
+# line names
 @pytest.mark.parametrize("command", ["cost", "simulate"])
 @pytest.mark.parametrize("path, value, named", [
     (("branches", 0, "stages", 1, "length_um"), "1", "length_um must be a number, got '1'"),
@@ -1050,7 +1058,12 @@ def test_cli_cost_and_simulate_reject_the_same_recipes(
     (("branches", 0, "seed", "theta"), [0.1], "theta must be a number, got [0.1]"),
     (("branches", 0, "seed", "phi"), "x" * 1000,
      "phi must be a number, got 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
-], ids=["length-string", "omega-null", "weight-string", "theta-list", "phi-long-string"])
+    (SEED, {"theta": 0.5, "phi": 0.0, "amps": ONE_HH},
+     "a seed holds theta and phi, or amps alone, not ['amps', 'phi', 'theta']"),
+    (SEED, {"theta": 0.5}, "a seed holds theta and phi, or amps alone, not ['theta']"),
+    (SEED, [0.5, 0.0], "a seed holds theta and phi, or amps alone, not list"),
+], ids=["length-string", "omega-null", "weight-string", "theta-list", "phi-long-string",
+        "seed-of-both-forms", "seed-without-phi", "seed-list"])
 def test_cli_names_a_non_number_in_a_recipe(runner, tmp_path, command, path, value, named):
     r = tmp_path / "r.json"
     assert invoke(runner, "compile", "III", "mems:0.4", "--out", str(r)).exit_code == 0
@@ -1193,6 +1206,14 @@ CLI_CONTRACT = [
     (["compile", "III", "mems:0.4", "--out", "{tmp}/missing/x.json"], None, 2, "io-error", ""),
     (["families", "werner", "0.5"], "[1]", 2, "defaults-file", ""),
     (["families", "werner", "0.5"], '{"delta_n": "abc"}', 2, "type-error", ""),
+    # the file takes delta_n, l_si_um and pump_wavelength_nm only: a misspelled key, or a
+    # flag's name, is not ignored, and is named before any value is converted
+    (["compile", "III", "mems:0.4", "--out", "{tmp}/x.json"], '{"delta_n": 0.018, "lsi_um": 50}',
+     2, "defaults-file", ""),
+    (["compile", "III", "mems:0.4", "--out", "{tmp}/x.json"], '{"l_si": 50}', 2,
+     "defaults-file", ""),
+    (["cost", "{tmp}/r.json"], '{"delta_n": "abc", "pump_wavelength": 351}', 2,
+     "defaults-file", ""),
     (["--delta-n", "0", "compile", "III", "mems:0.4", "--out", "{tmp}/x.json"], None, 2,
      "out-of-range", ""),
     (["compile", "IV", "mems:0.4", "--out", "{tmp}/x.json"], None, 3, NOT_BELL_DIAGONAL, ""),
@@ -1328,6 +1349,17 @@ BAD_CONSTANTS = [
      "error: out-of-range: pump wavelength 1e-320 nm makes omega overflow a double\n"),
     ([], '{"pump_wavelength_nm": 5e-324}',  # 5e-324 nm is 0.0 um in a double
      "error: out-of-range: pump wavelength 5e-324 nm makes omega overflow a double\n"),
+    # a key other than the three constants ({path} is the file's), named before any value
+    # is converted: a misspelling, a flag's name
+    ([], '{"delta_n": 0.018, "lsi_um": 50}',
+     "error: defaults-file: {path} holds unknown key(s) 'lsi_um'; it takes delta_n, l_si_um, "
+     "pump_wavelength_nm only\n"),
+    ([], '{"l_si": 50, "delta_n": NaN}',
+     "error: defaults-file: {path} holds unknown key(s) 'l_si'; it takes delta_n, l_si_um, "
+     "pump_wavelength_nm only\n"),
+    ([], '{"pump_wavelength": "abc", "l_si_um": 50, "Delta_n": 1}',
+     "error: defaults-file: {path} holds unknown key(s) 'pump_wavelength', 'Delta_n'; it takes "
+     "delta_n, l_si_um, pump_wavelength_nm only\n"),
 ]
 EVERY_COMMAND = [
     ["families", "werner", "0.5"],
@@ -1352,6 +1384,7 @@ def test_cli_bad_constant_ends_every_command_in_its_line(runner, tmp_path, comma
         (tmp_path / "defaults.json").write_text(defaults, encoding="utf-8")
         env = {"QFORGE_DEFAULTS": str(tmp_path / "defaults.json")}
     res = invoke(runner, *flags, *[a.format(tmp=tmp_path) for a in command], env=env)
+    line = line.format(path=tmp_path / "defaults.json")
     assert (res.exit_code, res.stdout, res.stderr) == (2, "", line)
     assert not (tmp_path / "x.json").exists()
 
