@@ -33,9 +33,9 @@ physical constants, e.g. {"delta_n": 0.009, "l_si_um": 100.0,
 "pump_wavelength_nm": 351.0}; any other key is a defaults-file error, and
 explicit flags win over the file.  Where one is set, the group turns them
 into one SpectralModel, delta_n included, before any command runs, so a
-bad constant fails every command; compile then uses it.  Where none is
-set, compile takes the compilers' memoized default model.  Only
-compilers.compile_target pairs a scheme with a target.
+bad constant fails every command but its --help; compile then uses it.
+Where none is set, compile takes the compilers' memoized default model.
+Only compilers.compile_target pairs a scheme with a target.
 
 Every --out takes '-' for stdout; compile then writes the recipe alone,
 without its summary.
@@ -116,6 +116,15 @@ class _ErrorBoundary(click.Group):
     ends a mapped error in one line.  The group's own usage errors are raised
     while click's main makes the context, before invoke; a subcommand's are
     raised inside invoke."""
+
+    def resolve_command(self, ctx, args):
+        """The command, its arguments parsed once before the group callback: an eager
+        --help exits 0 under a bad constant; a usage error waits for the real parse."""
+        name, cmd, rest = super().resolve_command(ctx, args)
+        if cmd is not None:  # None only where click completes a command line
+            with suppress(click.UsageError):
+                cmd.make_context(name, list(rest), parent=ctx)  # the parse consumes its list
+        return name, cmd, rest
 
     def make_context(self, *args, **kwargs):
         with _one_line_errors():

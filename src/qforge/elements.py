@@ -3,7 +3,8 @@
 This module holds the optics formulas: the spectral amplitude, the pair
 state a source gives, waveplate Jones matrices and their QWP-HWP-QWP
 synthesis, and the decoherence factor with its inverse.  The records they
-read live in recipe_io.
+read live in recipe_io.  The exact paths read the spectrum's shape only
+through coherence and its inverse; the frequency grid, spectral_amplitude.
 
 Conventions used throughout:
   * angles in radians, lengths in micrometers, frequencies in rad/s;
@@ -65,6 +66,16 @@ def spectral_amplitude(sm: SpectralModel, eps: np.ndarray) -> np.ndarray:
     """Gaussian amplitude A(eps) with |A|^2 the normal density of width delta_eps."""
     d2 = sm.delta_eps**2
     return (2.0 * math.pi * d2) ** -0.25 * np.exp(-np.asarray(eps) ** 2 / (4.0 * d2))
+
+
+def coherence(tau):
+    """The spectrum's coherence chi(tau) = exp(-tau^2 / 2), tau = delta_eps t."""
+    return np.exp(-0.5 * tau * tau)
+
+
+def inverse_coherence(abs_f: float) -> float:
+    """The tau >= 0 with coherence(tau) = abs_f; TAU_CAP below F_FLOOR, zero included."""
+    return TAU_CAP if abs_f < F_FLOOR else math.sqrt(2.0 * math.log(1.0 / abs_f))
 
 
 def spdc_pair_state(src: SpdcSourceSpec) -> np.ndarray:
@@ -175,7 +186,7 @@ def analytic_f(d_a: DecohererStage, d_b: DecohererStage, sm: SpectralModel) -> c
     """Decoherence factor on the HH<->VV coherence for decoherers of
     lengths L1 = d_a.length_um (arm A) and L2 = d_b.length_um (arm B).
 
-    f = exp(-tau^2/2) exp(-i dn (L1+L2) w / 2c), tau = dn (L1-L2) delta_eps / c.
+    f = coherence(tau) exp(-i dn (L1+L2) w / 2c), tau = dn (L1-L2) delta_eps / c.
     |f| = 1 exactly when L1 = L2.  check_path_phase guards each length first.
     """
     if d_a.axis != d_b.axis:
@@ -185,15 +196,14 @@ def analytic_f(d_a: DecohererStage, d_b: DecohererStage, sm: SpectralModel) -> c
     dn = d_a.effective_delta_n(sm)
     tau = dn * (d_a.length_um - d_b.length_um) * sm.delta_eps / C_UM_PER_S
     phase = -dn * (d_a.length_um + d_b.length_um) * sm.omega / (2.0 * C_UM_PER_S)
-    return complex(np.exp(-0.5 * tau * tau) * np.exp(1j * phase))
+    return complex(coherence(tau) * np.exp(1j * phase))
 
 
 def invert_f(target_abs_f: float, sm: SpectralModel) -> tuple[float, float]:
     """Thicknesses (L1, L2) with |analytic_f(L1, L2)| = target_abs_f at sm.delta_n.
 
-    L2 sits at the full-dephasing floor and L1 >= L2.  Targets in
-    [0, F_FLOOR), zero included, are treated as zero: the length difference
-    is capped at tau = 8, where the Gaussian is ~1.3e-14.
+    L2 sits at the full-dephasing floor and L1 >= L2, their difference set by
+    inverse_coherence.
 
     The lengths scale with l_si / |delta_n| and their path phase with l_si
     alone, as w (10 + tau) / (2 delta_eps).  Where the phase of L1 overflows
@@ -205,7 +215,7 @@ def invert_f(target_abs_f: float, sm: SpectralModel) -> tuple[float, float]:
     """
     if not 0.0 <= target_abs_f <= 1.0:
         raise TargetOutOfRange(f"|f| target {target_abs_f} outside [0, 1]")
-    tau = TAU_CAP if target_abs_f < F_FLOOR else math.sqrt(2.0 * math.log(1.0 / target_abs_f))
+    tau = inverse_coherence(target_abs_f)
     floor = full_dephasing_floor_um(sm)
     l1 = floor + tau * dephasing_length_um(sm)
     if not math.isfinite(_path_phase(l1, sm)):  # an infinite length too

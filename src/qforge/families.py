@@ -1,7 +1,7 @@
 """Constructors for the named two-qubit state families used as targets.
 
-All constructors return validated density matrices with real nonnegative
-off-diagonal elements (the free phase of those entries is set to zero).
+All five matrices are X-states: _x_state builds and validates each from its
+diagonal and its HH<->VV and HV<->VH coherences, real except d1's.
 FAMILIES is the one table of families: the CLI and the compilers read
 names, parameter counts, constructors and scheme-III seeds from it.
 FamilyParams is a family target, checked once where it is built.
@@ -27,6 +27,15 @@ def _check_unit_interval(name: str, x: float) -> None:
         raise OutOfRange(f"{name} = {x} outside [0, 1]")
 
 
+def _x_state(diag, hh_vv, hv_vh=0.0) -> np.ndarray:
+    """validate_density of the matrix with diagonal diag (HH, HV, VH, VV), HH<->VV
+    coherence rho[0, 3] = hh_vv and HV<->VH coherence rho[1, 2] = hv_vh."""
+    m = np.diag(diag).astype(complex)
+    m[0, 3], m[3, 0] = hh_vv, np.conjugate(hh_vv)
+    m[1, 2], m[2, 1] = hv_vh, np.conjugate(hv_vh)
+    return validate_density(m)
+
+
 def mems(r: float) -> np.ndarray:
     """Maximally entangled mixed state with concurrence r.
 
@@ -34,24 +43,17 @@ def mems(r: float) -> np.ndarray:
     at the split.
     """
     _check_unit_interval("r", r)
-    m = np.zeros((4, 4), dtype=complex)
-    if r >= MEMS_BRANCH_SPLIT:
-        m[0, 0] = m[3, 3] = r / 2.0
-        m[1, 1] = 1.0 - r
-    else:
-        m[0, 0] = m[1, 1] = m[3, 3] = 1.0 / 3.0
-    m[0, 3] = m[3, 0] = r / 2.0
-    return validate_density(m)
+    diag = (r / 2.0, 1.0 - r, 0.0, r / 2.0)
+    if r < MEMS_BRANCH_SPLIT:
+        diag = (1.0 / 3.0, 1.0 / 3.0, 0.0, 1.0 / 3.0)
+    return _x_state(diag, r / 2.0)
 
 
 def werner(r: float) -> np.ndarray:
     """r |Phi+><Phi+| + (1 - r) I/4."""
     _check_unit_interval("r", r)
-    m = np.diag([(1.0 + r) / 4.0, (1.0 - r) / 4.0, (1.0 - r) / 4.0, (1.0 + r) / 4.0]).astype(
-        complex
-    )
-    m[0, 3] = m[3, 0] = r / 2.0
-    return validate_density(m)
+    hi, lo = (1.0 + r) / 4.0, (1.0 - r) / 4.0
+    return _x_state((hi, lo, lo, hi), r / 2.0)
 
 
 def collins_gisin(lam: float, theta: float) -> np.ndarray:
@@ -60,12 +62,7 @@ def collins_gisin(lam: float, theta: float) -> np.ndarray:
     _check_unit_interval("lambda", lam)
     check_finite(theta=theta)
     ct, st = math.cos(theta), math.sin(theta)
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = lam * ct * ct
-    m[1, 1] = 1.0 - lam
-    m[3, 3] = lam * st * st
-    m[0, 3] = m[3, 0] = lam * ct * st
-    return validate_density(m)
+    return _x_state((lam * ct * ct, 1.0 - lam, 0.0, lam * st * st), lam * ct * st)
 
 
 def bell_weights(l1: float, l2: float, l3: float, l4: float) -> np.ndarray:
@@ -82,12 +79,8 @@ def bell_weights(l1: float, l2: float, l3: float, l4: float) -> np.ndarray:
 def bell_diagonal(l1: float, l2: float, l3: float, l4: float) -> np.ndarray:
     """Mixture of the four Bell states with the given weights."""
     lam = bell_weights(l1, l2, l3, l4)
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = m[3, 3] = (lam[0] + lam[1]) / 2.0
-    m[1, 1] = m[2, 2] = (lam[2] + lam[3]) / 2.0
-    m[0, 3] = m[3, 0] = (lam[0] - lam[1]) / 2.0
-    m[1, 2] = m[2, 1] = (lam[2] - lam[3]) / 2.0
-    return validate_density(m)
+    phi, psi = (lam[0] + lam[1]) / 2.0, (lam[2] + lam[3]) / 2.0
+    return _x_state((phi, psi, psi, phi), (lam[0] - lam[1]) / 2.0, (lam[2] - lam[3]) / 2.0)
 
 
 def _check_d1(a: complex, b: complex, c: complex, d: complex, f: complex) -> np.ndarray:
@@ -110,10 +103,7 @@ def family_d1(a: complex, b: complex, c: complex, d: complex, f: complex) -> np.
     norm can fail.
     """
     amps = _check_d1(a, b, c, d, f)
-    m = np.diag(np.abs(amps) ** 2).astype(complex)
-    m[0, 3] = complex(f) * amps[0] * np.conjugate(amps[3])
-    m[3, 0] = np.conjugate(m[0, 3])
-    return validate_density(m)
+    return _x_state(np.abs(amps) ** 2, complex(f) * amps[0] * np.conjugate(amps[3]))
 
 
 # Scheme-III seeds: amplitudes entering the single decoherence stage and the

@@ -25,12 +25,12 @@ scalars: numpy's add.reduce adds the diagonal pairwise, (a + b) + (c + d),
 onto +0, and so does _trace (left to right, half of all matrices differ
 in the last bit).  Every metric raises validate_density's NotHermitian
 for input that is not 4x4, and its NotFinite for a NaN or infinite entry
-that the metric reads (of rho, fidelity reads what eigh reads: the strict
-lower triangle and the real part of the diagonal).  A metric runs in
+that it reads (fidelity and concurrence read rho's Hermitian part, so
+every entry).  The metrics' arithmetic runs in one guard, _guarded, under
 _eigh's error state, so an invalid operation on such an entry raises
-LinAlgError rather than a RuntimeWarning, and checks finiteness only where
-a finite matrix never goes: after a LinAlgError, a NaN least eigenvalue or
-a result that is not finite.
+LinAlgError rather than a RuntimeWarning; the guard checks finiteness only
+where a finite matrix never goes: after a LinAlgError or a result that is
+not finite (and concurrence after a NaN least eigenvalue).
 """
 
 from __future__ import annotations
@@ -55,23 +55,18 @@ _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 _ROWS = np.arange(4)
 
 
-def _raise_eigh_error(err, flag):
-    raise LinAlgError("Eigenvalues did not converge")
-
-
-def _raise_svd_error(err, flag):
-    raise LinAlgError("SVD did not converge")
-
-
-def _lapack_extobj(handler):
+def _lapack_extobj(message: str):
     """The error state np.errstate installs around one LAPACK gufunc call."""
+    def handler(err, flag):
+        raise LinAlgError(message)
+
     with np.errstate(call=handler, invalid="call", over="ignore", divide="ignore",
                      under="ignore"):
         return _extobj_contextvar.get()
 
 
-_EIGH_EXTOBJ = _lapack_extobj(_raise_eigh_error)
-_SVD_EXTOBJ = _lapack_extobj(_raise_svd_error)
+_EIGH_EXTOBJ = _lapack_extobj("Eigenvalues did not converge")
+_SVD_EXTOBJ = _lapack_extobj("SVD did not converge")
 
 
 def _eigh(h: np.ndarray):
@@ -183,30 +178,57 @@ def canonical_decompose(rho: np.ndarray) -> CanonicalDecomposition:
     return CanonicalDecomposition(eigenvalues=np.maximum(evals[::-1], 0.0), eigenstates=states)
 
 
+def _guarded(arithmetic, *ms: np.ndarray) -> float:
+    """arithmetic(*ms) in _eigh's error state, reset on return or raise; where it
+    raises LinAlgError or returns a number that is not finite, NotFinite if
+    some m holds a NaN or infinite entry."""
+    token = _extobj_contextvar.set(_EIGH_EXTOBJ)
+    try:
+        x = arithmetic(*ms)
+    except LinAlgError:
+        _check_finite(*ms)
+        raise
+    finally:
+        _extobj_contextvar.reset(token)
+    if not math.isfinite(x):
+        _check_finite(*ms)
+    return x
+
+
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    evals, evecs = _umath_linalg.eigh_lo(m, signature="D->dD")  # in fidelity's _eigh state
+    """Square root of m's Hermitian part, negative eigenvalues taken as 0."""
+    h = 0.5 * (m + m.conj().T)
+    evals, evecs = _umath_linalg.eigh_lo(h, signature="D->dD")  # in _guarded's _eigh state
     return (evecs * np.sqrt(np.maximum(evals, 0.0))) @ evecs.conj().T
+
+
+def _fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
+    sq = _psd_sqrt(rho)
+    return _trace(_psd_sqrt(sq @ sigma @ sq)).real ** 2
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Uhlmann fidelity F = (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 of density
     matrices validated where they entered (validate_density): like every
-    metric here, it checks no hermiticity, trace or positivity per call."""
-    rho, sigma = _matrix(rho), _matrix(sigma)
-    token = _extobj_contextvar.set(_EIGH_EXTOBJ)
-    try:
-        sq = _psd_sqrt(rho)
-        inner = sq @ sigma @ sq
-        inner = 0.5 * (inner + inner.conj().T)
-        f = _trace(_psd_sqrt(inner)).real ** 2
-    except LinAlgError:
-        _check_finite(rho, sigma)
-        raise
-    finally:
-        _extobj_contextvar.reset(token)
-    if not math.isfinite(f):
-        _check_finite(rho, sigma)
-    return min(max(f, 0.0), 1.0)
+    metric here, it checks no hermiticity, trace or positivity per call, and
+    it reads rho's Hermitian part, as concurrence does."""
+    return min(max(_guarded(_fidelity, _matrix(rho), _matrix(sigma)), 0.0), 1.0)
+
+
+def _concurrence(rho: np.ndarray) -> float:
+    h = 0.5 * (rho + rho.conj().T)
+    mu, vec = _umath_linalg.eigh_lo(h, signature="D->dD")  # in _guarded's _eigh state
+    cut = SPIN_FLIP_CUT * max(1.0, float(mu[-1]))
+    if not mu[0] > cut:  # ascending: some eigenvalue is dropped, or the least is NaN
+        if not math.isfinite(sum(mu.tolist())):
+            _check_finite(rho)
+        keep = mu > cut
+        mu, vec = mu[keep], vec[:, keep]
+    w = vec * np.sqrt(mu)
+    tau = w.T @ _YY @ w
+    # descending, as LAPACK returns them: one per kept eigenvalue, padded to four
+    lam = _svdvals(tau).tolist() + [0.0] * 4
+    return lam[0] - lam[1] - lam[2] - lam[3]
 
 
 def concurrence(rho: np.ndarray) -> float:
@@ -219,30 +241,7 @@ def concurrence(rho: np.ndarray) -> float:
     machine precision for rank-deficient states.  rho is a validated
     density matrix, as fidelity's are; concurrence reads its Hermitian part.
     """
-    rho = _matrix(rho)
-    token = _extobj_contextvar.set(_EIGH_EXTOBJ)
-    try:
-        h = 0.5 * (rho + rho.conj().T)
-        mu, vec = _umath_linalg.eigh_lo(h, signature="D->dD")  # in _eigh's state, set above
-        cut = SPIN_FLIP_CUT * max(1.0, float(mu[-1]))
-        if not mu[0] > cut:  # ascending: some eigenvalue is dropped, or the least is NaN
-            if not math.isfinite(sum(mu.tolist())):
-                _check_finite(rho)
-            keep = mu > cut
-            mu, vec = mu[keep], vec[:, keep]
-        w = vec * np.sqrt(mu)
-        tau = w.T @ _YY @ w
-        # descending, as LAPACK returns them: one per kept eigenvalue, padded to four
-        lam = _svdvals(tau).tolist() + [0.0] * 4
-        c = lam[0] - lam[1] - lam[2] - lam[3]
-    except LinAlgError:
-        _check_finite(rho)
-        raise
-    finally:
-        _extobj_contextvar.reset(token)
-    if not math.isfinite(c):
-        _check_finite(rho)
-    return max(0.0, c)
+    return max(0.0, _guarded(_concurrence, _matrix(rho)))
 
 
 def tangle(rho: np.ndarray) -> float:
@@ -254,18 +253,7 @@ def tangle(rho: np.ndarray) -> float:
 
 def purity(rho: np.ndarray) -> float:
     """Tr rho^2 of a validated density matrix, as fidelity's are."""
-    rho = _matrix(rho)
-    token = _extobj_contextvar.set(_EIGH_EXTOBJ)
-    try:
-        p = _trace(rho @ rho).real
-    except LinAlgError:
-        _check_finite(rho)
-        raise
-    finally:
-        _extobj_contextvar.reset(token)
-    if not math.isfinite(p):
-        _check_finite(rho)
-    return p
+    return _guarded(lambda m: _trace(m @ m).real, _matrix(rho))
 
 
 def linear_entropy(rho: np.ndarray) -> float:

@@ -10,9 +10,10 @@ records they apply live in recipe_io.
 
 simulate_chain simulates any chain.  It is exact by default: the state
 stays a short list of delay-tagged polarization 4-vectors, and the
-Gaussian spectrum traces out in closed form.  Its pair tables depend only
-on the number of decoherers K: they are built once per K and kept, K * 4**K
-bytes (10.5 MB at K = 10, 13.5 MB over every K).  Given a FrequencyGrid (from
+spectrum traces out in closed form, through _delay_factor, where alone the
+exact paths read its shape (elements.coherence).  Its pair tables depend
+only on the number of decoherers K: they are built once per K and kept,
+K * 4**K bytes (10.5 MB at K = 10, 13.5 MB over every K).  Given a FrequencyGrid (from
 make_grid) it instead runs one private loop, _simulate_on_grid, that
 keeps one amplitude per polarization basis state and grid point, applies
 the stages slice by slice and traces frequency out by the trapezoid rule;
@@ -36,7 +37,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .elements import spectral_amplitude
+from . import elements
 from .errors import OutOfRange, Record
 from .qmath import _norm
 from .recipe_io import C_UM_PER_S, DecohererStage, LocalRotationStage, SpectralModel
@@ -116,7 +117,7 @@ def _simulate_on_grid(
     trapezoid rule, rho_jk = sum_m w_m amps[j, m] conj(amps[k, m]).
     """
     psi = np.asarray(psi, dtype=complex).reshape(4)
-    amps = np.outer(psi, spectral_amplitude(sm, grid.points))
+    amps = np.outer(psi, elements.spectral_amplitude(sm, grid.points))
     amps = amps / np.sqrt(np.sum(grid.weights * np.abs(amps) ** 2))
     for stage in stages:
         if isinstance(stage, LocalRotationStage):
@@ -137,6 +138,13 @@ def _simulate_on_grid(
     return 0.5 * (rho + rho.conj().T)
 
 
+def _delay_factor(ds: np.ndarray, dt: np.ndarray, sm: SpectralModel) -> np.ndarray:
+    """exp(i w ds / 2c) chi(delta_eps dt / c), chi = elements.coherence: the factor on
+    a coherence whose terms' optical paths [um] differ by ds, and by dt signed by arm."""
+    const = ds * sm.omega / (2.0 * C_UM_PER_S)
+    return np.exp(1j * const) * elements.coherence(sm.delta_eps * (dt / C_UM_PER_S))
+
+
 def simulate_chain(
     psi: np.ndarray,
     stages: StageList,
@@ -152,9 +160,9 @@ def simulate_chain(
     stage.effective_delta_n(sm)).  Term p took the V part at the decoherers
     with c_pk = 1; its amplitude at eps is v_p e^{i w s_p / 2c} e^{i eps
     t_p} with s_p = sum_k c_pk P_k and t_p = sum_k c_pk (+-P_k) / c, + on
-    arm A and - on arm B.  Tracing out the Gaussian spectrum gives
+    arm A and - on arm B.  Tracing out the spectrum, of coherence chi, gives
 
-        rho = sum_pq e^{i w (s_p - s_q) / 2c} e^{-(delta_eps (t_p - t_q))^2 / 2} v_p v_q^dag
+        rho = sum_pq e^{i w (s_p - s_q) / 2c} chi(delta_eps (t_p - t_q)) v_p v_q^dag
 
     The term count doubles per decoherer: the compilers emit at most two
     per branch (four terms), and a chain of four decoherers holds sixteen.
@@ -198,10 +206,7 @@ def simulate_chain(
     for diff, (path, signed) in zip(_pair_planes(len(paths)), paths):
         ds += diff * path
         dt += diff * signed
-    const = ds * sm.omega / (2.0 * C_UM_PER_S)
-    lin = dt / C_UM_PER_S
-    kernel = np.exp(1j * const) * np.exp(-0.5 * (sm.delta_eps * lin) ** 2)
-    rho = terms.T @ kernel @ terms.conj()
+    rho = terms.T @ _delay_factor(ds, dt, sm) @ terms.conj()
     return 0.5 * (rho + rho.conj().T)
 
 
@@ -213,9 +218,8 @@ def analytic_single_stage(
     simulate_chain takes instead.
 
     This is the single-stage construction of schemes III and IV: each
-    coherence (j, k) picks up exp(i phi) exp(-(delta_eps t)^2 / 2) where phi
-    and t are the constant and eps-linear parts of the optical phase
-    difference, exact for the Gaussian spectrum.  The HH<->VV entry
+    coherence (j, k) picks up the _delay_factor of its optical path
+    differences, exact for the Gaussian spectrum.  The HH<->VV entry
     reproduces analytic_f.  A chain with no decoherer gives the projector.
     """
     length_a = length_b = 0.0
@@ -241,10 +245,7 @@ def analytic_single_stage(
         return psi[:, None] * psi.conj()
     da = delta_n * _DPOL_A * length_a
     db = delta_n * _DPOL_B * length_b
-    const = (da + db) * sm.omega / (2.0 * C_UM_PER_S)
-    lin = (da - db) / C_UM_PER_S
-    factors = np.exp(1j * const) * np.exp(-0.5 * (sm.delta_eps * lin) ** 2)
-    rho = np.outer(psi, psi.conj()) * factors
+    rho = np.outer(psi, psi.conj()) * _delay_factor(da + db, da - db, sm)
     rho = 0.5 * (rho + rho.conj().T)
     for u4 in map(_u4, suffix):
         rho = u4 @ rho @ u4.conj().T

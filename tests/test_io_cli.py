@@ -33,6 +33,7 @@ from qforge.recipe_io import SpdcSourceSpec, SpectralModel, load_recipe, recipe_
 from qforge.recipe_io import recipe_to_json
 
 from kit import random_density_matrix, random_pure_state, random_su2
+from test_cli_help import HELP
 
 
 @pytest.fixture
@@ -1386,6 +1387,23 @@ def test_cli_bad_constant_ends_every_command_in_its_line(runner, tmp_path, comma
     res = invoke(runner, *flags, *[a.format(tmp=tmp_path) for a in command], env=env)
     line = line.format(path=tmp_path / "defaults.json")
     assert (res.exit_code, res.stdout, res.stderr) == (2, "", line)
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("command", EVERY_COMMAND, ids=lambda c: c[0])
+@pytest.mark.parametrize("flags, defaults", [
+    (["--delta-n", "nan"], None),
+    ([], '{"delta_n": 0.018, "lsi_um": 50}'),
+], ids=["flag", "defaults-file"])
+def test_cli_command_help_wins_over_a_bad_constant(runner, tmp_path, command, flags, defaults):
+    # the command's pinned help on stdout, exit 0, where running it ends in its line
+    env = None
+    if defaults is not None:
+        (tmp_path / "defaults.json").write_text(defaults, encoding="utf-8")
+        env = {"QFORGE_DEFAULTS": str(tmp_path / "defaults.json")}
+    args = [*flags, *[a.format(tmp=tmp_path) for a in command], "--help"]
+    res = runner.invoke(cli, args, env=env, prog_name="qforge", terminal_width=78)
+    assert (res.exit_code, res.stdout, res.stderr) == (0, HELP[command[0]], "")
     assert not (tmp_path / "x.json").exists()
 
 

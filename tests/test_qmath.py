@@ -417,18 +417,20 @@ def test_metrics_reject_a_matrix_that_is_not_4x4(metric, shape):
 
 def test_metrics_trust_a_validated_matrix():
     # the metrics take a density matrix validated where it entered, as the CLI
-    # does, and check nothing more per call: of these two, which validation
-    # rejects, they read half and return a clean state's values
+    # does, and check nothing more per call: of this one, which validation
+    # rejects, fidelity and tangle read the Hermitian part, and purity rho @ rho
     h = np.eye(4, dtype=complex) / 4.0
     h[0, 1] = 0.3
-    assert (fidelity(h, np.eye(4) / 4.0), tangle(h), purity(h)) == (1.0, 0.0, 0.25)
+    assert fidelity(h, np.eye(4) / 4.0) == fidelity(0.5 * (h + h.conj().T), np.eye(4) / 4.0)
+    assert (tangle(h), purity(h)) == (0.0, 0.25)
     with pytest.raises(NotHermitian):
         validate_density(h)
+    # a non-finite entry is NotFinite wherever it sits, fidelity's rho included
     rho = np.eye(4, dtype=complex) / 4.0
     rho[0, 3] = np.inf
-    assert fidelity(rho, np.eye(4) / 4.0) == 1.0
-    with pytest.raises(NotFinite):
-        validate_density(rho)
+    for check in (validate_density, lambda m: fidelity(m, np.eye(4) / 4.0)):
+        with pytest.raises(NotFinite):
+            check(rho)
 
 
 NON_FINITE = {"nan": np.full((4, 4), np.nan, dtype=complex),
@@ -490,20 +492,13 @@ NON_FINITE_BASES = (np.eye(4, dtype=complex) / 4.0, np.diag([1.0, 0.0, 0.0, 0.0]
 @pytest.mark.parametrize("name", METRICS)
 def test_every_non_finite_entry_a_metric_reads_raises_not_finite(name):
     # each entry of each base state replaced by each non-finite value; fidelity
-    # reads all of sigma, and of rho what eigh reads: the strict lower triangle
-    # and the real part of the diagonal
+    # reads all of sigma, and of rho its Hermitian part, so every entry
     metric, message = METRICS[name], _not_finite_message()
     for base, value, (i, j) in itertools.product(
             NON_FINITE_BASES, NON_FINITE_ENTRIES, itertools.product(range(4), repeat=2)):
         m = base.copy()
         m[i, j] = value
-        if metric is not fidelity:
-            calls = [(m,)]
-        elif i > j or (i == j and not np.isfinite(m[i, j].real)):  # read in rho too
-            calls = [(base, m), (m, base)]
-        else:
-            calls = [(base, m)]
-        for args in calls:
+        for args in ([(base, m), (m, base)] if metric is fidelity else [(m,)]):
             with pytest.raises(NotFinite) as info:
                 metric(*args)
             assert str(info.value) == message, (name, value, i, j)

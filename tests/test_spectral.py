@@ -4,12 +4,13 @@ import re
 import numpy as np
 import pytest
 
-from qforge import spectral
+from qforge import elements, spectral
 from qforge.elements import (
     analytic_f,
     default_spectral_model,
     dephasing_length_um,
     full_dephasing_floor_um,
+    invert_f,
     rotation,
 )
 from qforge.qmath import fidelity, purity, validate_density
@@ -331,6 +332,29 @@ def test_exact_matches_analytic_single_stage():
         exact = simulate_chain(psi, stages, SM)
         closed = analytic_single_stage(psi, stages, SM)
         assert np.abs(exact - closed).max() <= 1e-12
+
+
+def test_the_exact_paths_read_the_spectrum_only_through_its_coherence(monkeypatch):
+    # chi and its inverse swapped, in elements alone, for a triangular shape:
+    # invert_f and analytic_f still round-trip, and the delay sum and the closed
+    # form still agree, on states the Gaussian does not give
+    rng = np.random.default_rng(26)
+    chains = []
+    for _ in range(20):
+        l1, l2 = (FLOOR + float(x) * dephasing_length_um(SM) for x in rng.uniform(0.0, 3.0, 2))
+        rotate = [LocalRotationStage(u_a=random_su2(rng), u_b=random_su2(rng)) for _ in range(2)]
+        stages = [rotate[0], DecohererStage("A", l1), DecohererStage("B", l2), rotate[1]]
+        chains.append((random_pure_state(rng), stages))
+    gaussian = [simulate_chain(psi, stages, SM) for psi, stages in chains]
+    monkeypatch.setattr(elements, "coherence", lambda tau: np.maximum(0.0, 1.0 - np.abs(tau) / 2))
+    monkeypatch.setattr(elements, "inverse_coherence", lambda abs_f: 2.0 * (1.0 - abs_f))
+    for f in (0.0, 0.1, 0.3, 0.5, 0.75, 0.9, 1.0):
+        d_a, d_b = (DecohererStage(arm, length) for arm, length in zip("AB", invert_f(f, SM)))
+        assert abs(abs(analytic_f(d_a, d_b, SM)) - f) < 1e-12
+    for (psi, stages), before in zip(chains, gaussian):
+        exact = simulate_chain(psi, stages, SM)
+        assert np.abs(exact - analytic_single_stage(psi, stages, SM)).max() <= 1e-14
+        assert np.abs(exact - before).max() > 1e-4
 
 
 def test_analytic_falls_back_to_exact_on_other_chains():
